@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +25,6 @@ from .network import (
 )
 
 STRATEGIES = ("fedavg", "fedprox", "fedp3e")
-WORKERS_ENV_VAR = "PROTOFED_WORKERS"
 
 # Purpose tags for deriving per-(round, client) sub-seeds.
 _SEED_SPLIT = 1
@@ -131,19 +128,17 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
     if total <= 0:
         raise ValueError("all client weights are zero")
     reference, _ = updates[0]
+    dims = reference.spec.layer_dims
     for params, _ in updates[1:]:
-        for name, tensor in params.tensors.items():
-            if tensor.shape != reference.tensors[name].shape:
-                raise ValueError(f"shape mismatch for tensor {name!r}")
-    tensors = {name: np.zeros_like(t) for name, t in reference.tensors.items()}
-    running = {name: np.zeros_like(t) for name, t in reference.running.items()}
+        if params.spec.layer_dims != dims:
+            raise ValueError(f"shape mismatch: layers {params.spec.layer_dims} vs {dims}")
+    # Accumulate client by client: a stacked sum or matmul would round differently.
+    flat = np.zeros_like(reference.flat)
+    stats = np.zeros_like(reference.stats)
     for params, weight in updates:
-        share = weight / total
-        for name in tensors:
-            tensors[name] += share * params.tensors[name]
-        for name in running:
-            running[name] += share * params.running[name]
-    return ModelParams(reference.spec, tensors, running)
+        flat += (weight / total) * params.flat
+        stats += (weight / total) * params.stats
+    return ModelParams(reference.spec, flat, stats)
 
 
 def should_trigger_exchange(history: list[RoundMetrics], cfg: FederationConfig) -> bool:
@@ -168,14 +163,6 @@ def should_trigger_exchange(history: list[RoundMetrics], cfg: FederationConfig) 
 
 def _int_seed(master: int, *fields: int) -> int:
     return int(np.random.SeedSequence([master, *fields]).generate_state(1)[0])
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _count_vector_floats(payload: str) -> int:
@@ -209,12 +196,17 @@ def _combine_reports(reports: tuple[EvalReport, ...], weighting: str) -> EvalRep
     else:
         weights = np.ones(len(reports))
     weights = weights / weights.sum()
+
+    def mean(name: str) -> float:
+        return float(sum(w * getattr(r, name) for w, r in zip(weights, reports)))
+
+    # Weights summing to just over 1 can lift a mean of perfect scores past 1.0.
     return EvalReport(
-        accuracy=float(sum(w * r.accuracy for w, r in zip(weights, reports))),
-        macro_precision=float(sum(w * r.macro_precision for w, r in zip(weights, reports))),
-        macro_recall=float(sum(w * r.macro_recall for w, r in zip(weights, reports))),
-        macro_f1=float(sum(w * r.macro_f1 for w, r in zip(weights, reports))),
-        mean_loss=float(sum(w * r.mean_loss for w, r in zip(weights, reports))),
+        accuracy=min(1.0, mean("accuracy")),
+        macro_precision=min(1.0, mean("macro_precision")),
+        macro_recall=min(1.0, mean("macro_recall")),
+        macro_f1=min(1.0, mean("macro_f1")),
+        mean_loss=mean("mean_loss"),
         n_samples=int(sum(r.n_samples for r in reports)),
     )
 
@@ -245,8 +237,7 @@ def run_federation(
     averaging. Under the fedp3e strategy a one-shot prototype exchange can
     fire at the trigger round, after which clients train on augmented data.
     All randomness is derived from per-(round, client) sub-seeds, so results
-    are bit-identical across reruns and independent of worker parallelism
-    (capped by the PROTOFED_WORKERS environment variable).
+    are bit-identical across reruns.
     """
     if len(client_data) != cfg.n_clients:
         raise ValueError(
@@ -284,7 +275,6 @@ def run_federation(
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     history: list[RoundMetrics] = []
-    workers = min(_worker_cap(), cfg.n_clients)
     for round_index in range(1, cfg.rounds + 1):
         exchange = should_trigger_exchange(history, cfg)
         proto_upload = [0] * cfg.n_clients
@@ -313,28 +303,18 @@ def run_federation(
                     raise FederationError(f"round {round_index}, client {k}: {err}") from err
 
         mu = cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0
-
-        def _train_one(k: int) -> tuple[ModelParams, int]:
+        updates = []
+        for k in range(cfg.n_clients):
             tc = replace(cfg.train, prox_mu=mu, seed=_int_seed(cfg.seed, _SEED_TRAIN, round_index, k))
             try:
                 updated, _ = train_local(global_params, train_sets[k], tc, w_global=global_params)
             except Exception as err:
                 raise FederationError(f"round {round_index}, client {k}: {err}") from err
-            return updated, train_sets[k].n_samples
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(pool.map(_train_one, range(cfg.n_clients)))
-        else:
-            updates = [_train_one(k) for k in range(cfg.n_clients)]
+            updates.append((updated, train_sets[k].n_samples))
 
         aggregated = fedavg_aggregate(updates)
         if not cfg.aggregate_running_stats:
-            aggregated = ModelParams(
-                aggregated.spec,
-                aggregated.tensors,
-                {name: t.copy() for name, t in global_params.running.items()},
-            )
+            aggregated = ModelParams(aggregated.spec, aggregated.flat, global_params.stats.copy())
         global_params = aggregated
 
         reports = tuple(evaluate(global_params, test) for test in test_sets)

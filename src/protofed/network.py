@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,6 +22,8 @@ BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99
 
 _PARAMS_FORMAT = "protofed-params-v1"
+
+_Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -64,50 +69,88 @@ def mlp_spec(
     return ModelSpec(input_dim, hidden, dropout_p, output_classes)
 
 
-@dataclass
-class ModelParams:
-    """Ordered parameter tensors plus batch-norm running statistics.
+@lru_cache(maxsize=64)
+def _layout(spec: ModelSpec) -> tuple[_Layout, _Layout]:
+    """(name, shape) of each trainable tensor and each running statistic.
 
-    ``tensors`` holds the trainables (w1, b1, gamma1, beta1, ..., w_out,
-    b_out); ``running`` holds the non-trainable running mean/var per
-    batch-norm layer.
+    The one statement of the parameter layout: list order is buffer order in
+    ``ModelParams.flat``/``stats``, in gradients and in parameter records.
+    """
+    trainable: list[tuple[str, tuple[int, ...]]] = []
+    running: list[tuple[str, tuple[int, ...]]] = []
+    fan_in = spec.input_dim
+    for i, (units, _) in enumerate(spec.hidden, start=1):
+        trainable += [(f"w{i}", (fan_in, units)), (f"b{i}", (units,)),
+                      (f"gamma{i}", (units,)), (f"beta{i}", (units,))]
+        running += [(f"mean{i}", (units,)), (f"var{i}", (units,))]
+        fan_in = units
+    trainable += [("w_out", (fan_in, spec.output_classes)), ("b_out", (spec.output_classes,))]
+    return tuple(trainable), tuple(running)
+
+
+def _size(layout: _Layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+def _views(buffer: np.ndarray, layout: _Layout) -> Mapping[str, np.ndarray]:
+    """Read-only name -> view mapping over consecutive slices of ``buffer``."""
+    views = {}
+    offset = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = buffer[offset : offset + size].reshape(shape)
+        offset += size
+    return MappingProxyType(views)
+
+
+@dataclass(frozen=True, eq=False)
+class ModelParams:
+    """Trainable parameters and batch-norm running statistics, two flat buffers.
+
+    ``flat`` holds the trainables (w1, b1, gamma1, beta1, ..., w_out, b_out)
+    and ``stats`` the non-trainable running mean/var per batch-norm layer,
+    each one contiguous float64 vector. ``tensors`` and ``running`` are
+    read-only name -> view mappings over them: ``params.tensors["w1"][...] = x``
+    writes into ``flat``, while rebinding a name raises TypeError. Omitted
+    buffers start at zero.
     """
 
     spec: ModelSpec
-    tensors: dict[str, np.ndarray]
-    running: dict[str, np.ndarray]
+    flat: np.ndarray | None = None
+    stats: np.ndarray | None = None
+    tensors: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    running: Mapping[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        trainable, running = _layout(self.spec)
+        for name, views, layout in (("flat", "tensors", trainable), ("stats", "running", running)):
+            size = _size(layout)
+            buffer = getattr(self, name)
+            buffer = np.zeros(size) if buffer is None else np.ascontiguousarray(buffer, np.float64)
+            if buffer.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},), got {buffer.shape}")
+            object.__setattr__(self, name, buffer)
+            object.__setattr__(self, views, _views(buffer, layout))
 
     @property
     def trainable_count(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
+        return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.spec,
-            {k: v.copy() for k, v in self.tensors.items()},
-            {k: v.copy() for k, v in self.running.items()},
-        )
+        return ModelParams(self.spec, self.flat.copy(), self.stats.copy())
 
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """Seeded Glorot-uniform weights, zero biases, identity batch norm."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tensors: dict[str, np.ndarray] = {}
-    running: dict[str, np.ndarray] = {}
-    fan_in = spec.input_dim
-    for i, (units, _) in enumerate(spec.hidden, start=1):
-        limit = math.sqrt(6.0 / (fan_in + units))
-        tensors[f"w{i}"] = rng.uniform(-limit, limit, size=(fan_in, units))
-        tensors[f"b{i}"] = np.zeros(units)
-        tensors[f"gamma{i}"] = np.ones(units)
-        tensors[f"beta{i}"] = np.zeros(units)
-        running[f"mean{i}"] = np.zeros(units)
-        running[f"var{i}"] = np.ones(units)
-        fan_in = units
-    limit = math.sqrt(6.0 / (fan_in + spec.output_classes))
-    tensors["w_out"] = rng.uniform(-limit, limit, size=(fan_in, spec.output_classes))
-    tensors["b_out"] = np.zeros(spec.output_classes)
-    return ModelParams(spec, tensors, running)
+    params = ModelParams(spec)
+    for name, view in (*params.tensors.items(), *params.running.items()):
+        if name.startswith("w"):
+            limit = math.sqrt(6.0 / sum(view.shape))
+            view[...] = rng.uniform(-limit, limit, size=view.shape)
+        elif name.startswith(("gamma", "var")):
+            view[...] = 1.0
+    return params
 
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +235,11 @@ def _dropout_mask(rng: np.random.Generator, shape: tuple[int, int], p: float) ->
 
 
 def _update_running_stats(params: ModelParams, cache: dict) -> None:
-    for i, layer in enumerate(cache["layers"], start=1):
-        params.running[f"mean{i}"] = (
-            BN_MOMENTUM * params.running[f"mean{i}"] + (1.0 - BN_MOMENTUM) * layer["mean"]
-        )
-        params.running[f"var{i}"] = (
-            BN_MOMENTUM * params.running[f"var{i}"] + (1.0 - BN_MOMENTUM) * layer["var"]
-        )
+    """Move the running statistics toward a train-mode pass's batch statistics."""
+    layers = cache["layers"]
+    if layers:
+        batch = np.concatenate([stat for layer in layers for stat in (layer["mean"], layer["var"])])
+        params.stats[...] = BN_MOMENTUM * params.stats + (1.0 - BN_MOMENTUM) * batch
 
 
 def loss_and_grads(
@@ -209,18 +250,18 @@ def loss_and_grads(
     w_global: ModelParams | None = None,
     mode: str = "train",
     dropout_mask: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Regularized cross-entropy loss and its exact analytic gradients.
+) -> tuple[float, Mapping[str, np.ndarray]]:
+    """Regularized cross-entropy loss and its exact analytic gradients by tensor name.
 
     loss = mean CE + sum_i l2_i * ||w_i||^2 + (prox_mu / 2) * ||params - w_global||^2,
     the proximal term ranging over trainable tensors only. Running statistics
     are never modified here, so the loss is a pure function of ``params``.
     """
-    loss, grads, _ = _loss_grads_stats(params, batch, labels, prox_mu, w_global, mode, dropout_mask)
-    return loss, grads
+    loss, grad, _ = _loss_grad_cache(params, batch, labels, prox_mu, w_global, mode, dropout_mask)
+    return loss, _views(grad, _layout(params.spec)[0])
 
 
-def _loss_grads_stats(
+def _loss_grad_cache(
     params: ModelParams,
     batch: np.ndarray,
     labels: np.ndarray,
@@ -228,7 +269,8 @@ def _loss_grads_stats(
     w_global: ModelParams | None,
     mode: str,
     dropout_mask: np.ndarray | None,
-) -> tuple[float, dict[str, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[float, np.ndarray, dict]:
+    """Loss, the gradient as one vector laid out like ``params.flat``, and the forward cache."""
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     spec = params.spec
@@ -247,25 +289,22 @@ def _loss_grads_stats(
         if l2 > 0:
             loss += l2 * float((params.tensors[f"w{i}"] ** 2).sum())
     if prox_mu > 0:
-        dev = 0.0
-        for name, tensor in params.tensors.items():
-            dev += float(((tensor - w_global.tensors[name]) ** 2).sum())
-        loss += 0.5 * prox_mu * dev
+        loss += 0.5 * prox_mu * float(((params.flat - w_global.flat) ** 2).sum())
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.empty_like(params.flat)
+    grads = _views(grad, _layout(spec)[0])
     dlogits = cache["probs"].copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grads["w_out"] = cache["last_hidden"].T @ dlogits
-    grads["b_out"] = dlogits.sum(axis=0)
+    grads["w_out"][...] = cache["last_hidden"].T @ dlogits
+    grads["b_out"][...] = dlogits.sum(axis=0)
     upstream = dlogits @ params.tensors["w_out"].T
 
-    bn_stats: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(len(spec.hidden), 0, -1):
         layer = cache["layers"][i - 1]
         dy = upstream * dropout_mask if (i == 1 and dropout_mask is not None) else upstream
-        grads[f"gamma{i}"] = (dy * layer["xhat"]).sum(axis=0)
-        grads[f"beta{i}"] = dy.sum(axis=0)
+        grads[f"gamma{i}"][...] = (dy * layer["xhat"]).sum(axis=0)
+        grads[f"beta{i}"][...] = dy.sum(axis=0)
         dxhat = dy * params.tensors[f"gamma{i}"]
         if mode == "train":
             # Batch statistics depend on the activations, so differentiate
@@ -279,15 +318,13 @@ def _loss_grads_stats(
             dh = dxhat * layer["inv_std"]
         dz = dh * (layer["z"] > 0)
         l2 = spec.hidden[i - 1][1]
-        grads[f"w{i}"] = layer["x_in"].T @ dz + 2.0 * l2 * params.tensors[f"w{i}"]
-        grads[f"b{i}"] = dz.sum(axis=0)
+        grads[f"w{i}"][...] = layer["x_in"].T @ dz + 2.0 * l2 * params.tensors[f"w{i}"]
+        grads[f"b{i}"][...] = dz.sum(axis=0)
         upstream = dz @ params.tensors[f"w{i}"].T
-        bn_stats.insert(0, (layer["mean"], layer["var"]))
 
     if prox_mu > 0:
-        for name, tensor in params.tensors.items():
-            grads[name] = grads[name] + prox_mu * (tensor - w_global.tensors[name])
-    return loss, grads, bn_stats
+        grad += prox_mu * (params.flat - w_global.flat)
+    return loss, grad, cache
 
 
 @dataclass(frozen=True)
@@ -316,49 +353,34 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moment estimates, laid out like ``ModelParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in params.tensors.items()},
-        v={k: np.zeros_like(v) for k, v in params.tensors.items()},
-    )
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update over the trainable tensors."""
-    if set(grads) != set(params.tensors):
-        raise ValueError("gradient keys do not match parameter tensors")
-    for name, g in grads.items():
-        if g.shape != params.tensors[name].shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: grad {g.shape} vs param "
-                f"{params.tensors[name].shape}"
-            )
+    """One bias-corrected Adam update of the flat trainable vector."""
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"shape mismatch: grad {grad.shape} vs params {params.flat.shape}")
     t = state.t + 1
-    out = params.copy()
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, g in grads.items():
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        out.tensors[name] = params.tensors[name] - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.adam_epsilon
-        )
-        new_m[name] = m
-        new_v[name] = v
-    return out, AdamState(new_m, new_v, t)
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    return ModelParams(params.spec, flat, params.stats.copy()), AdamState(m, v, t)
 
 
 def train_local(
@@ -393,17 +415,11 @@ def train_local(
                 mask = _dropout_mask(
                     rng, (xb.shape[0], work.spec.hidden[0][0]), work.spec.dropout_p
                 )
-            loss, grads, stats = _loss_grads_stats(
+            loss, grad, cache = _loss_grad_cache(
                 work, xb, yb, config.prox_mu, w_global, "train", mask
             )
-            for i, (mean, var) in enumerate(stats, start=1):
-                work.running[f"mean{i}"] = (
-                    BN_MOMENTUM * work.running[f"mean{i}"] + (1.0 - BN_MOMENTUM) * mean
-                )
-                work.running[f"var{i}"] = (
-                    BN_MOMENTUM * work.running[f"var{i}"] + (1.0 - BN_MOMENTUM) * var
-                )
-            work, state = adam_step(work, grads, state, config)
+            _update_running_stats(work, cache)
+            work, state = adam_step(work, grad, state, config)
             total += loss * len(idx)
         history.append(total / n)
     return work, history
@@ -425,8 +441,8 @@ class EvalReport:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.mean_loss < 0:
-            raise ValueError("mean_loss must be >= 0")
+        if not self.mean_loss >= 0:  # also rejects NaN
+            raise ValueError(f"mean_loss must be >= 0, got {self.mean_loss}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -473,26 +489,30 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
 
 
 def flatten_trainable(params: ModelParams) -> np.ndarray:
-    """All trainable tensors concatenated into one float64 vector."""
-    return np.concatenate([t.ravel() for t in params.tensors.values()])
+    """A copy of the flat trainable vector."""
+    return params.flat.copy()
+
+
+def _header(spec: ModelSpec) -> dict:
+    trainable, running = _layout(spec)
+    return {
+        "format": _PARAMS_FORMAT,
+        "spec": {
+            "input_dim": spec.input_dim,
+            "hidden": [list(h) for h in spec.hidden],
+            "dropout_p": spec.dropout_p,
+            "output_classes": spec.output_classes,
+        },
+        "tensors": [[name, list(shape)] for name, shape in trainable],
+        "running": [[name, list(shape)] for name, shape in running],
+    }
 
 
 def params_to_bytes(params: ModelParams) -> bytes:
     """Flat little-endian float64 record with a JSON header line."""
-    header = {
-        "format": _PARAMS_FORMAT,
-        "spec": {
-            "input_dim": params.spec.input_dim,
-            "hidden": [list(h) for h in params.spec.hidden],
-            "dropout_p": params.spec.dropout_p,
-            "output_classes": params.spec.output_classes,
-        },
-        "tensors": [[name, list(t.shape)] for name, t in params.tensors.items()],
-        "running": [[name, list(t.shape)] for name, t in params.running.items()],
-    }
-    blobs = [t.astype("<f8").tobytes() for t in params.tensors.values()]
-    blobs += [t.astype("<f8").tobytes() for t in params.running.values()]
-    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + b"".join(blobs)
+    header = json.dumps(_header(params.spec), sort_keys=True).encode("utf-8")
+    payload = params.flat.astype("<f8").tobytes() + params.stats.astype("<f8").tobytes()
+    return header + b"\n" + payload
 
 
 def params_from_bytes(data: bytes) -> ModelParams:
@@ -506,18 +526,14 @@ def params_from_bytes(data: bytes) -> ModelParams:
         dropout_p=header["spec"]["dropout_p"],
         output_classes=header["spec"]["output_classes"],
     )
+    if header != _header(spec):
+        raise ValueError("parameter record tensors do not match its model spec")
     payload = np.frombuffer(data[newline + 1 :], dtype="<f8")
-    tensors: dict[str, np.ndarray] = {}
-    running: dict[str, np.ndarray] = {}
-    offset = 0
-    for section, target in (("tensors", tensors), ("running", running)):
-        for name, shape in header[section]:
-            size = int(np.prod(shape)) if shape else 1
-            target[name] = payload[offset : offset + size].reshape(shape).astype(np.float64)
-            offset += size
-    if offset != payload.size:
+    trainable, running = _layout(spec)
+    split = _size(trainable)
+    if payload.size != split + _size(running):
         raise ValueError("parameter record length does not match its header")
-    return ModelParams(spec, tensors, running)
+    return ModelParams(spec, payload[:split].astype(np.float64), payload[split:].astype(np.float64))
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:

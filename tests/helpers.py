@@ -13,14 +13,14 @@ def randomized_params(spec: pf.ModelSpec, seed: int) -> pf.ModelParams:
     rng = np.random.default_rng(seed)
     params = pf.build_model(spec, seed)
     for name in params.tensors:
-        params.tensors[name] = params.tensors[name] + 0.1 * rng.standard_normal(
+        params.tensors[name][...] = params.tensors[name] + 0.1 * rng.standard_normal(
             params.tensors[name].shape
         )
     for name in params.running:
         if name.startswith("mean"):
-            params.running[name] = 0.1 * rng.standard_normal(params.running[name].shape)
+            params.running[name][...] = 0.1 * rng.standard_normal(params.running[name].shape)
         else:
-            params.running[name] = 0.5 + rng.random(params.running[name].shape)
+            params.running[name][...] = 0.5 + rng.random(params.running[name].shape)
     return params
 
 

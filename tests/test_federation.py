@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import protofed as pf
-from protofed.federation import FederationError
+from protofed.federation import FederationError, _combine_reports
 from protofed.network import flatten_trainable
 from helpers import randomized_params
 
@@ -11,8 +11,8 @@ def scalar_params(values, seed=0):
     """Tiny 1-in/1-out model whose tensors are set to a constant."""
     spec = pf.ModelSpec(1, (), 0.0, 1)
     params = pf.build_model(spec, seed=seed)
-    params.tensors["w_out"] = np.array([[float(values)]])
-    params.tensors["b_out"] = np.array([float(values)])
+    params.tensors["w_out"][...] = np.array([[float(values)]])
+    params.tensors["b_out"][...] = np.array([float(values)])
     return params
 
 
@@ -56,8 +56,8 @@ class TestFedavgAggregate:
     def test_running_stats_are_averaged(self):
         a = pf.build_model(pf.ModelSpec(2, ((3, 0.0),), 0.0, 2), seed=0)
         b = pf.build_model(pf.ModelSpec(2, ((3, 0.0),), 0.0, 2), seed=0)
-        a.running["mean1"] = np.zeros(3)
-        b.running["mean1"] = np.ones(3)
+        a.running["mean1"][...] = np.zeros(3)
+        b.running["mean1"][...] = np.ones(3)
         merged = pf.fedavg_aggregate([(a, 1), (b, 1)])
         assert np.allclose(merged.running["mean1"], 0.5)
 
@@ -103,6 +103,20 @@ def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
         proto_download_floats=0,
         exchange_triggered=exchanged,
     )
+
+
+class TestCombineReports:
+    @pytest.mark.parametrize("weighting", ["test_size", "uniform"])
+    def test_nine_perfect_clients_combine_to_one(self, weighting):
+        # weights of 1/9 sum to 1.0000000000000002, just past the ratio bound
+        sizes = (71, 547, 524, 600, 164, 108, 611, 64, 401)
+        reports = tuple(pf.EvalReport(1.0, 1.0, 1.0, 1.0, 0.01, n) for n in sizes)
+        combined = _combine_reports(reports, weighting)
+        assert combined.accuracy == 1.0
+        assert combined.macro_precision == 1.0
+        assert combined.macro_recall == 1.0
+        assert combined.macro_f1 == 1.0
+        assert combined.n_samples == sum(sizes)
 
 
 class TestShouldTriggerExchange:

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,8 +79,8 @@ class TestForward:
         # Align the running statistics with this batch's statistics.
         z = x @ params.tensors["w1"] + params.tensors["b1"]
         h = np.maximum(z, 0.0)
-        params.running["mean1"] = h.mean(axis=0)
-        params.running["var1"] = h.var(axis=0)
+        params.running["mean1"][...] = h.mean(axis=0)
+        params.running["var1"][...] = h.var(axis=0)
         eval_probs, _ = pf.forward(params, x, mode="eval")
         train_probs, _ = pf.forward(params.copy(), x, mode="train")
         assert np.allclose(eval_probs, train_probs, atol=1e-12)
@@ -85,8 +88,8 @@ class TestForward:
     def test_hand_computed_linear_softmax(self):
         spec = pf.ModelSpec(2, (), 0.0, 2)
         params = pf.build_model(spec, seed=0)
-        params.tensors["w_out"] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params.tensors["b_out"] = np.array([0.5, -0.5])
+        params.tensors["w_out"][...] = np.array([[1.0, 2.0], [3.0, 4.0]])
+        params.tensors["b_out"][...] = np.array([0.5, -0.5])
         probs, _ = pf.forward(params, np.array([[1.0, 2.0]]), mode="eval")
         logits = np.array([1.0 + 6.0 + 0.5, 2.0 + 8.0 - 0.5])
         expected = np.exp(logits) / np.exp(logits).sum()
@@ -143,7 +146,7 @@ class TestLossAndGrads:
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = np.zeros_like(params.flat)
         stepped, state = pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
         assert np.array_equal(flatten_trainable(stepped), flatten_trainable(params))
         assert state.t == 1
@@ -152,16 +155,15 @@ class TestAdamStep:
         # scalar parameter at 0, gradient 1, lr 0.1: m_hat/sqrt(v_hat) = 1
         spec = pf.ModelSpec(1, (), 0.0, 1)
         params = pf.build_model(spec, seed=0)
-        params.tensors["w_out"] = np.array([[0.0]])
-        grads = {"w_out": np.array([[1.0]]), "b_out": np.zeros(1)}
+        params.tensors["w_out"][...] = np.array([[0.0]])
+        grads = np.array([1.0, 0.0])  # w_out, b_out
         config = pf.TrainConfig(learning_rate=0.1, adam_epsilon=1e-7)
         stepped, _ = pf.adam_step(params, grads, init_adam(params), config)
         assert stepped.tensors["w_out"][0, 0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        grads["b1"] = np.zeros(5)
+        grads = np.zeros(params.flat.size + 1)  # b1 one entry too long
         with pytest.raises(ValueError, match="shape mismatch"):
             pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
 
@@ -181,6 +183,7 @@ class TestTrainLocal:
         for _ in range(3):
             order = rng.permutation(ds.n_samples)
             _, grads = loss_and_grads(work, ds.features[order], ds.labels[order], mode="train")
+            grads = np.concatenate([g.ravel() for g in grads.values()])
             work, state = pf.adam_step(work, grads, state, config)
         assert np.array_equal(flatten_trainable(trained), flatten_trainable(work))
 
@@ -242,8 +245,8 @@ class TestEvaluate:
         # predictions: argmax of [x, -x] -> class 0 iff x > 0
         spec = pf.ModelSpec(1, (), 0.0, 2)
         params = pf.build_model(spec, seed=0)
-        params.tensors["w_out"] = np.array([[1.0, -1.0]])
-        params.tensors["b_out"] = np.zeros(2)
+        params.tensors["w_out"][...] = np.array([[1.0, -1.0]])
+        params.tensors["b_out"][...] = np.zeros(2)
         features = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
         labels = np.array([0, 0, 1, 1])  # confusion [[1, 1], [0, 2]]
         report = pf.evaluate(params, pf.Dataset(features, labels, ("a", "b")))
@@ -268,7 +271,68 @@ class TestEvaluate:
         assert report.mean_loss == pytest.approx(plain_ce - l2_term, abs=1e-9)
 
 
+class TestEvalReport:
+    def test_ratios_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="accuracy"):
+            pf.EvalReport(1.0000000000000002, 0.5, 0.5, 0.5, 0.1, 3)
+        with pytest.raises(ValueError, match="macro_f1"):
+            pf.EvalReport(0.5, 0.5, 0.5, -0.1, 0.1, 3)
+
+    def test_negative_or_nan_loss_rejected(self):
+        with pytest.raises(ValueError, match="mean_loss"):
+            pf.EvalReport(0.5, 0.5, 0.5, 0.5, -1e-9, 3)
+        with pytest.raises(ValueError, match="mean_loss"):
+            pf.EvalReport(0.5, 0.5, 0.5, 0.5, math.nan, 3)
+
+    def test_empty_report_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            pf.EvalReport(0.5, 0.5, 0.5, 0.5, 0.1, 0)
+
+
+class TestParamLayout:
+    def test_view_writes_reach_flat_vector_and_record(self):
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        before = params_to_bytes(params)
+        params.tensors["b1"][...] = [1.0, 2.0, 3.0, 4.0]
+        params.running["var1"][2] = 9.0
+        # layout: w1 (3x4), then b1
+        assert flatten_trainable(params)[12:16].tolist() == [1.0, 2.0, 3.0, 4.0]
+        after = params_to_bytes(params)
+        assert after != before
+        restored = params_from_bytes(after)
+        assert restored.tensors["b1"].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert restored.running["var1"][2] == 9.0
+
+    def test_rebinding_a_name_raises(self):
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        with pytest.raises(TypeError):
+            params.tensors["b1"] = np.ones(4)
+        with pytest.raises(TypeError):
+            params.running["mean1"] = np.ones(4)
+
+    def test_buffer_of_wrong_size_rejected(self):
+        spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
+        with pytest.raises(ValueError, match="flat must have shape"):
+            pf.ModelParams(spec, np.zeros(pf.build_model(spec, seed=0).trainable_count + 1))
+
+
 class TestSerialization:
+    def test_record_bytes_are_pinned(self):
+        # sha256 of the record format protofed-params-v1 for this model
+        params = pf.build_model(pf.ModelSpec(5, ((6, 0.01), (4, 0.0)), 0.2, 3), seed=7)
+        digest = hashlib.sha256(params_to_bytes(params)).hexdigest()
+        assert digest == "fd56a61a2699302ecd6c347aaad4bf57709020f3e148ca33c3acc3b8b82cfbeb"
+
+    def test_truncated_record_rejected(self):
+        blob = params_to_bytes(pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0))
+        with pytest.raises(ValueError, match="length"):
+            params_from_bytes(blob[:-8])
+
+    def test_header_inconsistent_with_spec_rejected(self):
+        blob = params_to_bytes(pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0))
+        with pytest.raises(ValueError, match="do not match"):
+            params_from_bytes(blob.replace(b'["b1", [4]]', b'["b1", [5]]', 1))
+
     def test_round_trip_preserves_everything(self, tmp_path):
         params = randomized_params(pf.ModelSpec(5, ((6, 0.01), (4, 0.0)), 0.2, 3), 7)
         blob = params_to_bytes(params)
