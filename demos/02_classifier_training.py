@@ -37,8 +37,8 @@ print(f"finite-difference    = {fd:+.8f}")
 data = pf.synthesize(pf.SyntheticSpec(2, 6, 1, 0.05, 200, seed=3))
 spec = pf.ModelSpec(6, ((16, 1e-3), (8, 1e-3)), 0.5, 2)
 start = pf.build_model(spec, seed=4)
-config = pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005, seed=5)
-trained, losses = pf.train_local(start, data, config)
+config = pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005)
+trained, losses = pf.train_local(start, data, config, seed=5)
 print(f"\nepoch losses: first={losses[0]:.4f} last={losses[-1]:.4f}")
 
 report = pf.evaluate(trained, data)

@@ -44,12 +44,12 @@ received = sum(len(u.entries) for u in uploads)
 gp = pf.aggregate_prototypes(uploads, seed=3)
 print(f"\nserver received {received} prototypes for class 1, "
       f"kept {gp.prototypes[1].shape[0]} global centroids "
-      f"(heuristic: {pf.choose_cluster_count(received, 5)})")
+      f"(heuristic: {pf.choose_cluster_count(received)})")
 
 # Client side again: a silo that never saw class 1 synthesizes samples for it
 # by interpolating between global prototypes.
 local = pf.Dataset(rng.random((200, 5)), np.zeros(200, dtype=int), ("benign", "attack"))
-augmented = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=4))
+augmented = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), seed=4)
 added = augmented.n_samples - local.n_samples
 print(f"\naugmentation: {local.n_samples} -> {augmented.n_samples} rows "
       f"({added} synthetic, labels {sorted(set(augmented.labels[200:].tolist()))})")

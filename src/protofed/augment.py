@@ -25,7 +25,6 @@ class AugmentationPolicy:
 
     target_fraction: float = 0.10
     eligible_classes: str = "below_mean_count"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_fraction <= 1.0:
@@ -58,8 +57,8 @@ def _eligible_classes(local: Dataset, policy: AugmentationPolicy) -> list[int]:
     return list(range(local.n_classes))
 
 
-def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy) -> Dataset:
-    """Append seeded synthetic rows for the policy's eligible classes.
+def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy, seed: int) -> Dataset:
+    """Append synthetic rows drawn from ``seed`` for the policy's eligible classes.
 
     The budget is round(target_fraction * |local|), split evenly across the
     eligible classes with the remainder going to the locally rarest one.
@@ -90,7 +89,7 @@ def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy) ->
     rarest = min(eligible, key=lambda c: (counts[c], c))
     per_class = {c: base + (remainder if c == rarest else 0) for c in eligible}
 
-    rng = np.random.default_rng(np.random.SeedSequence([policy.seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     new_rows: list[np.ndarray] = []
     new_labels: list[int] = []
     for class_id in sorted(eligible):

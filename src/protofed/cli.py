@@ -6,7 +6,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .augment import AugmentationPolicy
@@ -23,37 +24,19 @@ from .datasets import (
     synthesize,
 )
 from .federation import (
-    STRATEGIES,
     FederationConfig,
     RoundMetrics,
+    exchange_cost_ratios,
     exchange_round,
     run_federation,
 )
-from .network import ModelSpec, TrainConfig
+from .network import EvalReport, ModelSpec, TrainConfig
 
-METRICS_COLUMNS = (
-    "round",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "loss",
-    "up_floats",
-    "down_floats",
-    "exchange",
-)
-
-COMPARISON_COLUMNS = (
-    "strategy",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "loss",
-    "total_up_floats",
-    "total_down_floats",
-    "exchange_round",
-)
+# Output column name of each EvalReport score, in column order.
+_SCORES = {"accuracy": "accuracy", "precision": "macro_precision", "recall": "macro_recall",
+           "f1": "macro_f1", "loss": "mean_loss"}
+METRICS_COLUMNS = ("round", *_SCORES, "up_floats", "down_floats", "exchange")
+COMPARISON_COLUMNS = ("strategy", *_SCORES, "total_up_floats", "total_down_floats", "exchange_round")
 
 
 @dataclass(frozen=True)
@@ -92,8 +75,36 @@ class RunSpec:
             )
 
 
-def _check_keys(obj: dict, allowed: set[str], section: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+# The one JSON key that is not the name of its field.
+_KEYS = {"accuracy_threshold": "threshold"}
+# Defaults of optional keys whose dataclass field has none.
+_DEFAULTS = {
+    SyntheticSpec: {"clusters_per_class": 1, "seed": 0},
+    CsvSchema: vars(nbaiot_schema()),
+    ModelSpec: {"dropout_p": 0.5},
+}
+# Fields the CLI fills itself instead of reading them from their own section.
+_FILLED = {
+    RunSpec: ("data", "configs", "output_dir", "seed"),
+    CsvSource: ("schema",),
+    FederationConfig: ("strategy", "n_clients", "seed", "train", "aug", "model"),
+    ModelSpec: ("input_dim", "output_classes"),
+}
+# JSON types accepted per scalar annotation; bool is not an int here.
+_SCALARS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+@lru_cache(maxsize=None)
+def _own_fields(cls: type) -> dict[str, Field]:
+    """JSON key -> field, for each field ``cls`` reads from its own section."""
+    return {_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
+
+
+def _check_keys(obj, section: str, *classes: type, extra: tuple[str, ...] = ()) -> None:
+    """Reject ``obj`` unless it is an object holding only keys the classes read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{section}: expected object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj).difference(extra, *map(_own_fields, classes)))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {section}")
 
@@ -104,11 +115,57 @@ def _require(obj: dict, key: str, section: str):
     return obj[key]
 
 
+def _convert(value, hint: str, section: str, key: str):
+    """``value`` as the type the annotation string ``hint`` names.
+
+    Annotations are read as text, never evaluated: every hint in the schema
+    is a scalar, ``X | None``, ``tuple[X, ...]`` or a pair ``tuple[X, Y]``.
+    """
+    if hint.endswith(" | None"):
+        return None if value is None else _convert(value, hint[: -len(" | None")], section, key)
+    if type(value) in _SCALARS.get(hint, ()):
+        return float(value) if hint == "float" else value
+    if hint.startswith("tuple[") and isinstance(value, list):
+        head, _, tail = hint[len("tuple["):-1].rpartition(", ")
+        hints = [head] * len(value) if tail == "..." else [head, tail]
+        if len(value) == len(hints):
+            return tuple(_convert(v, h, section, key) for v, h in zip(value, hints))
+    raise ValueError(f"{section}.{key}: expected {hint}, got {json.dumps(value)}")
+
+
+def _read(obj, section: str, cls: type, *also: type, extra: tuple[str, ...] = ()) -> dict:
+    """Field values of ``cls`` given in, or defaulted for, a JSON section.
+
+    ``also`` and ``extra`` name the other classes and keys the section holds.
+    """
+    _check_keys(obj, section, cls, *also, extra=extra)
+    defaults = _DEFAULTS.get(cls, {})
+    values = {}
+    for key, f in _own_fields(cls).items():
+        if key in obj:
+            values[f.name] = _convert(obj[key], f.type, section, key)
+        elif f.name in defaults:
+            values[f.name] = defaults[f.name]
+        elif f.default is MISSING:
+            raise ValueError(f"missing key {key!r} in {section}")
+    return values
+
+
+def _write(obj) -> dict:
+    """The JSON section that ``_read`` turns back into ``obj``'s own fields."""
+
+    def plain(value):
+        return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+    return {key: plain(getattr(obj, f.name)) for key, f in _own_fields(type(obj)).items()}
+
+
 def parse_config(path: str | Path) -> RunSpec:
     """Load and validate a JSON run configuration.
 
-    Unknown keys are rejected at every level, and every invariant violation
-    is reported with the offending key named.
+    Unknown keys are rejected at every level, every value is checked against
+    its field's type, and every invariant violation is reported with the
+    offending key named.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -117,52 +174,43 @@ def parse_config(path: str | Path) -> RunSpec:
         raise ValueError(f"{path}: parse error at line {err.lineno}: {err.msg}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level config must be a JSON object")
-    _check_keys(raw, {"seed", "output_dir", "data", "partition", "federation"}, "config")
-
-    seed = int(raw.get("seed", 0))
-    output_dir = str(raw.get("output_dir", "runs"))
+    _check_keys(raw, "config", extra=("seed", "output_dir", "data", "partition", "federation"))
+    seed = _convert(raw.get("seed", 0), "int", "config", "seed")
+    output_dir = _convert(raw.get("output_dir", "runs"), "str", "config", "output_dir")
     data = _parse_data(_require(raw, "data", "config"))
-    part = _require(raw, "partition", "config")
-    _check_keys(part, {"scenario", "n_clients", "quotas"}, "partition")
-    scenario = str(_require(part, "scenario", "partition"))
-    n_clients = int(_require(part, "n_clients", "partition"))
-    quotas = part.get("quotas")
-    if quotas is not None:
-        quotas = tuple(tuple(int(q) for q in row) for row in quotas)
+    part = _read(_require(raw, "partition", "config"), "partition", RunSpec)
 
     fed = _require(raw, "federation", "config")
-    configs = _parse_federation(fed, data, n_clients, seed)
-    return RunSpec(data, scenario, n_clients, configs, output_dir, seed, quotas)
+    base = _read(fed, "federation", FederationConfig, extra=("strategies", "train", "aug", "model"))
+    strategies = _convert(
+        _require(fed, "strategies", "federation"), "tuple[str, ...]", "federation", "strategies"
+    )
+    if not strategies:
+        raise ValueError("federation.strategies must be a non-empty list")
+    train = TrainConfig(**_read(fed.get("train", {}), "federation.train", TrainConfig))
+    aug = AugmentationPolicy(**_read(fed.get("aug", {}), "federation.aug", AugmentationPolicy))
+    model = fed.get("model")
+    if model is not None:
+        input_dim, n_classes = _data_dims(data)
+        model = ModelSpec(input_dim=input_dim, output_classes=n_classes,
+                          **_read(model, "federation.model", ModelSpec))
+    configs = tuple(
+        FederationConfig(strategy=name, n_clients=part["n_clients"], seed=seed,
+                         train=train, aug=aug, model=model, **base)
+        for name in strategies
+    )
+    return RunSpec(data=data, configs=configs, output_dir=output_dir, seed=seed, **part)
 
 
-def _parse_data(section: dict) -> SyntheticSpec | CsvSource:
-    _check_keys(section, {"synthetic", "csv_dir"}, "data")
+def _parse_data(section) -> SyntheticSpec | CsvSource:
+    _check_keys(section, "data", extra=("synthetic", "csv_dir"))
     if ("synthetic" in section) == ("csv_dir" in section):
         raise ValueError("data must define exactly one of 'synthetic' or 'csv_dir'")
     if "synthetic" in section:
-        syn = section["synthetic"]
-        allowed = {"n_classes", "dims", "clusters_per_class", "cluster_spread",
-                   "samples_per_class", "seed"}
-        _check_keys(syn, allowed, "data.synthetic")
-        return SyntheticSpec(
-            n_classes=int(_require(syn, "n_classes", "data.synthetic")),
-            dims=int(_require(syn, "dims", "data.synthetic")),
-            clusters_per_class=int(syn.get("clusters_per_class", 1)),
-            cluster_spread=float(_require(syn, "cluster_spread", "data.synthetic")),
-            samples_per_class=int(_require(syn, "samples_per_class", "data.synthetic")),
-            seed=int(syn.get("seed", 0)),
-        )
+        return SyntheticSpec(**_read(section["synthetic"], "data.synthetic", SyntheticSpec))
     src = section["csv_dir"]
-    _check_keys(src, {"path", "n_features", "class_names", "class_patterns"}, "data.csv_dir")
-    default = nbaiot_schema()
-    schema = CsvSchema(
-        n_features=int(src.get("n_features", default.n_features)),
-        class_patterns=tuple(
-            (str(p), int(c)) for p, c in src.get("class_patterns", default.class_patterns)
-        ),
-        class_names=tuple(src.get("class_names", default.class_names)),
-    )
-    return CsvSource(str(_require(src, "path", "data.csv_dir")), schema)
+    schema = CsvSchema(**_read(src, "data.csv_dir", CsvSchema, CsvSource))
+    return CsvSource(schema=schema, **_read(src, "data.csv_dir", CsvSource, CsvSchema))
 
 
 def _data_dims(data: SyntheticSpec | CsvSource) -> tuple[int, int]:
@@ -171,141 +219,26 @@ def _data_dims(data: SyntheticSpec | CsvSource) -> tuple[int, int]:
     return data.schema.n_features, len(data.schema.class_names)
 
 
-def _parse_federation(
-    section: dict,
-    data: SyntheticSpec | CsvSource,
-    n_clients: int,
-    seed: int,
-) -> tuple[FederationConfig, ...]:
-    allowed = {
-        "strategies", "rounds", "threshold", "trigger_round", "noise_sigma",
-        "train", "aug", "model", "train_fraction", "scale_mode", "eval_weighting",
-        "gmm_components", "gmm_max_components", "global_prototypes_per_class",
-        "aggregate_running_stats",
-    }
-    _check_keys(section, allowed, "federation")
-    strategies = _require(section, "strategies", "federation")
-    if not isinstance(strategies, list) or not strategies:
-        raise ValueError("federation.strategies must be a non-empty list")
-    for name in strategies:
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
-
-    train_raw = section.get("train", {})
-    _check_keys(train_raw, {"epochs", "batch_size", "learning_rate", "adam_beta1",
-                            "adam_beta2", "adam_epsilon", "prox_mu"}, "federation.train")
-    train = TrainConfig(
-        epochs=int(train_raw.get("epochs", 15)),
-        batch_size=int(train_raw.get("batch_size", 32)),
-        learning_rate=float(train_raw.get("learning_rate", 1e-4)),
-        adam_beta1=float(train_raw.get("adam_beta1", 0.9)),
-        adam_beta2=float(train_raw.get("adam_beta2", 0.999)),
-        adam_epsilon=float(train_raw.get("adam_epsilon", 1e-7)),
-        prox_mu=float(train_raw.get("prox_mu", 0.0)),
-        seed=seed,
-    )
-
-    aug_raw = section.get("aug", {})
-    _check_keys(aug_raw, {"target_fraction", "eligible_classes"}, "federation.aug")
-    aug = AugmentationPolicy(
-        target_fraction=float(aug_raw.get("target_fraction", 0.10)),
-        eligible_classes=str(aug_raw.get("eligible_classes", "below_mean_count")),
-        seed=seed,
-    )
-
-    model = None
-    model_raw = section.get("model")
-    if model_raw is not None:
-        _check_keys(model_raw, {"hidden", "dropout_p"}, "federation.model")
-        input_dim, n_classes = _data_dims(data)
-        model = ModelSpec(
-            input_dim=input_dim,
-            hidden=tuple((int(u), float(l2)) for u, l2 in _require(model_raw, "hidden", "federation.model")),
-            dropout_p=float(model_raw.get("dropout_p", 0.5)),
-            output_classes=n_classes,
-        )
-
-    gmm_components = section.get("gmm_components")
-    global_protos = section.get("global_prototypes_per_class")
-    base = dict(
-        n_clients=n_clients,
-        rounds=int(section.get("rounds", 20)),
-        train=train,
-        aug=aug,
-        accuracy_threshold=float(section.get("threshold", 0.97)),
-        trigger_round=int(section.get("trigger_round", 6)),
-        noise_sigma=float(section.get("noise_sigma", 0.01)),
-        model=model,
-        train_fraction=float(section.get("train_fraction", 0.8)),
-        scale_mode=str(section.get("scale_mode", "local")),
-        eval_weighting=str(section.get("eval_weighting", "test_size")),
-        gmm_components=None if gmm_components is None else int(gmm_components),
-        gmm_max_components=int(section.get("gmm_max_components", 5)),
-        global_prototypes_per_class=None if global_protos is None else int(global_protos),
-        aggregate_running_stats=bool(section.get("aggregate_running_stats", True)),
-        seed=seed,
-    )
-    return tuple(FederationConfig(strategy=name, **base) for name in strategies)
-
-
 def spec_to_config(spec: RunSpec) -> dict:
     """Serialize a RunSpec back to the JSON config schema (round-trippable)."""
     if isinstance(spec.data, SyntheticSpec):
-        data = {"synthetic": {
-            "n_classes": spec.data.n_classes,
-            "dims": spec.data.dims,
-            "clusters_per_class": spec.data.clusters_per_class,
-            "cluster_spread": spec.data.cluster_spread,
-            "samples_per_class": spec.data.samples_per_class,
-            "seed": spec.data.seed,
-        }}
+        data = {"synthetic": _write(spec.data)}
     else:
-        data = {"csv_dir": {
-            "path": spec.data.path,
-            "n_features": spec.data.schema.n_features,
-            "class_patterns": [list(p) for p in spec.data.schema.class_patterns],
-            "class_names": list(spec.data.schema.class_names),
-        }}
+        data = {"csv_dir": {**_write(spec.data), **_write(spec.data.schema)}}
     cfg = spec.configs[0]
-    model = None
-    if cfg.model is not None:
-        model = {"hidden": [list(h) for h in cfg.model.hidden], "dropout_p": cfg.model.dropout_p}
-    part: dict = {"scenario": spec.scenario, "n_clients": spec.n_clients}
-    if spec.quotas is not None:
-        part["quotas"] = [list(row) for row in spec.quotas]
+    federation = {
+        **_write(cfg),
+        "strategies": [c.strategy for c in spec.configs],
+        "train": _write(cfg.train),
+        "aug": _write(cfg.aug),
+        "model": None if cfg.model is None else _write(cfg.model),
+    }
     return {
         "seed": spec.seed,
         "output_dir": spec.output_dir,
         "data": data,
-        "partition": part,
-        "federation": {
-            "strategies": [c.strategy for c in spec.configs],
-            "rounds": cfg.rounds,
-            "threshold": cfg.accuracy_threshold,
-            "trigger_round": cfg.trigger_round,
-            "noise_sigma": cfg.noise_sigma,
-            "train": {
-                "epochs": cfg.train.epochs,
-                "batch_size": cfg.train.batch_size,
-                "learning_rate": cfg.train.learning_rate,
-                "adam_beta1": cfg.train.adam_beta1,
-                "adam_beta2": cfg.train.adam_beta2,
-                "adam_epsilon": cfg.train.adam_epsilon,
-                "prox_mu": cfg.train.prox_mu,
-            },
-            "aug": {
-                "target_fraction": cfg.aug.target_fraction,
-                "eligible_classes": cfg.aug.eligible_classes,
-            },
-            "model": model,
-            "train_fraction": cfg.train_fraction,
-            "scale_mode": cfg.scale_mode,
-            "eval_weighting": cfg.eval_weighting,
-            "gmm_components": cfg.gmm_components,
-            "gmm_max_components": cfg.gmm_max_components,
-            "global_prototypes_per_class": cfg.global_prototypes_per_class,
-            "aggregate_running_stats": cfg.aggregate_running_stats,
-        },
+        "partition": _write(spec),
+        "federation": federation,
     }
 
 
@@ -320,18 +253,12 @@ def _write_metrics_csv(path: Path, history: list[RoundMetrics]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
         for m in history:
-            r = m.global_report
-            writer.writerow([
-                m.round_index,
-                repr(r.accuracy),
-                repr(r.macro_precision),
-                repr(r.macro_recall),
-                repr(r.macro_f1),
-                repr(r.mean_loss),
-                m.uploaded_floats,
-                m.downloaded_floats,
-                int(m.exchange_triggered),
-            ])
+            writer.writerow([m.round_index, *_score_cells(m.global_report),
+                             m.uploaded_floats, m.downloaded_floats, int(m.exchange_triggered)])
+
+
+def _score_cells(report: EvalReport) -> list[str]:
+    return [repr(getattr(report, name)) for name in _SCORES.values()]
 
 
 def _strategy_summary(cfg: FederationConfig, history: list[RoundMetrics]) -> dict:
@@ -341,22 +268,20 @@ def _strategy_summary(cfg: FederationConfig, history: list[RoundMetrics]) -> dic
     if ex_round is not None:
         m = history[ex_round - 1]
         d_w = m.model_upload_floats // m.n_clients
-        mean_upload = sum(m.proto_upload_floats) / m.n_clients
+        uploads, download, total = exchange_cost_ratios(
+            m.proto_upload_floats, m.proto_download_floats, d_w
+        )
         comm = {
             "model_floats": d_w,
             "prototype_upload_floats_per_client": list(m.proto_upload_floats),
             "prototype_download_floats_per_client": m.proto_download_floats,
-            "upload_ratio_per_client": [u / d_w for u in m.proto_upload_floats],
-            "download_ratio": m.proto_download_floats / d_w,
-            "total_exchange_ratio": (mean_upload + m.proto_download_floats) / d_w,
+            "upload_ratio_per_client": uploads,
+            "download_ratio": download,
+            "total_exchange_ratio": total,
         }
     return {
         "rounds": cfg.rounds,
-        "final_accuracy": final.accuracy,
-        "final_precision": final.macro_precision,
-        "final_recall": final.macro_recall,
-        "final_f1": final.macro_f1,
-        "final_loss": final.mean_loss,
+        **{f"final_{column}": getattr(final, name) for column, name in _SCORES.items()},
         "uploaded_floats_total": sum(m.uploaded_floats for m in history),
         "downloaded_floats_total": sum(m.downloaded_floats for m in history),
         "exchange_round": ex_round,
@@ -399,19 +324,11 @@ def _execute(spec: RunSpec) -> None:
     for cfg in spec.configs:
         history = run_federation(cfg, shards)
         _write_metrics_csv(out / f"metrics_{cfg.strategy}.csv", history)
-        summary["strategies"][cfg.strategy] = _strategy_summary(cfg, history)
-        final = history[-1].global_report
-        rows.append([
-            cfg.strategy,
-            repr(final.accuracy),
-            repr(final.macro_precision),
-            repr(final.macro_recall),
-            repr(final.macro_f1),
-            repr(final.mean_loss),
-            sum(m.uploaded_floats for m in history),
-            sum(m.downloaded_floats for m in history),
-            "" if exchange_round(history) is None else exchange_round(history),
-        ])
+        entry = summary["strategies"][cfg.strategy] = _strategy_summary(cfg, history)
+        ex_round = entry["exchange_round"]
+        rows.append([cfg.strategy, *_score_cells(history[-1].global_report),
+                     entry["uploaded_floats_total"], entry["downloaded_floats_total"],
+                     "" if ex_round is None else ex_round])
 
     with open(out / "comparison.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -71,12 +71,11 @@ def minibatch_kmeans(
     return centers
 
 
-def choose_cluster_count(n_prototypes: int, n_features: int, cap: int = DEFAULT_CLUSTER_CAP) -> int:
+def choose_cluster_count(n_prototypes: int, cap: int = DEFAULT_CLUSTER_CAP) -> int:
     """Heuristic number of global prototypes for a class.
 
     ceil(4/9 of the received prototypes), at least 1, never more than the
-    prototypes available nor the cap. ``n_features`` is part of the interface
-    for dimension-aware overrides but does not alter the default rule.
+    prototypes available nor the cap.
     """
     if n_prototypes < 1:
         raise ValueError("n_prototypes must be >= 1")
@@ -155,7 +154,7 @@ def aggregate_prototypes(
     for class_id in sorted(by_class):
         pts = np.asarray(by_class[class_id], dtype=np.float64)
         pts = pts[np.lexsort(pts.T[::-1])]
-        k = cluster_count or choose_cluster_count(len(pts), pts.shape[1], cap=cluster_cap)
+        k = cluster_count or choose_cluster_count(len(pts), cap=cluster_cap)
         k = min(k, len(pts))
         bs = batch_size or min(32, len(pts))
         prototypes[class_id] = minibatch_kmeans(

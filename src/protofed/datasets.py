@@ -44,6 +44,9 @@ class Dataset:
             )
         if not names:
             raise ValueError("class_names must not be empty")
+        if not np.isfinite(feats).all():
+            row, col = np.argwhere(~np.isfinite(feats))[0]
+            raise ValueError(f"features must be finite; row {row}, column {col} is {feats[row, col]}")
         if labs.size and (labs.min() < 0 or labs.max() >= len(names)):
             raise ValueError(
                 f"labels must lie in [0, {len(names)}), got range "
@@ -125,7 +128,8 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
     Raises:
         FileNotFoundError: missing directory.
         ValueError: no CSV files, unmatched file name, column count mismatch,
-            or a non-numeric cell (the error names the file and row).
+            or a non-numeric or non-finite cell (the error names the file and
+            row).
     """
     root = Path(path)
     if not root.is_dir():
@@ -136,7 +140,9 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
 
     rows: list[list[float]] = []
     labels: list[int] = []
+    first_rows: list[tuple[int, str]] = []
     for file in files:
+        first_rows.append((len(rows), file.name))
         class_id = _class_for_file(file.name, schema)
         with open(file, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -164,6 +170,11 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
                 labels.append(class_id)
 
     features = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema.n_features)
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        # The last file starting at or before the row holds it.
+        first, name = next((f, n) for f, n in reversed(first_rows) if f <= row)
+        raise ValueError(f"{name} row {row - first + 2}: non-finite cell {features[row, col]}")
     return Dataset(features, np.asarray(labels, dtype=np.int64), schema.class_names)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,7 +47,7 @@ class FederationConfig:
 
     strategy: str
     n_clients: int
-    rounds: int
+    rounds: int = 20
     train: TrainConfig = TrainConfig()
     aug: AugmentationPolicy = AugmentationPolicy()
     accuracy_threshold: float = 0.97
@@ -178,16 +179,13 @@ def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
         return list(client_data)
     if mode == "local":
         return [min_max_scale(ds) for ds in client_data]
-    stacked = np.vstack([ds.features for ds in client_data])
-    lo = stacked.min(axis=0)
-    span = stacked.max(axis=0) - lo
-    safe = np.where(span > 0, span, 1.0)
-    out = []
-    for ds in client_data:
-        scaled = (ds.features - lo) / safe
-        scaled[:, span == 0] = 0.0
-        out.append(Dataset(scaled, ds.labels, ds.class_names))
-    return out
+    pooled = min_max_scale(Dataset(
+        np.vstack([ds.features for ds in client_data]),
+        np.concatenate([ds.labels for ds in client_data]),
+        client_data[0].class_names,
+    ))
+    parts = np.split(pooled.features, np.cumsum([ds.n_samples for ds in client_data])[:-1])
+    return [Dataset(part, ds.labels, ds.class_names) for ds, part in zip(client_data, parts)]
 
 
 def _combine_reports(reports: tuple[EvalReport, ...], weighting: str) -> EvalReport:
@@ -274,6 +272,8 @@ def run_federation(
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
+    train_cfg = cfg.train if cfg.strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
+
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
         exchange = should_trigger_exchange(history, cfg)
@@ -296,18 +296,20 @@ def run_federation(
             )
             proto_download = _count_vector_floats(gp.to_json())
             for k in range(cfg.n_clients):
-                policy = replace(cfg.aug, seed=_int_seed(cfg.seed, _SEED_AUG, round_index, k))
                 try:
-                    train_sets[k] = augment(train_sets[k], gp, policy)
+                    train_sets[k] = augment(
+                        train_sets[k], gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, round_index, k)
+                    )
                 except Exception as err:
                     raise FederationError(f"round {round_index}, client {k}: {err}") from err
 
-        mu = cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0
         updates = []
         for k in range(cfg.n_clients):
-            tc = replace(cfg.train, prox_mu=mu, seed=_int_seed(cfg.seed, _SEED_TRAIN, round_index, k))
+            seed = _int_seed(cfg.seed, _SEED_TRAIN, round_index, k)
             try:
-                updated, _ = train_local(global_params, train_sets[k], tc, w_global=global_params)
+                updated, _ = train_local(
+                    global_params, train_sets[k], train_cfg, seed, w_global=global_params
+                )
             except Exception as err:
                 raise FederationError(f"round {round_index}, client {k}: {err}") from err
             updates.append((updated, train_sets[k].n_samples))
@@ -340,6 +342,18 @@ def exchange_round(history: list[RoundMetrics]) -> int | None:
         if metrics.exchange_triggered:
             return metrics.round_index
     return None
+
+
+def exchange_cost_ratios(
+    uploads: Sequence[int], download: int, d_w: int
+) -> tuple[list[float], float, float]:
+    """Exchange floats as fractions of one ``d_w``-float model update.
+
+    Returns each client's upload ratio, the per-client download ratio, and
+    the total: the mean upload plus the download, over ``d_w``.
+    """
+    mean_upload = sum(uploads) / len(uploads)
+    return [u / d_w for u in uploads], download / d_w, (mean_upload + download) / d_w
 
 
 @dataclass(frozen=True)
@@ -396,12 +410,13 @@ def comm_cost_report(
                     f"round {metrics.round_index}: prototype download "
                     f"{metrics.proto_download_floats} != analytic {download}"
                 )
+    (upload_ratio,), download_ratio, total_ratio = exchange_cost_ratios((upload,), download, d_w)
     return CommCostReport(
         upload_floats=upload,
         download_floats=download,
-        upload_ratio=upload / d_w,
-        download_ratio=download / d_w,
-        total_ratio=(upload + download) / d_w,
+        upload_ratio=upload_ratio,
+        download_ratio=download_ratio,
+        total_ratio=total_ratio,
         matches_run=not mismatches,
         mismatches=tuple(mismatches),
     )

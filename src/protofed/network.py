@@ -338,7 +338,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-7
     prox_mu: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -387,9 +386,10 @@ def train_local(
     params: ModelParams,
     ds: Dataset,
     config: TrainConfig,
+    seed: int,
     w_global: ModelParams | None = None,
 ) -> tuple[ModelParams, list[float]]:
-    """Train for ``config.epochs`` epochs of seeded-shuffled mini-batches.
+    """Train for ``config.epochs`` epochs of mini-batches shuffled from ``seed``.
 
     Returns the updated parameters and one mean loss per epoch. The input
     ``params`` is not mutated; a fresh Adam state is used per call.
@@ -400,7 +400,7 @@ def train_local(
         raise ValueError("prox_mu > 0 requires w_global")
     work = params.copy()
     state = init_adam(work)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = ds.n_samples
     history: list[float] = []
     for _ in range(config.epochs):
@@ -497,12 +497,7 @@ def _header(spec: ModelSpec) -> dict:
     trainable, running = _layout(spec)
     return {
         "format": _PARAMS_FORMAT,
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden": [list(h) for h in spec.hidden],
-            "dropout_p": spec.dropout_p,
-            "output_classes": spec.output_classes,
-        },
+        "spec": {**vars(spec), "hidden": [list(h) for h in spec.hidden]},
         "tensors": [[name, list(shape)] for name, shape in trainable],
         "running": [[name, list(shape)] for name, shape in running],
     }
@@ -520,12 +515,7 @@ def params_from_bytes(data: bytes) -> ModelParams:
     header = json.loads(data[:newline].decode("utf-8"))
     if header.get("format") != _PARAMS_FORMAT:
         raise ValueError(f"unrecognized parameter record format: {header.get('format')!r}")
-    spec = ModelSpec(
-        input_dim=header["spec"]["input_dim"],
-        hidden=tuple(tuple(h) for h in header["spec"]["hidden"]),
-        dropout_p=header["spec"]["dropout_p"],
-        output_classes=header["spec"]["output_classes"],
-    )
+    spec = ModelSpec(**header["spec"])
     if header != _header(spec):
         raise ValueError("parameter record tensors do not match its model spec")
     payload = np.frombuffer(data[newline + 1 :], dtype="<f8")

@@ -243,13 +243,13 @@ def test_criterion_7_smote_geometry():
     protos = rng.random((5, 8))
     gp = pf.GlobalPrototypes({1: protos}, noise_sigma=0.01)
     local = pf.Dataset(rng.random((1000, 8)), np.zeros(1000, dtype=int), ("a", "b"))
-    out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=71))
+    out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 71)
     synthetic = out.features[1000:]
     budget_1000 = synthetic.shape[0]
 
     on_segment = sum(_segment_member(row, protos) for row in synthetic)
     small = pf.Dataset(rng.random((37, 8)), np.zeros(37, dtype=int), ("a", "b"))
-    out_small = pf.augment(small, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=72))
+    out_small = pf.augment(small, gp, pf.AugmentationPolicy(0.10, "missing_only"), 72)
     budget_37 = out_small.n_samples - 37
 
     ok = budget_1000 == 100 and on_segment == budget_1000 and budget_37 == 4

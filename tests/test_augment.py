@@ -40,19 +40,19 @@ class TestAugment:
     def test_exact_ten_percent_budget(self):
         local = make_local([500, 400, 100])
         gp = make_gp({c: np.random.default_rng(c).random((3, 3)) for c in range(3)})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all", seed=1))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all"), 1)
         assert out.n_samples == 1100
 
     def test_rounding_on_small_sets(self):
         local = make_local([20, 17])  # 37 rows -> round(3.7) = 4
         gp = make_gp({0: [[0.1] * 3, [0.9] * 3], 1: [[0.2] * 3, [0.8] * 3]})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all", seed=2))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all"), 2)
         assert out.n_samples == 41
 
     def test_missing_only_labels(self):
         local = make_local([50], n_classes=3)
         gp = make_gp({c: [[0.1 * c] * 3, [0.2 * c + 0.1] * 3] for c in range(3)})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=3))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 3)
         new_labels = set(out.labels[50:].tolist())
         assert new_labels <= {1, 2}
         assert out.n_samples == 55
@@ -60,7 +60,7 @@ class TestAugment:
     def test_below_mean_count_includes_missing(self):
         local = make_local([90, 9], n_classes=3)  # mean count = 33; classes 1, 2 eligible
         gp = make_gp({c: [[0.1] * 3, [0.9] * 3] for c in range(3)})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count", seed=4))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count"), 4)
         added = out.labels[99:]
         assert set(added.tolist()) == {1, 2}
         # remainder goes to the rarest eligible class (class 2, locally absent)
@@ -74,7 +74,8 @@ class TestAugment:
         out = pf.augment(
             pf.Dataset(rng.random((200, 6)), np.zeros(200, dtype=int), ("a", "b")),
             gp,
-            pf.AugmentationPolicy(0.10, "missing_only", seed=6),
+            pf.AugmentationPolicy(0.10, "missing_only"),
+            6,
         )
         synthetic = out.features[200:]
         assert len(synthetic) == 20
@@ -84,7 +85,7 @@ class TestAugment:
     def test_label_conservation(self):
         local = make_local([300, 60, 40])
         gp = make_gp({c: np.random.default_rng(10 + c).random((3, 3)) for c in range(3)})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count", seed=7))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count"), 7)
         budget = round(0.10 * 400)
         base, rem = divmod(budget, 2)
         expected = local.class_counts().copy()
@@ -95,9 +96,9 @@ class TestAugment:
     def test_deterministic(self):
         local = make_local([100, 20])
         gp = make_gp({c: np.random.default_rng(20 + c).random((3, 3)) for c in range(2)})
-        policy = pf.AugmentationPolicy(0.15, "below_mean_count", seed=8)
-        a = pf.augment(local, gp, policy)
-        b = pf.augment(local, gp, policy)
+        policy = pf.AugmentationPolicy(0.15, "below_mean_count")
+        a = pf.augment(local, gp, policy, 8)
+        b = pf.augment(local, gp, policy, 8)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
@@ -105,13 +106,13 @@ class TestAugment:
         local = make_local([50], n_classes=3)
         gp = make_gp({1: [[0.5] * 3, [0.6] * 3]})  # class 2 missing from gp
         with pytest.raises(ValueError, match="'c2'.*no prototypes"):
-            pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=9))
+            pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 9)
 
     def test_single_prototype_jitter_fallback(self):
         local = make_local([60], n_classes=2)
         center = np.full(3, 0.5)
         gp = pf.GlobalPrototypes({1: center[None, :]}, noise_sigma=0.01)
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only", seed=10))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 10)
         synthetic = out.features[60:]
         assert len(synthetic) == 6
         assert np.abs(synthetic - center).max() <= 5 * 0.01
@@ -119,14 +120,14 @@ class TestAugment:
     def test_no_eligible_classes_is_identity(self):
         local = make_local([50, 50])
         gp = make_gp({0: [[0.1] * 3], 1: [[0.9] * 3]})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count", seed=11))
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count"), 11)
         assert out.n_samples == 100
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="target_fraction"):
-            pf.AugmentationPolicy(0.0, "all", seed=0)
+            pf.AugmentationPolicy(0.0, "all")
         with pytest.raises(ValueError, match="eligibility"):
-            pf.AugmentationPolicy(0.1, "sometimes", seed=0)
+            pf.AugmentationPolicy(0.1, "sometimes")
 
 
 def _on_some_segment(row, protos, tol=1e-9):

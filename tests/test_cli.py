@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import protofed as pf
 from protofed.cli import (
     COMPARISON_COLUMNS,
     METRICS_COLUMNS,
+    CsvSource,
     RunSpec,
     main,
     parse_config,
@@ -94,6 +96,43 @@ class TestParseConfig:
         rewritten = tmp_path / "rewritten.json"
         rewritten.write_text(json.dumps(spec_to_config(spec)))
         assert parse_config(rewritten) == spec
+
+    @pytest.mark.parametrize("data", [
+        pf.SyntheticSpec(2, 5, 2, 0.2, 30, seed=9),
+        CsvSource("captures", pf.CsvSchema(4, (("x", 0), ("y", 1)), ("x", "y"))),
+    ])
+    def test_every_field_round_trips(self, tmp_path, data):
+        input_dim = data.dims if isinstance(data, pf.SyntheticSpec) else data.schema.n_features
+        train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
+                               adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
+        configs = tuple(
+            pf.FederationConfig(
+                strategy=strategy, n_clients=2, rounds=7, train=train,
+                aug=pf.AugmentationPolicy(0.2, "missing_only"), accuracy_threshold=0.9,
+                trigger_round=3, noise_sigma=0.02,
+                model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
+                train_fraction=0.7, scale_mode="global", eval_weighting="uniform",
+                gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
+                aggregate_running_stats=False, seed=8,
+            )
+            for strategy in ("fedprox", "fedp3e")
+        )
+        spec = RunSpec(data, "light", 2, configs, "elsewhere", 8, ((5, 6), (7, 8)))
+        for obj in (spec, configs[0], train, configs[0].aug):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != f.default, f.name
+        path = tmp_path / "every_field.json"
+        path.write_text(json.dumps(spec_to_config(spec)))
+        assert parse_config(path) == spec
+
+    @pytest.mark.parametrize("section", ["train", "aug"])
+    def test_seed_is_not_a_training_or_augmentation_key(self, tmp_path, section):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"].setdefault(section, {})["seed"] = 4
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"unknown key 'seed' in federation.{section}"):
+            parse_config(path)
 
     def test_explicit_quota_table(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -205,6 +244,21 @@ class TestMain:
         path = minimal_config(tmp_path)
         assert main(["run", str(path), "--strategies", "fedsgd"]) == 2
         assert "not part of this config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("federation", "rounds", None, "federation.rounds: expected int, got null"),
+        ("federation", "train", 5, "federation.train: expected object, got 5"),
+        ("federation", "aggregate_running_stats", "false",
+         'federation.aggregate_running_stats: expected bool, got "false"'),
+        ("partition", "quotas", 5, "partition.quotas: expected"),
+    ], ids=["rounds-null", "train-number", "bool-string", "quotas-number"])
+    def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw[section][key] = value
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {expected}" in capsys.readouterr().err
 
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

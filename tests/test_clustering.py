@@ -51,22 +51,22 @@ class TestMinibatchKmeans:
 
 class TestChooseClusterCount:
     def test_worked_example_nine_to_four(self):
-        assert pf.choose_cluster_count(9, 115) == 4
+        assert pf.choose_cluster_count(9) == 4
 
     def test_capped_by_availability(self):
-        assert pf.choose_cluster_count(1, 115) == 1
+        assert pf.choose_cluster_count(1) == 1
 
     def test_two_received_gives_one(self):
         # ceil(2 * 4 / 9) = 1
-        assert pf.choose_cluster_count(2, 115) == 1
+        assert pf.choose_cluster_count(2) == 1
 
     def test_cap_override(self):
-        assert pf.choose_cluster_count(30, 10, cap=6) == 6
-        assert pf.choose_cluster_count(30, 10) == 4
+        assert pf.choose_cluster_count(30, cap=6) == 6
+        assert pf.choose_cluster_count(30) == 4
 
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
-            pf.choose_cluster_count(0, 10)
+            pf.choose_cluster_count(0)
 
 
 def proto_set(client, entries, sigma=0.01):

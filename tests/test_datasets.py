@@ -55,6 +55,14 @@ class TestLoadCsvDir:
         with pytest.raises(ValueError, match="benign.csv row 3.*non-numeric"):
             pf.load_csv_dir(tmp_path, small_schema())
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_file_and_row(self, tmp_path, cell):
+        write_csv(tmp_path / "benign.csv", [[1, 2, 3]], 3)
+        write_csv(tmp_path / "gafgyt.csv", [], 3)
+        write_csv(tmp_path / "mirai.csv", [[1, 2, 3], [4, 5, 6], [7, cell, 9]], 3)
+        with pytest.raises(ValueError, match="mirai.csv row 4: non-finite cell"):
+            pf.load_csv_dir(tmp_path, small_schema())
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             pf.load_csv_dir(tmp_path / "nope", small_schema())

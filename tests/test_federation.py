@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import protofed as pf
-from protofed.federation import FederationError, _combine_reports
+from protofed.federation import FederationError, _combine_reports, _scale_clients
 from protofed.network import flatten_trainable
 from helpers import randomized_params
 
@@ -89,6 +91,25 @@ class TestFedavgAggregate:
         b = randomized_params(pf.ModelSpec(3, ((5, 0.0),), 0.0, 2), 0)
         with pytest.raises(ValueError, match="shape mismatch"):
             pf.fedavg_aggregate([(a, 1), (b, 1)])
+
+
+class TestScaleClients:
+    def test_global_mode_scales_by_pooled_min_and_max(self):
+        rng = np.random.default_rng(3)
+        clients = []
+        for k, n in enumerate((5, 8, 4)):
+            features = np.column_stack([rng.normal(k, 1.0 + k, (n, 3)), np.full(n, 7.0)])
+            clients.append(pf.Dataset(features, np.arange(n) % 2, ("a", "b")))
+        scaled = _scale_clients(clients, "global")
+        assert [ds.n_samples for ds in scaled] == [5, 8, 4]
+        for before, after in zip(clients, scaled):
+            assert np.array_equal(before.labels, after.labels)
+        pooled = np.vstack([ds.features for ds in scaled])
+        assert np.array_equal(pooled.min(axis=0), [0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(pooled.max(axis=0), [1.0, 1.0, 1.0, 0.0])
+        # bytes of the per-client implementation this replaced
+        digest = hashlib.sha256(pooled.tobytes()).hexdigest()
+        assert digest == "88a1b8daf1fb6a74d8feedfa588667d9d28eee7c902558c81a4bb73d2f65479c"
 
 
 def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
@@ -190,6 +211,15 @@ class TestRunFederation:
         with pytest.raises(FederationError, match="client 2"):
             pf.run_federation(small_config("fedavg"), bad)
 
+    def test_nan_feature_fails_before_training(self):
+        # one NaN cell used to train through and fail in round 1 on a NaN loss
+        shards = severe_shards()
+        features = shards[0].features.copy()
+        features[4, 2] = np.nan
+        with pytest.raises(ValueError, match="row 4, column 2 is nan"):
+            shards[0] = pf.Dataset(features, shards[0].labels, shards[0].class_names)
+            pf.run_federation(small_config("fedavg", rounds=2, trigger_round=1), shards)
+
     def test_client_count_checked(self):
         shards = severe_shards()
         with pytest.raises(ValueError, match="3 clients"):
@@ -245,9 +275,8 @@ class TestProxDeviation:
             anchor = pf.build_model(spec, seed=seed)
             drifts = {}
             for mu in (0.1, 2.0):
-                config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01,
-                                        prox_mu=mu, seed=seed)
-                trained, _ = pf.train_local(anchor, ds, config, w_global=anchor)
+                config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, prox_mu=mu)
+                trained, _ = pf.train_local(anchor, ds, config, seed, w_global=anchor)
                 drifts[mu] = np.linalg.norm(
                     flatten_trainable(trained) - flatten_trainable(anchor)
                 )

@@ -173,8 +173,8 @@ class TestTrainLocal:
         ds = two_blob_dataset(5, 3, 0.05, seed=0)
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
         start = pf.build_model(spec, seed=1)
-        config = pf.TrainConfig(epochs=3, batch_size=1000, learning_rate=0.01, seed=9)
-        trained, history = pf.train_local(start, ds, config)
+        config = pf.TrainConfig(epochs=3, batch_size=1000, learning_rate=0.01)
+        trained, history = pf.train_local(start, ds, config, 9)
         assert len(history) == 3
         # oracle: replay the same three full-batch steps by hand
         work = start.copy()
@@ -192,8 +192,8 @@ class TestTrainLocal:
         ds = two_blob_dataset(120, 4, 0.05, seed=2)
         spec = pf.ModelSpec(4, ((8, 0.001),), 0.0, 2)
         start = pf.build_model(spec, seed=0)
-        config = pf.TrainConfig(epochs=15, batch_size=16, learning_rate=0.01, seed=3)
-        trained, history = pf.train_local(start, ds, config)
+        config = pf.TrainConfig(epochs=15, batch_size=16, learning_rate=0.01)
+        trained, history = pf.train_local(start, ds, config, 3)
         report = pf.evaluate(trained, ds)
         assert report.accuracy >= 0.95
         assert history[-1] < history[0]
@@ -204,8 +204,8 @@ class TestTrainLocal:
         start = randomized_params(spec, 5)
         anchor = pf.build_model(spec, seed=6)
         before = np.linalg.norm(flatten_trainable(start) - flatten_trainable(anchor))
-        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.001, prox_mu=1e6, seed=7)
-        trained, _ = pf.train_local(start, ds, config, w_global=anchor)
+        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.001, prox_mu=1e6)
+        trained, _ = pf.train_local(start, ds, config, 7, w_global=anchor)
         after = np.linalg.norm(flatten_trainable(trained) - flatten_trainable(anchor))
         assert after <= before
 
@@ -213,9 +213,9 @@ class TestTrainLocal:
         ds = two_blob_dataset(20, 3, 0.1, seed=8)
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.3, 2)
         start = pf.build_model(spec, seed=0)
-        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=11)
-        first, hist_a = pf.train_local(start, ds, config)
-        second, hist_b = pf.train_local(start, ds, config)
+        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.01)
+        first, hist_a = pf.train_local(start, ds, config, 11)
+        second, hist_b = pf.train_local(start, ds, config, 11)
         assert hist_a == hist_b
         assert np.array_equal(flatten_trainable(first), flatten_trainable(second))
 
@@ -223,7 +223,7 @@ class TestTrainLocal:
         ds = pf.Dataset(np.empty((0, 3)), [], ("a",))
         start = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            pf.train_local(start, ds, pf.TrainConfig())
+            pf.train_local(start, ds, pf.TrainConfig(), 0)
 
 
 class TestEvaluate:
@@ -232,7 +232,7 @@ class TestEvaluate:
         spec = pf.ModelSpec(4, ((8, 0.0),), 0.0, 2)
         trained, _ = pf.train_local(
             pf.build_model(spec, seed=0), ds,
-            pf.TrainConfig(epochs=20, batch_size=16, learning_rate=0.02, seed=2),
+            pf.TrainConfig(epochs=20, batch_size=16, learning_rate=0.02), 2,
         )
         report = pf.evaluate(trained, ds)
         if report.accuracy == 1.0:
