@@ -3,8 +3,6 @@
 Run with: python demos/03_prototype_exchange.py
 """
 
-import json
-
 import numpy as np
 
 import protofed as pf
@@ -24,14 +22,12 @@ print("component means (first 2 dims):")
 print(np.round(model.means[:, :2], 3))
 
 # Component means become the class prototypes; noise protects the raw stats.
-protos = pf.extract_prototypes(model, class_id=1, origin_client=0)
+protos = pf.extract_prototypes(model, class_id=1)
 noisy = pf.perturb(protos, sigma=0.01, seed=2)
 shift = max(np.abs(a[1] - b[1]).max() for a, b in zip(protos.entries, noisy.entries))
 print(f"\nperturbed {len(noisy.entries)} prototypes, max coordinate shift {shift:.4f}")
 
-payload = noisy.to_json()
-floats = sum(len(e["vector"]) for e in json.loads(payload)["entries"])
-print(f"upload payload: {floats} floats ({len(noisy.entries)} vectors x 5 dims)")
+print(f"upload payload: {noisy.floats} floats ({len(noisy.entries)} vectors x 5 dims)")
 
 # Server side: three clients submit prototypes; per class they are reclustered
 # with mini-batch k-means into a compact global set.
@@ -39,7 +35,7 @@ uploads = [noisy]
 for client in (1, 2):
     crng = np.random.default_rng(client)
     entries = tuple((1, crng.normal(0.45, 0.1, 5)) for _ in range(3))
-    uploads.append(pf.perturb(pf.PrototypeSet(entries, 0.0, client), 0.01, seed=client))
+    uploads.append(pf.perturb(pf.PrototypeSet(entries, 0.0), 0.01, seed=client))
 received = sum(len(u.entries) for u in uploads)
 gp = pf.aggregate_prototypes(uploads, seed=3)
 print(f"\nserver received {received} prototypes for class 1, "

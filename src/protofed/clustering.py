@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -12,7 +11,9 @@ import numpy as np
 if TYPE_CHECKING:
     from .mixtures import PrototypeSet
 
-DEFAULT_CLUSTER_CAP = 4
+CLUSTER_CAP = 4
+KMEANS_BATCH_SIZE = 32
+KMEANS_ITERS = 100
 
 
 def kmeans_plusplus(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,29 +72,27 @@ def minibatch_kmeans(
     return centers
 
 
-def choose_cluster_count(n_prototypes: int, cap: int = DEFAULT_CLUSTER_CAP) -> int:
+def choose_cluster_count(n_prototypes: int) -> int:
     """Heuristic number of global prototypes for a class.
 
     ceil(4/9 of the received prototypes), at least 1, never more than the
-    prototypes available nor the cap.
+    prototypes available nor CLUSTER_CAP.
     """
     if n_prototypes < 1:
         raise ValueError("n_prototypes must be >= 1")
     k = math.ceil(n_prototypes * 4.0 / 9.0)
-    return max(1, min(k, n_prototypes, cap))
+    return max(1, min(k, n_prototypes, CLUSTER_CAP))
 
 
 @dataclass(frozen=True)
 class GlobalPrototypes:
     """Reclustered per-class prototype centroids broadcast to every client.
 
-    Wire format: {"<class id>": [[...], ...]}. ``contributors`` counts how
-    many clients supplied prototypes per class; ``noise_sigma`` records the
-    perturbation level of the uploads (used by single-prototype augmentation).
+    ``noise_sigma`` records the perturbation level of the uploads (used by
+    single-prototype augmentation).
     """
 
     prototypes: dict[int, np.ndarray]
-    contributors: dict[int, int] = field(default_factory=dict)
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
@@ -111,28 +110,21 @@ class GlobalPrototypes:
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.prototypes))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(c): self.prototypes[c].tolist() for c in sorted(self.prototypes)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, payload: str, noise_sigma: float = 0.0) -> "GlobalPrototypes":
-        raw = json.loads(payload)
-        protos = {int(c): np.asarray(v, dtype=np.float64) for c, v in raw.items()}
-        return cls(protos, noise_sigma=noise_sigma)
+    @property
+    def floats(self) -> int:
+        """Payload size: the number of floats broadcast to each client."""
+        return sum(centers.size for centers in self.prototypes.values())
 
 
 def aggregate_prototypes(
     uploads: Sequence["PrototypeSet"],
     seed: int = 0,
     cluster_count: int | None = None,
-    cluster_cap: int = DEFAULT_CLUSTER_CAP,
-    batch_size: int | None = None,
-    n_iters: int = 100,
 ) -> GlobalPrototypes:
     """Group uploaded prototypes by class and recluster each group.
+
+    ``cluster_count`` fixes the centroids per class (capped by the points
+    received); None picks them with ``choose_cluster_count``.
 
     Points are sorted lexicographically before clustering, so the result does
     not depend on the order clients are listed in. Classes seen by a single
@@ -140,13 +132,11 @@ def aggregate_prototypes(
     classes they do not hold.
     """
     by_class: dict[int, list[np.ndarray]] = {}
-    clients_per_class: dict[int, set[int]] = {}
     sigma = 0.0
     for upload in uploads:
         sigma = max(sigma, upload.noise_sigma)
         for class_id, vector in upload.entries:
             by_class.setdefault(class_id, []).append(vector)
-            clients_per_class.setdefault(class_id, set()).add(upload.origin_client)
     if not by_class:
         raise ValueError("no prototypes to aggregate")
 
@@ -154,11 +144,8 @@ def aggregate_prototypes(
     for class_id in sorted(by_class):
         pts = np.asarray(by_class[class_id], dtype=np.float64)
         pts = pts[np.lexsort(pts.T[::-1])]
-        k = cluster_count or choose_cluster_count(len(pts), cap=cluster_cap)
-        k = min(k, len(pts))
-        bs = batch_size or min(32, len(pts))
+        k = choose_cluster_count(len(pts)) if cluster_count is None else min(cluster_count, len(pts))
         prototypes[class_id] = minibatch_kmeans(
-            pts, k, bs, n_iters, seed=np.random.SeedSequence([seed, class_id])
+            pts, k, KMEANS_BATCH_SIZE, KMEANS_ITERS, seed=np.random.SeedSequence([seed, class_id])
         )
-    contributors = {c: len(clients) for c, clients in clients_per_class.items()}
-    return GlobalPrototypes(prototypes, contributors, noise_sigma=sigma)
+    return GlobalPrototypes(prototypes, noise_sigma=sigma)

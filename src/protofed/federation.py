@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -84,8 +83,10 @@ class FederationConfig:
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
         if self.eval_weighting not in ("test_size", "uniform"):
             raise ValueError(f"unknown eval_weighting {self.eval_weighting!r}")
-        if self.gmm_max_components < 1:
-            raise ValueError("gmm_max_components must be >= 1")
+        for name in ("gmm_components", "gmm_max_components", "global_prototypes_per_class"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -166,14 +167,6 @@ def _int_seed(master: int, *fields: int) -> int:
     return int(np.random.SeedSequence([master, *fields]).generate_state(1)[0])
 
 
-def _count_vector_floats(payload: str) -> int:
-    """Float count of the vectors in a serialized prototype payload."""
-    raw = json.loads(payload)
-    if isinstance(raw, dict) and "entries" in raw:
-        return sum(len(e["vector"]) for e in raw["entries"])
-    return sum(len(v) for vectors in raw.values() for v in vectors)
-
-
 def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
     if mode == "none":
         return list(client_data)
@@ -219,8 +212,8 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
             model = em_fit(rows, k, seed)
         else:
             _, model = select_k_bic(rows, min(cfg.gmm_max_components, rows.shape[0]), seed)
-        entries.extend(extract_prototypes(model, int(class_id), origin_client=client).entries)
-    return PrototypeSet(tuple(entries), 0.0, client)
+        entries.extend(extract_prototypes(model, int(class_id)).entries)
+    return PrototypeSet(tuple(entries), 0.0)
 
 
 def run_federation(
@@ -241,9 +234,14 @@ def run_federation(
         raise ValueError(
             f"config expects {cfg.n_clients} clients but got {len(client_data)} datasets"
         )
+    first = client_data[0]
     for k, ds in enumerate(client_data):
         if ds.n_samples == 0:
             raise FederationError(f"client {k}: empty dataset")
+        if ds.n_features != first.n_features:
+            raise FederationError(f"client {k}: {ds.n_features} features, client 0 has {first.n_features}")
+        if ds.class_names != first.class_names:
+            raise FederationError(f"client {k}: classes {ds.class_names}, client 0 has {first.class_names}")
 
     scaled = _scale_clients(client_data, cfg.scale_mode)
     train_sets: list[Dataset] = []
@@ -256,16 +254,12 @@ def run_federation(
         train_sets.append(train)
         test_sets.append(test)
 
-    n_classes = client_data[0].n_classes
-    spec = cfg.model or mlp_spec(client_data[0].n_features, n_classes)
-    if spec.input_dim != client_data[0].n_features:
-        raise ValueError(
-            f"model expects {spec.input_dim} inputs but data has {client_data[0].n_features}"
-        )
+    n_classes = first.n_classes
+    spec = cfg.model or mlp_spec(first.n_features, n_classes)
+    if spec.input_dim != first.n_features:
+        raise ValueError(f"model expects {spec.input_dim} inputs but data has {first.n_features}")
     if spec.output_classes != n_classes:
-        raise ValueError(
-            f"model expects {spec.output_classes} classes but data has {n_classes}"
-        )
+        raise ValueError(f"model expects {spec.output_classes} classes but data has {n_classes}")
     global_params = build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
     d_w = global_params.trainable_count
 
@@ -287,14 +281,14 @@ def run_federation(
                     ps = perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, round_index, k))
                 except Exception as err:
                     raise FederationError(f"round {round_index}, client {k}: {err}") from err
-                proto_upload[k] = _count_vector_floats(ps.to_json())
+                proto_upload[k] = ps.floats
                 uploads.append(ps)
             gp = aggregate_prototypes(
                 uploads,
                 seed=_int_seed(cfg.seed, _SEED_AGG, round_index),
                 cluster_count=cfg.global_prototypes_per_class,
             )
-            proto_download = _count_vector_floats(gp.to_json())
+            proto_download = gp.floats
             for k in range(cfg.n_clients):
                 try:
                     train_sets[k] = augment(
@@ -383,7 +377,7 @@ def comm_cost_report(
     Computes the analytic payloads (classes_per_client * protos_per_class *
     d_x uploaded per client; n_global_classes * global_protos_per_class * d_x
     downloaded per client) and cross-checks them, along with the model float
-    counts, against what the run recorded when serializing real payloads.
+    counts, against the payload sizes the run recorded.
     """
     upload = classes_per_client * protos_per_class * d_x
     download = n_global_classes * global_protos_per_class * d_x

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -12,6 +11,8 @@ import numpy as np
 from .clustering import kmeans_plusplus
 
 COVARIANCE_FLOOR = 1e-6
+EM_TOL = 1e-4
+EM_MAX_ITER = 200
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -20,8 +21,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GmmModel:
     """Fitted mixture: simplex weights, component means and covariances.
 
-    Covariances are per-component diagonal vectors by default; the full
-    covariance_type stores (K, d, d) matrices instead. Entries are floored at
+    Covariances are per-component diagonal vectors, floored at
     COVARIANCE_FLOOR so densities stay finite.
     """
 
@@ -30,20 +30,16 @@ class GmmModel:
     covariances: np.ndarray
     log_likelihood: float
     log_likelihood_history: tuple[float, ...]
-    covariance_type: str = "diag"
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=np.float64)
         means = np.asarray(self.means, dtype=np.float64)
         covs = np.asarray(self.covariances, dtype=np.float64)
-        if self.covariance_type not in ("diag", "full"):
-            raise ValueError(f"unknown covariance_type {self.covariance_type!r}")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         if (weights <= 0).any():
             raise ValueError("all mixture weights must be > 0")
-        diag = covs if self.covariance_type == "diag" else np.diagonal(covs, axis1=1, axis2=2)
-        if (diag < COVARIANCE_FLOOR - 1e-15).any():
+        if (covs < COVARIANCE_FLOOR - 1e-15).any():
             raise ValueError(f"covariance entries must be >= {COVARIANCE_FLOOR}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
@@ -58,23 +54,16 @@ class GmmModel:
         return int(self.means.shape[1])
 
 
-def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covs: np.ndarray, cov_type: str) -> np.ndarray:
-    """log N(x; mu_k, Sigma_k) for every (sample, component) pair."""
+def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """log N(x; mu_k, diag(var_k)) for every (sample, component) pair."""
     n, d = X.shape
     k = means.shape[0]
     out = np.empty((n, k))
     for j in range(k):
         diff = X - means[j]
-        if cov_type == "diag":
-            var = covs[j]
-            maha = ((diff**2) / var).sum(axis=1)
-            log_det = np.log(var).sum()
-        else:
-            sign, log_det = np.linalg.slogdet(covs[j])
-            if sign <= 0:
-                raise np.linalg.LinAlgError("covariance matrix is not positive definite")
-            solved = np.linalg.solve(covs[j], diff.T).T
-            maha = (diff * solved).sum(axis=1)
+        var = covs[j]
+        maha = ((diff**2) / var).sum(axis=1)
+        log_det = np.log(var).sum()
         out[:, j] = -0.5 * (d * _LOG_2PI + log_det + maha)
     return out
 
@@ -85,13 +74,9 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _e_step(
-    X: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    covs: np.ndarray,
-    cov_type: str,
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    weighted = _log_gaussian_prob(X, means, covs, cov_type) + np.log(weights)
+    weighted = _log_gaussian_prob(X, means, covs) + np.log(weights)
     norm = _logsumexp(weighted, axis=1)
     resp = np.exp(weighted - norm[:, None])
     return resp, float(norm.sum())
@@ -99,13 +84,7 @@ def _e_step(
 
 def responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     """Posterior component memberships; every row sums to 1."""
-    resp, _ = _e_step(
-        np.asarray(X, dtype=np.float64),
-        model.weights,
-        model.means,
-        model.covariances,
-        model.covariance_type,
-    )
+    resp, _ = _e_step(np.asarray(X, dtype=np.float64), model.weights, model.means, model.covariances)
     return resp
 
 
@@ -113,14 +92,11 @@ def em_fit(
     X: np.ndarray,
     n_components: int,
     seed: int | np.random.SeedSequence,
-    tol: float = 1e-4,
-    max_iter: int = 200,
-    covariance_type: str = "diag",
 ) -> GmmModel:
-    """Fit a Gaussian mixture by EM with k-means++ seeded initialization.
+    """Fit a diagonal Gaussian mixture by EM with k-means++ seeded initialization.
 
-    Iterates until the log-likelihood improves by less than ``tol`` or
-    ``max_iter`` is reached; the recorded log-likelihood history is
+    Iterates until the log-likelihood improves by less than EM_TOL or
+    EM_MAX_ITER is reached; the recorded log-likelihood history is
     non-decreasing up to floating-point slack.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -133,29 +109,23 @@ def em_fit(
         raise ValueError("n_components must be >= 1")
     if n_components > n:
         raise ValueError(f"n_components={n_components} exceeds {n} samples")
-    if covariance_type not in ("diag", "full"):
-        raise ValueError(f"unknown covariance_type {covariance_type!r}")
 
     rng = np.random.default_rng(seed)
     means = kmeans_plusplus(X, n_components, rng).copy()
-    base_var = np.maximum(X.var(axis=0), COVARIANCE_FLOOR)
-    if covariance_type == "diag":
-        covs = np.tile(base_var, (n_components, 1))
-    else:
-        covs = np.tile(np.diag(base_var), (n_components, 1, 1))
+    covs = np.tile(np.maximum(X.var(axis=0), COVARIANCE_FLOOR), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
     history: list[float] = []
     previous = -np.inf
-    for _ in range(max_iter):
-        resp, ll = _e_step(X, weights, means, covs, covariance_type)
+    for _ in range(EM_MAX_ITER):
+        resp, ll = _e_step(X, weights, means, covs)
         history.append(ll)
-        if ll - previous < tol:
+        if ll - previous < EM_TOL:
             break
         previous = ll
-        weights, means, covs = _m_step(X, resp, covariance_type)
+        weights, means, covs = _m_step(X, resp)
     else:
-        _, ll = _e_step(X, weights, means, covs, covariance_type)
+        _, ll = _e_step(X, weights, means, covs)
         history.append(ll)
 
     return GmmModel(
@@ -164,54 +134,32 @@ def em_fit(
         covariances=covs,
         log_likelihood=history[-1],
         log_likelihood_history=tuple(history),
-        covariance_type=covariance_type,
     )
 
 
-def _m_step(
-    X: np.ndarray, resp: np.ndarray, cov_type: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, d = X.shape
+def _m_step(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nk = resp.sum(axis=0) + 10 * np.finfo(np.float64).eps
     weights = nk / nk.sum()
     means = (resp.T @ X) / nk[:, None]
-    if cov_type == "diag":
-        covs = np.empty((resp.shape[1], d))
-        for j in range(resp.shape[1]):
-            diff = X - means[j]
-            covs[j] = np.maximum((resp[:, j, None] * diff**2).sum(axis=0) / nk[j], COVARIANCE_FLOOR)
-    else:
-        covs = np.empty((resp.shape[1], d, d))
-        for j in range(resp.shape[1]):
-            diff = X - means[j]
-            covs[j] = (resp[:, j, None] * diff).T @ diff / nk[j]
-            covs[j] += COVARIANCE_FLOOR * np.eye(d)
+    covs = np.empty((resp.shape[1], X.shape[1]))
+    for j in range(resp.shape[1]):
+        diff = X - means[j]
+        covs[j] = np.maximum((resp[:, j, None] * diff**2).sum(axis=0) / nk[j], COVARIANCE_FLOOR)
     return weights, means, covs
 
 
-def n_free_parameters(n_components: int, n_features: int, covariance_type: str = "diag") -> int:
-    """Free-parameter count: (K-1) weights + K*d means + covariance entries."""
-    if covariance_type == "diag":
-        cov_params = n_components * n_features
-    else:
-        cov_params = n_components * n_features * (n_features + 1) // 2
-    return (n_components - 1) + n_components * n_features + cov_params
+def n_free_parameters(n_components: int, n_features: int) -> int:
+    """Free-parameter count: (K-1) weights + K*d means + K*d variances."""
+    return (n_components - 1) + 2 * n_components * n_features
 
 
 def bic_score(model: GmmModel, n_samples: int) -> float:
     """p * ln(n) - 2 * ln(L); lower is better."""
-    p = n_free_parameters(model.n_components, model.n_features, model.covariance_type)
+    p = n_free_parameters(model.n_components, model.n_features)
     return p * math.log(n_samples) - 2.0 * model.log_likelihood
 
 
-def select_k_bic(
-    X: np.ndarray,
-    k_max: int,
-    seed: int,
-    tol: float = 1e-4,
-    max_iter: int = 200,
-    covariance_type: str = "diag",
-) -> tuple[int, GmmModel]:
+def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> tuple[int, GmmModel]:
     """Fit K = 1..min(k_max, n) mixtures and keep the BIC argmin.
 
     Ties break toward smaller K, and fewer than two samples force K = 1.
@@ -227,8 +175,7 @@ def select_k_bic(
     children = np.random.SeedSequence(seed).spawn(k_hi)
     best_k, best_model, best_bic = 0, None, np.inf
     for k in range(1, k_hi + 1):
-        model = em_fit(X, k, children[k - 1], tol=tol, max_iter=max_iter,
-                       covariance_type=covariance_type)
+        model = em_fit(X, k, children[k - 1])
         score = bic_score(model, X.shape[0])
         if score < best_bic:
             best_k, best_model, best_bic = k, model, score
@@ -237,16 +184,10 @@ def select_k_bic(
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """Class-tagged prototype vectors as uploaded by one client.
-
-    Wire format (the payload whose floats the communication accountant
-    counts): {"client": ..., "sigma": ..., "entries": [{"class": c,
-    "vector": [...]}, ...]}.
-    """
+    """Class-tagged prototype vectors as uploaded by one client."""
 
     entries: tuple[tuple[int, np.ndarray], ...]
     noise_sigma: float
-    origin_client: int
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
@@ -264,33 +205,16 @@ class PrototypeSet:
             frozen.append((int(class_id), vec))
         object.__setattr__(self, "entries", tuple(frozen))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "client": self.origin_client,
-                "sigma": self.noise_sigma,
-                "entries": [
-                    {"class": class_id, "vector": vector.tolist()}
-                    for class_id, vector in self.entries
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "PrototypeSet":
-        raw = json.loads(payload)
-        entries = tuple(
-            (int(e["class"]), np.asarray(e["vector"], dtype=np.float64))
-            for e in raw["entries"]
-        )
-        return cls(entries, float(raw["sigma"]), int(raw["client"]))
+    @property
+    def floats(self) -> int:
+        """Payload size: the number of floats in the uploaded vectors."""
+        return sum(vector.size for _, vector in self.entries)
 
 
-def extract_prototypes(model: GmmModel, class_id: int, origin_client: int = -1) -> PrototypeSet:
+def extract_prototypes(model: GmmModel, class_id: int) -> PrototypeSet:
     """One noise-free entry per mixture component, vectors equal to the means."""
     entries = tuple((class_id, model.means[j].copy()) for j in range(model.n_components))
-    return PrototypeSet(entries, 0.0, origin_client)
+    return PrototypeSet(entries, 0.0)
 
 
 def _entry_seed(seed: int, class_id: int, vector: np.ndarray) -> np.random.SeedSequence:
@@ -311,4 +235,4 @@ def perturb(ps: PrototypeSet, sigma: float, seed: int) -> PrototypeSet:
     for class_id, vector in ps.entries:
         rng = np.random.default_rng(_entry_seed(seed, class_id, vector))
         entries.append((class_id, vector + rng.normal(0.0, sigma, size=vector.shape)))
-    return PrototypeSet(tuple(entries), sigma, ps.origin_client)
+    return PrototypeSet(tuple(entries), sigma)

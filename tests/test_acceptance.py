@@ -97,7 +97,7 @@ def test_criterion_2_communication_cost_reproduction():
         "2 comm-cost", ok,
         f"upload={rep.upload_floats} ({upload_pp:.4f}%), "
         f"download={rep.download_floats} ({download_pp:.4f}%), "
-        f"serialized-match={rep.matches_run}",
+        f"run-match={rep.matches_run}",
     )
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protofed as pf
+from protofed.augment import ELIGIBILITY_RULES
 
 
 def make_local(counts, dims=3, seed=0, n_classes=None):
@@ -37,6 +40,30 @@ class TestSmotePair:
 
 
 class TestAugment:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), min_size=2, max_size=5).filter(any),
+        st.floats(0.01, 1.0),
+        st.sampled_from(ELIGIBILITY_RULES),
+        st.integers(1, 3),
+        st.integers(0, 1000),
+    )
+    def test_adds_exact_budget_with_eligible_labels(self, counts, fraction, rule, n_protos, seed):
+        local = make_local(counts, seed=seed)
+        rng = np.random.default_rng(seed)
+        gp = make_gp({c: rng.random((n_protos, 3)) for c in range(len(counts))})
+        n = local.n_samples
+        eligible = {
+            "missing_only": {c for c, k in enumerate(counts) if k == 0},
+            "below_mean_count": {c for c, k in enumerate(counts) if k < n / len(counts)},
+            "all": set(range(len(counts))),
+        }[rule]
+        out = pf.augment(local, gp, pf.AugmentationPolicy(fraction, rule), seed=seed)
+        assert out.n_samples - n == (round(fraction * n) if eligible else 0)
+        assert np.array_equal(out.features[:n], local.features)
+        assert np.array_equal(out.labels[:n], local.labels)
+        assert set(out.labels[n:].tolist()) <= eligible
+
     def test_exact_ten_percent_budget(self):
         local = make_local([500, 400, 100])
         gp = make_gp({c: np.random.default_rng(c).random((3, 3)) for c in range(3)})

@@ -260,6 +260,18 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("gmm_components", 0), ("global_prototypes_per_class", 0), ("global_prototypes_per_class", -1),
+    ])
+    def test_non_positive_prototype_count_is_a_usage_error(self, tmp_path, capsys, key, value):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"].update({"strategies": ["fedp3e"], key: value})
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -61,7 +59,6 @@ class TestChooseClusterCount:
         assert pf.choose_cluster_count(2) == 1
 
     def test_cap_override(self):
-        assert pf.choose_cluster_count(30, cap=6) == 6
         assert pf.choose_cluster_count(30) == 4
 
     def test_invalid_count_rejected(self):
@@ -69,35 +66,31 @@ class TestChooseClusterCount:
             pf.choose_cluster_count(0)
 
 
-def proto_set(client, entries, sigma=0.01):
-    return pf.PrototypeSet(
-        tuple((c, np.asarray(v, dtype=float)) for c, v in entries), sigma, client
-    )
+def proto_set(entries, sigma=0.01):
+    return pf.PrototypeSet(tuple((c, np.asarray(v, dtype=float)) for c, v in entries), sigma)
 
 
 class TestAggregatePrototypes:
     def test_single_client_single_class(self):
-        ps = proto_set(0, [(2, [0.1, 0.2]), (2, [0.3, 0.4]), (2, [0.5, 0.6])])
+        ps = proto_set([(2, [0.1, 0.2]), (2, [0.3, 0.4]), (2, [0.5, 0.6])])
         gp = pf.aggregate_prototypes([ps], seed=0)
         assert gp.classes() == (2,)
-        assert gp.contributors == {2: 1}
 
     def test_disjoint_clients_cover_all_classes(self):
         uploads = [
-            proto_set(0, [(0, [0.0, 0.0]), (0, [0.1, 0.1]), (0, [0.2, 0.0])]),
-            proto_set(1, [(1, [1.0, 1.0]), (1, [1.1, 1.0]), (1, [0.9, 1.0])]),
-            proto_set(2, [(2, [0.0, 1.0]), (2, [0.1, 1.0]), (2, [0.0, 0.9])]),
+            proto_set([(0, [0.0, 0.0]), (0, [0.1, 0.1]), (0, [0.2, 0.0])]),
+            proto_set([(1, [1.0, 1.0]), (1, [1.1, 1.0]), (1, [0.9, 1.0])]),
+            proto_set([(2, [0.0, 1.0]), (2, [0.1, 1.0]), (2, [0.0, 0.9])]),
         ]
         gp = pf.aggregate_prototypes(uploads, seed=1)
         assert gp.classes() == (0, 1, 2)
-        assert gp.contributors == {0: 1, 1: 1, 2: 1}
 
     def test_centroids_in_convex_hull_bounds(self):
         rng = np.random.default_rng(3)
         vectors = rng.random((8, 3))
         uploads = [
-            proto_set(0, [(0, v) for v in vectors[:4]]),
-            proto_set(1, [(0, v) for v in vectors[4:]]),
+            proto_set([(0, v) for v in vectors[:4]]),
+            proto_set([(0, v) for v in vectors[4:]]),
         ]
         gp = pf.aggregate_prototypes(uploads, seed=2)
         centers = gp.prototypes[0]
@@ -106,8 +99,8 @@ class TestAggregatePrototypes:
 
     def test_client_order_invariance(self):
         rng = np.random.default_rng(4)
-        a = proto_set(0, [(0, rng.random(3)) for _ in range(3)] + [(1, rng.random(3))])
-        b = proto_set(1, [(0, rng.random(3)) for _ in range(2)] + [(1, rng.random(3))])
+        a = proto_set([(0, rng.random(3)) for _ in range(3)] + [(1, rng.random(3))])
+        b = proto_set([(0, rng.random(3)) for _ in range(2)] + [(1, rng.random(3))])
         gp_ab = pf.aggregate_prototypes([a, b], seed=5)
         gp_ba = pf.aggregate_prototypes([b, a], seed=5)
         for class_id in gp_ab.classes():
@@ -115,27 +108,32 @@ class TestAggregatePrototypes:
 
     def test_class_coverage_equals_union(self):
         uploads = [
-            proto_set(0, [(0, [0.1, 0.1]), (3, [0.2, 0.9])]),
-            proto_set(1, [(1, [0.5, 0.5])]),
+            proto_set([(0, [0.1, 0.1]), (3, [0.2, 0.9])]),
+            proto_set([(1, [0.5, 0.5])]),
         ]
         gp = pf.aggregate_prototypes(uploads, seed=0)
         assert gp.classes() == (0, 1, 3)
 
     def test_cluster_count_follows_heuristic(self):
         rng = np.random.default_rng(6)
-        uploads = [proto_set(k, [(0, rng.random(4)) for _ in range(3)]) for k in range(3)]
+        uploads = [proto_set([(0, rng.random(4)) for _ in range(3)]) for _ in range(3)]
         gp = pf.aggregate_prototypes(uploads, seed=7)
         # nine received prototypes -> four global centroids
         assert gp.prototypes[0].shape == (4, 4)
 
     def test_cluster_count_override(self):
         rng = np.random.default_rng(7)
-        uploads = [proto_set(k, [(0, rng.random(4)) for _ in range(3)]) for k in range(3)]
+        uploads = [proto_set([(0, rng.random(4)) for _ in range(3)]) for _ in range(3)]
         gp = pf.aggregate_prototypes(uploads, seed=7, cluster_count=2)
         assert gp.prototypes[0].shape == (2, 4)
 
+    def test_zero_cluster_count_is_not_the_heuristic(self):
+        uploads = [proto_set([(0, [0.1, 0.2]), (0, [0.3, 0.4])])]
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            pf.aggregate_prototypes(uploads, seed=0, cluster_count=0)
+
     def test_sigma_taken_from_uploads(self):
-        ps = proto_set(0, [(0, [0.1, 0.2])], sigma=0.04)
+        ps = proto_set([(0, [0.1, 0.2])], sigma=0.04)
         gp = pf.aggregate_prototypes([ps], seed=0)
         assert gp.noise_sigma == 0.04
 
@@ -145,20 +143,11 @@ class TestAggregatePrototypes:
 
 
 class TestGlobalPrototypesWire:
-    def test_json_round_trip_and_float_count(self):
+    def test_float_count(self):
         gp = pf.GlobalPrototypes(
-            {0: np.array([[0.1, 0.2], [0.3, 0.4]]), 2: np.array([[0.5, 0.6]])},
-            {0: 2, 2: 1},
-            noise_sigma=0.01,
+            {0: np.array([[0.1, 0.2], [0.3, 0.4]]), 2: np.array([[0.5, 0.6]])}, noise_sigma=0.01
         )
-        payload = gp.to_json()
-        raw = json.loads(payload)
-        assert set(raw) == {"0", "2"}
-        total_floats = sum(len(v) for vectors in raw.values() for v in vectors)
-        assert total_floats == 3 * 2
-        restored = pf.GlobalPrototypes.from_json(payload, noise_sigma=0.01)
-        for class_id in gp.classes():
-            assert np.array_equal(restored.prototypes[class_id], gp.prototypes[class_id])
+        assert gp.floats == 3 * 2
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="non-empty"):

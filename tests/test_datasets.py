@@ -184,23 +184,27 @@ class TestPartition:
         # shares differ across clients: the histogram is skewed
         assert shards[0].class_counts().tolist() != shards[1].class_counts().tolist()
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_disjoint_and_quota_exact_for_random_plans(self, data):
         counts = data.draw(st.lists(st.integers(5, 25), min_size=2, max_size=4))
         n_clients = data.draw(st.integers(1, 4))
         seed = data.draw(st.integers(0, 1000))
+        scenario = data.draw(st.sampled_from(("random", "iid", "light", "moderate", "severe")))
         ds = self.make_ds(counts, seed=seed)
         rng = np.random.default_rng(seed)
-        quotas = tuple(
-            tuple(int(rng.integers(0, counts[c] // n_clients + 1)) for c in range(len(counts)))
-            for _ in range(n_clients)
-        )
-        plan = PartitionPlan("iid", quotas)
+        if scenario == "random":
+            plan = PartitionPlan("iid", tuple(
+                tuple(int(rng.integers(0, counts[c] // n_clients + 1)) for c in range(len(counts)))
+                for _ in range(n_clients)
+            ))
+        else:
+            plan = pf.build_partition_plan(scenario, ds.class_counts(), n_clients)
         shards = pf.partition(ds, plan, seed=seed)
+        assert len(shards) == n_clients
         seen = set()
         for k, shard in enumerate(shards):
-            assert shard.class_counts().tolist() == list(quotas[k])
+            assert shard.class_counts().tolist() == list(plan.quotas[k])
             rows = {tuple(r) for r in shard.features}
             assert not rows & seen
             seen |= rows

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.federation import FederationError, _combine_reports, _scale_clients
@@ -46,6 +48,15 @@ class TestFedavgAggregate:
         params = randomized_params(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), 1)
         merged = pf.fedavg_aggregate([(params, 10)])
         assert np.array_equal(flatten_trainable(merged), flatten_trainable(params))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.integers(1, 1000), min_size=1, max_size=8))
+    def test_identical_models_average_to_themselves(self, seed, weights):
+        # rounding of w/total and of the running sum may cost up to one ulp per client
+        params = randomized_params(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed)
+        merged = pf.fedavg_aggregate([(params, w) for w in weights])
+        np.testing.assert_array_max_ulp(merged.flat, params.flat, maxulp=len(weights))
+        np.testing.assert_array_max_ulp(merged.stats, params.stats, maxulp=len(weights))
 
     def test_equal_weights_midpoint(self):
         merged = pf.fedavg_aggregate([(scalar_params(0.0), 5), (scalar_params(4.0), 5)])
@@ -220,6 +231,19 @@ class TestRunFederation:
             shards[0] = pf.Dataset(features, shards[0].labels, shards[0].class_names)
             pf.run_federation(small_config("fedavg", rounds=2, trigger_round=1), shards)
 
+    def test_class_names_must_agree(self):
+        shards = severe_shards()
+        shards[1] = pf.Dataset(shards[1].features, shards[1].labels, ("x", "y", "z"))
+        with pytest.raises(FederationError, match=r"client 1: classes \('x', 'y', 'z'\)"):
+            pf.run_federation(small_config("fedavg"), shards)
+
+    def test_feature_count_must_agree(self):
+        shards = severe_shards()
+        wide = np.hstack([shards[1].features, np.zeros((shards[1].n_samples, 1))])
+        shards[1] = pf.Dataset(wide, shards[1].labels, shards[1].class_names)
+        with pytest.raises(FederationError, match="client 1: 7 features, client 0 has 6"):
+            pf.run_federation(small_config("fedavg"), shards)
+
     def test_client_count_checked(self):
         shards = severe_shards()
         with pytest.raises(ValueError, match="3 clients"):
@@ -260,6 +284,14 @@ class TestRunFederation:
             small_config("fedprox")
         with pytest.raises(ValueError, match="strategy"):
             small_config("fedsgd")
+
+    @pytest.mark.parametrize("key, value", [
+        ("gmm_components", 0), ("gmm_max_components", 0),
+        ("global_prototypes_per_class", 0), ("global_prototypes_per_class", -1),
+    ])
+    def test_non_positive_prototype_counts_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
+            small_config("fedp3e", **{key: value})
 
 
 class TestProxDeviation:
