@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .network import (
     build_model,
     evaluate,
     mlp_spec,
-    save_params,
     train_local,
 )
 
@@ -38,6 +37,15 @@ _SEED_AUG = 7
 
 class FederationError(RuntimeError):
     """A module failure annotated with round/client context."""
+
+
+@contextmanager
+def _failing_at(where: str) -> Iterator[None]:
+    """Re-raise a failure inside the block as a FederationError naming ``where``."""
+    try:
+        yield
+    except Exception as err:
+        raise FederationError(f"{where}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
     return [Dataset(part, ds.labels, ds.class_names) for ds, part in zip(client_data, parts)]
 
 
-def _combine_reports(reports: tuple[EvalReport, ...], weighting: str) -> EvalReport:
+def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalReport:
     if weighting == "test_size":
         weights = np.array([r.n_samples for r in reports], dtype=np.float64)
     else:
@@ -216,11 +224,7 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
     return PrototypeSet(tuple(entries), 0.0)
 
 
-def run_federation(
-    cfg: FederationConfig,
-    client_data: list[Dataset],
-    checkpoint_dir: str | Path | None = None,
-) -> list[RoundMetrics]:
+def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[RoundMetrics]:
     """Execute the configured protocol over the given client datasets.
 
     Every client scales and splits its data locally, trains for the
@@ -228,7 +232,8 @@ def run_federation(
     averaging. Under the fedp3e strategy a one-shot prototype exchange can
     fire at the trigger round, after which clients train on augmented data.
     All randomness is derived from per-(round, client) sub-seeds, so results
-    are bit-identical across reruns.
+    are bit-identical across reruns. A failure in a round raises
+    FederationError naming the round, and the client where there is one.
     """
     if len(client_data) != cfg.n_clients:
         raise ValueError(
@@ -263,9 +268,6 @@ def run_federation(
     global_params = build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
     d_w = global_params.trainable_count
 
-    if checkpoint_dir is not None:
-        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-
     train_cfg = cfg.train if cfg.strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
 
     history: list[RoundMetrics] = []
@@ -276,11 +278,9 @@ def run_federation(
         if exchange:
             uploads = []
             for k in range(cfg.n_clients):
-                try:
+                with _failing_at(f"round {round_index}, client {k}"):
                     ps = _client_prototypes(train_sets[k], cfg, round_index, k)
                     ps = perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, round_index, k))
-                except Exception as err:
-                    raise FederationError(f"round {round_index}, client {k}: {err}") from err
                 proto_upload[k] = ps.floats
                 uploads.append(ps)
             gp = aggregate_prototypes(
@@ -290,34 +290,34 @@ def run_federation(
             )
             proto_download = gp.floats
             for k in range(cfg.n_clients):
-                try:
+                with _failing_at(f"round {round_index}, client {k}"):
                     train_sets[k] = augment(
                         train_sets[k], gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, round_index, k)
                     )
-                except Exception as err:
-                    raise FederationError(f"round {round_index}, client {k}: {err}") from err
 
         updates = []
         for k in range(cfg.n_clients):
             seed = _int_seed(cfg.seed, _SEED_TRAIN, round_index, k)
-            try:
+            with _failing_at(f"round {round_index}, client {k}"):
                 updated, _ = train_local(
                     global_params, train_sets[k], train_cfg, seed, w_global=global_params
                 )
-            except Exception as err:
-                raise FederationError(f"round {round_index}, client {k}: {err}") from err
             updates.append((updated, train_sets[k].n_samples))
 
-        aggregated = fedavg_aggregate(updates)
+        with _failing_at(f"round {round_index}"):
+            aggregated = fedavg_aggregate(updates)
         if not cfg.aggregate_running_stats:
             aggregated = ModelParams(aggregated.spec, aggregated.flat, global_params.stats.copy())
         global_params = aggregated
 
-        reports = tuple(evaluate(global_params, test) for test in test_sets)
+        reports = []
+        for k, test in enumerate(test_sets):
+            with _failing_at(f"round {round_index}, client {k}"):
+                reports.append(evaluate(global_params, test))
         metrics = RoundMetrics(
             round_index=round_index,
             global_report=_combine_reports(reports, cfg.eval_weighting),
-            client_reports=reports,
+            client_reports=tuple(reports),
             model_upload_floats=cfg.n_clients * d_w,
             model_download_floats=cfg.n_clients * d_w,
             proto_upload_floats=tuple(proto_upload),
@@ -325,8 +325,6 @@ def run_federation(
             exchange_triggered=exchange,
         )
         history.append(metrics)
-        if checkpoint_dir is not None:
-            save_params(global_params, Path(checkpoint_dir) / f"round_{round_index:03d}.params")
     return history
 
 

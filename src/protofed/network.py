@@ -10,9 +10,10 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,56 +154,195 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     return params
 
 
-def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    return exp / total, shifted - np.log(total)
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """Views of one dense+relu+batch-norm block's tensors and statistics."""
+
+    w: np.ndarray
+    b: np.ndarray
+    gamma: np.ndarray
+    beta: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
 
 
-def _run_layers(
-    params: ModelParams,
+def _blocks(params: ModelParams) -> list[_Block]:
+    t, r = params.tensors, params.running
+    return [
+        _Block(t[f"w{i}"], t[f"b{i}"], t[f"gamma{i}"], t[f"beta{i}"], r[f"mean{i}"], r[f"var{i}"])
+        for i in range(1, len(params.spec.hidden) + 1)
+    ]
+
+
+class _Net:
+    """A model's per-layer views, bound once and reused by every pass."""
+
+    def __init__(self, params: ModelParams) -> None:
+        self.params = params
+        self.blocks = _blocks(params)
+        self.l2 = [l2 for _, l2 in params.spec.hidden]
+        self.w_out, self.b_out = params.tensors["w_out"], params.tensors["b_out"]
+
+    @cached_property
+    def batch(self) -> ModelParams:
+        """What the last batch produced, laid out like ``params``: the
+        backward pass writes the gradient into ``flat`` and a train-mode
+        forward pass the batch statistics into ``stats``. Bound on first use,
+        so evaluation does not pay for it."""
+        return ModelParams(self.params.spec)
+
+    @cached_property
+    def batch_blocks(self) -> list[_Block]:
+        return _blocks(self.batch)
+
+
+class _Pass(NamedTuple):
+    """What a forward pass keeps for the backward pass: (input, pre-activation,
+    1/std, normalized activation) per block, the last hidden activation, and
+    the class probabilities and log-probabilities."""
+
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    last_hidden: np.ndarray
+    probs: np.ndarray
+    log_probs: np.ndarray
+
+
+def _forward(net: _Net, batch: np.ndarray, train: bool, dropout_mask: np.ndarray | None) -> _Pass:
+    """The forward pass. In train mode batch norm normalizes with this batch's
+    statistics and writes them to ``net.batch.stats``; in eval mode it uses
+    the running statistics."""
+    n = batch.shape[0]
+    activation = batch
+    saved = []
+    for i, block in enumerate(net.blocks):
+        z = activation @ block.w
+        z += block.b
+        # xhat = (h - mean) * inv_std, built in place from h = relu(z); in
+        # train mode the variance reads the same h - mean.
+        xhat = np.maximum(z, 0.0)
+        if train:
+            stats = net.batch_blocks[i]
+            mean = np.add.reduce(xhat, axis=0, out=stats.mean)
+            mean /= n
+            xhat -= mean
+            var = np.add.reduce(xhat * xhat, axis=0, out=stats.var)
+            var /= n
+        else:
+            xhat -= block.mean
+            var = block.var
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        xhat *= inv_std
+        out = xhat * block.gamma
+        out += block.beta
+        if i == 0 and dropout_mask is not None:
+            out *= dropout_mask
+        saved.append((activation, z, inv_std, xhat))
+        activation = out
+    shifted = activation @ net.w_out
+    shifted += net.b_out
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= total
+    shifted -= np.log(total, out=total)  # now the log-probabilities
+    return _Pass(saved, activation, probs, shifted)
+
+
+def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    n = labels.shape[0]
+    return -float(np.add.reduce(log_probs[np.arange(n), labels])) / n
+
+
+def _backward(net: _Net, cache: _Pass, labels: np.ndarray, train: bool,
+              dropout_mask: np.ndarray | None) -> None:
+    """Write the gradient of mean cross-entropy plus L2 into ``net.batch.flat``."""
+    n = labels.shape[0]
+    grads = net.batch.tensors
+    dlogits = cache.probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    np.matmul(cache.last_hidden.T, dlogits, out=grads["w_out"])
+    np.add.reduce(dlogits, axis=0, out=grads["b_out"])
+    upstream = dlogits @ net.w_out.T
+    for i in range(len(net.blocks) - 1, -1, -1):
+        block, grad = net.blocks[i], net.batch_blocks[i]
+        x_in, z, inv_std, xhat = cache.blocks[i]
+        dy = upstream
+        if i == 0 and dropout_mask is not None:
+            dy *= dropout_mask
+        np.add.reduce(dy * xhat, axis=0, out=grad.gamma)
+        np.add.reduce(dy, axis=0, out=grad.beta)
+        # One buffer turns from dy into dxhat, dh and dz in place.
+        dz = dy
+        dz *= block.gamma
+        if train:
+            # Batch statistics depend on the activations, so differentiate
+            # through the mean and (biased) variance as well:
+            # dh = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)).
+            dxhat_sum = np.add.reduce(dz, axis=0)
+            pulled = dz * xhat
+            np.multiply(xhat, np.add.reduce(pulled, axis=0), out=pulled)
+            dz *= n
+            dz -= dxhat_sum
+            dz -= pulled
+            dz *= inv_std / n
+        else:
+            dz *= inv_std
+        dz *= z > 0
+        dw = np.matmul(x_in.T, dz, out=grad.w)
+        dw += 2.0 * net.l2[i] * block.w
+        np.add.reduce(dz, axis=0, out=grad.b)
+        if i:
+            upstream = dz @ block.w.T
+
+
+def _loss_and_grad(
+    net: _Net,
     batch: np.ndarray,
-    mode: str,
+    labels: np.ndarray,
+    prox_mu: float,
+    w_global: ModelParams | None,
+    train: bool,
     dropout_mask: np.ndarray | None,
-) -> dict:
-    """Forward pass returning all intermediates needed by the backward pass."""
-    spec = params.spec
+) -> float:
+    """Regularized loss of one batch; its gradient goes to ``net.batch.flat``."""
+    cache = _forward(net, batch, train, dropout_mask)
+    loss = _cross_entropy(cache.log_probs, labels)
+    for block, l2 in zip(net.blocks, net.l2):
+        if l2 > 0:
+            loss += l2 * float(np.add.reduce(block.w * block.w, axis=None))
+    _backward(net, cache, labels, train, dropout_mask)
+    if prox_mu > 0:
+        pull = net.params.flat - w_global.flat
+        loss += 0.5 * prox_mu * float(np.add.reduce(pull * pull))
+        pull *= prox_mu
+        grad = net.batch.flat
+        grad += pull
+    return loss
+
+
+def _check_batch(spec: ModelSpec, batch: np.ndarray) -> None:
     if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
         raise ValueError(
             f"dimension mismatch: batch has shape {batch.shape}, "
             f"model expects (*, {spec.input_dim})"
         )
+
+
+def _check_mode(mode: str) -> None:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
-    activation = batch
-    layers = []
-    for i in range(1, len(spec.hidden) + 1):
-        z = activation @ params.tensors[f"w{i}"] + params.tensors[f"b{i}"]
-        h = np.maximum(z, 0.0)
-        if mode == "train":
-            mean = h.mean(axis=0)
-            var = h.var(axis=0)
-        else:
-            mean = params.running[f"mean{i}"]
-            var = params.running[f"var{i}"]
-        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (h - mean) * inv_std
-        bn_out = params.tensors[f"gamma{i}"] * xhat + params.tensors[f"beta{i}"]
-        out = bn_out * dropout_mask if (i == 1 and dropout_mask is not None) else bn_out
-        layers.append(
-            {"x_in": activation, "z": z, "mean": mean, "var": var, "inv_std": inv_std, "xhat": xhat}
-        )
-        activation = out
-    logits = activation @ params.tensors["w_out"] + params.tensors["b_out"]
-    probs, log_probs = _softmax(logits)
-    return {
-        "layers": layers,
-        "last_hidden": activation,
-        "probs": probs,
-        "log_probs": log_probs,
-    }
+
+def _check_targets(
+    spec: ModelSpec, labels: np.ndarray, prox_mu: float, w_global: ModelParams | None
+) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= spec.output_classes):
+        raise ValueError("labels outside the model's class range")
+    if prox_mu < 0:
+        raise ValueError("prox_mu must be >= 0")
+    if prox_mu > 0 and w_global is None:
+        raise ValueError("prox_mu > 0 requires w_global")
 
 
 def forward(
@@ -210,7 +350,7 @@ def forward(
     batch: np.ndarray,
     mode: str = "eval",
     seed: int | None = None,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, _Pass]:
     """Class probabilities for a batch, plus the cached activations.
 
     In train mode batch norm uses batch statistics and updates the running
@@ -218,28 +358,32 @@ def forward(
     seed when the spec enables it. In eval mode both are frozen.
     """
     batch = np.asarray(batch, dtype=np.float64)
+    _check_batch(params.spec, batch)
+    _check_mode(mode)
     mask = None
     if mode == "train" and params.spec.dropout_p > 0:
         if seed is None:
             raise ValueError("train-mode forward with dropout requires a seed")
         rng = np.random.default_rng(seed)
         mask = _dropout_mask(rng, (batch.shape[0], params.spec.hidden[0][0]), params.spec.dropout_p)
-    cache = _run_layers(params, batch, mode, mask)
+    net = _Net(params)
+    cache = _forward(net, batch, mode == "train", mask)
     if mode == "train":
-        _update_running_stats(params, cache)
-    return cache["probs"], cache
+        _update_running_stats(net)
+    return cache.probs, cache
 
 
 def _dropout_mask(rng: np.random.Generator, shape: tuple[int, int], p: float) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _update_running_stats(params: ModelParams, cache: dict) -> None:
-    """Move the running statistics toward a train-mode pass's batch statistics."""
-    layers = cache["layers"]
-    if layers:
-        batch = np.concatenate([stat for layer in layers for stat in (layer["mean"], layer["var"])])
-        params.stats[...] = BN_MOMENTUM * params.stats + (1.0 - BN_MOMENTUM) * batch
+def _update_running_stats(net: _Net) -> None:
+    """Move the running statistics toward the last train-mode pass's batch
+    statistics, in place: stats = m * stats + (1 - m) * batch_stats."""
+    stats, batch_stats = net.params.stats, net.batch.stats
+    stats *= BN_MOMENTUM
+    batch_stats *= 1.0 - BN_MOMENTUM
+    stats += batch_stats
 
 
 def loss_and_grads(
@@ -257,74 +401,14 @@ def loss_and_grads(
     the proximal term ranging over trainable tensors only. Running statistics
     are never modified here, so the loss is a pure function of ``params``.
     """
-    loss, grad, _ = _loss_grad_cache(params, batch, labels, prox_mu, w_global, mode, dropout_mask)
-    return loss, _views(grad, _layout(params.spec)[0])
-
-
-def _loss_grad_cache(
-    params: ModelParams,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    prox_mu: float,
-    w_global: ModelParams | None,
-    mode: str,
-    dropout_mask: np.ndarray | None,
-) -> tuple[float, np.ndarray, dict]:
-    """Loss, the gradient as one vector laid out like ``params.flat``, and the forward cache."""
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    spec = params.spec
-    if labels.size and (labels.min() < 0 or labels.max() >= spec.output_classes):
-        raise ValueError("labels outside the model's class range")
-    if prox_mu < 0:
-        raise ValueError("prox_mu must be >= 0")
-    if prox_mu > 0 and w_global is None:
-        raise ValueError("prox_mu > 0 requires w_global")
-
-    cache = _run_layers(params, batch, mode, dropout_mask)
-    n = batch.shape[0]
-    ce = -float(cache["log_probs"][np.arange(n), labels].mean())
-    loss = ce
-    for i, (_, l2) in enumerate(spec.hidden, start=1):
-        if l2 > 0:
-            loss += l2 * float((params.tensors[f"w{i}"] ** 2).sum())
-    if prox_mu > 0:
-        loss += 0.5 * prox_mu * float(((params.flat - w_global.flat) ** 2).sum())
-
-    grad = np.empty_like(params.flat)
-    grads = _views(grad, _layout(spec)[0])
-    dlogits = cache["probs"].copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    grads["w_out"][...] = cache["last_hidden"].T @ dlogits
-    grads["b_out"][...] = dlogits.sum(axis=0)
-    upstream = dlogits @ params.tensors["w_out"].T
-
-    for i in range(len(spec.hidden), 0, -1):
-        layer = cache["layers"][i - 1]
-        dy = upstream * dropout_mask if (i == 1 and dropout_mask is not None) else upstream
-        grads[f"gamma{i}"][...] = (dy * layer["xhat"]).sum(axis=0)
-        grads[f"beta{i}"][...] = dy.sum(axis=0)
-        dxhat = dy * params.tensors[f"gamma{i}"]
-        if mode == "train":
-            # Batch statistics depend on the activations, so differentiate
-            # through the mean and (biased) variance as well.
-            dh = (layer["inv_std"] / n) * (
-                n * dxhat
-                - dxhat.sum(axis=0)
-                - layer["xhat"] * (dxhat * layer["xhat"]).sum(axis=0)
-            )
-        else:
-            dh = dxhat * layer["inv_std"]
-        dz = dh * (layer["z"] > 0)
-        l2 = spec.hidden[i - 1][1]
-        grads[f"w{i}"][...] = layer["x_in"].T @ dz + 2.0 * l2 * params.tensors[f"w{i}"]
-        grads[f"b{i}"][...] = dz.sum(axis=0)
-        upstream = dz @ params.tensors[f"w{i}"].T
-
-    if prox_mu > 0:
-        grad += prox_mu * (params.flat - w_global.flat)
-    return loss, grad, cache
+    _check_targets(params.spec, labels, prox_mu, w_global)
+    _check_batch(params.spec, batch)
+    _check_mode(mode)
+    net = _Net(params)
+    loss = _loss_and_grad(net, batch, labels, prox_mu, w_global, mode == "train", dropout_mask)
+    return loss, net.batch.tensors
 
 
 @dataclass(frozen=True)
@@ -369,17 +453,36 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of the flat trainable vector."""
+    """One bias-corrected Adam update of the flat trainable vector, in place.
+
+    Like an optimizer's ``step()``, it updates ``params.flat`` and ``state``
+    (m, v and t) in place and returns the same two objects.
+    """
     if grad.shape != params.flat.shape:
         raise ValueError(f"shape mismatch: grad {grad.shape} vs params {params.flat.shape}")
-    t = state.t + 1
+    state.t += 1
+    t = state.t
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    return ModelParams(params.spec, flat, params.stats.copy()), AdamState(m, v, t)
+    # Each line keeps the elementwise order of
+    #   m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad * grad
+    #   flat -= lr * m_hat / (sqrt(v_hat) + epsilon)
+    # so the result is bit for bit that of the out-of-place expressions.
+    flat, m, v = params.flat, state.m, state.v
+    step = grad * (1.0 - b1)
+    m *= b1
+    m += step
+    np.multiply(grad, 1.0 - b2, out=step)
+    step *= grad
+    v *= b2
+    v += step
+    np.divide(m, 1.0 - b1**t, out=step)
+    step *= config.learning_rate
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_epsilon
+    step /= denom
+    flat -= step
+    return params, state
 
 
 def train_local(
@@ -392,35 +495,39 @@ def train_local(
     """Train for ``config.epochs`` epochs of mini-batches shuffled from ``seed``.
 
     Returns the updated parameters and one mean loss per epoch. The input
-    ``params`` is not mutated; a fresh Adam state is used per call.
+    ``params`` is not mutated; a fresh Adam state is used per call. A
+    non-finite batch loss raises FloatingPointError naming the epoch and the
+    batch, both counted from 1.
     """
     if ds.n_samples == 0:
         raise ValueError("cannot train on an empty dataset")
-    if config.prox_mu > 0 and w_global is None:
-        raise ValueError("prox_mu > 0 requires w_global")
+    spec = params.spec
+    _check_targets(spec, ds.labels, config.prox_mu, w_global)
+    _check_batch(spec, ds.features)
     work = params.copy()
+    net = _Net(work)
     state = init_adam(work)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = ds.n_samples
     history: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            xb = ds.features[idx]
-            yb = ds.labels[idx]
             mask = None
-            if work.spec.dropout_p > 0:
-                mask = _dropout_mask(
-                    rng, (xb.shape[0], work.spec.hidden[0][0]), work.spec.dropout_p
-                )
-            loss, grad, cache = _loss_grad_cache(
-                work, xb, yb, config.prox_mu, w_global, "train", mask
+            if spec.dropout_p > 0:
+                mask = _dropout_mask(rng, (idx.size, spec.hidden[0][0]), spec.dropout_p)
+            loss = _loss_and_grad(
+                net, ds.features[idx], ds.labels[idx], config.prox_mu, w_global, True, mask
             )
-            _update_running_stats(work, cache)
-            work, state = adam_step(work, grad, state, config)
-            total += loss * len(idx)
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite loss {loss} in epoch {epoch}, batch {batch_index}"
+                )
+            _update_running_stats(net)
+            adam_step(work, net.batch.flat, state, config)  # steps work.flat, which net views
+            total += loss * idx.size
         history.append(total / n)
     return work, history
 
@@ -456,11 +563,11 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     """
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    cache = _run_layers(params, ds.features, "eval", None)
-    probs = cache["probs"]
-    preds = probs.argmax(axis=1)
+    _check_batch(params.spec, ds.features)
+    cache = _forward(_Net(params), ds.features, False, None)
+    preds = cache.probs.argmax(axis=1)
     n = ds.n_samples
-    mean_loss = -float(cache["log_probs"][np.arange(n), ds.labels].mean())
+    mean_loss = _cross_entropy(cache.log_probs, ds.labels)
     accuracy = float((preds == ds.labels).mean())
 
     n_classes = params.spec.output_classes

@@ -19,6 +19,7 @@ from protofed.cli import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def minimal_config(tmp_path, **overrides):
@@ -219,6 +220,16 @@ class TestMain:
         out = tmp_path / "cli_out"
         assert main(["run", str(path), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+    def test_severe_fixture_reproduces_reference_hashes(self, tmp_path):
+        # A faster path must write the same bytes; the hashes are stated once,
+        # in the benchmark's reference file.
+        expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["severe3"]
+        out = tmp_path / "out"
+        config = str(FIXTURES / "severe_nonidd.json")
+        assert main(["run", config, "--seed", "11", "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == expected
 
     def test_seed_override(self, tmp_path):
         path = minimal_config(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
+import protofed.federation as federation
 from protofed.federation import FederationError, _combine_reports, _scale_clients
 from protofed.network import flatten_trainable
 from helpers import randomized_params
@@ -249,14 +251,28 @@ class TestRunFederation:
         with pytest.raises(ValueError, match="3 clients"):
             pf.run_federation(small_config("fedavg"), shards[:2])
 
-    def test_checkpoints_written(self, tmp_path):
-        shards = severe_shards()
-        cfg = small_config("fedavg", rounds=2, trigger_round=1)
-        pf.run_federation(cfg, shards, checkpoint_dir=tmp_path)
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == ["round_001.params", "round_002.params"]
-        loaded = pf.load_params(tmp_path / "round_002.params")
-        assert loaded.trainable_count == pf.build_model(cfg.model, 0).trainable_count
+    def test_divergence_names_round_and_client(self):
+        # used to stop with a bare "mean_loss must be >= 0, got nan" from evaluate
+        train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e300)
+        cfg = small_config("fedavg", train=train)
+        with pytest.raises(FederationError, match=r"round 1, client 0: non-finite loss"):
+            pf.run_federation(cfg, severe_shards())
+
+    def test_huge_finite_loss_is_not_divergence(self):
+        train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e8)
+        cfg = small_config("fedavg", train=train)
+        history = pf.run_federation(cfg, severe_shards())
+        assert len(history) == cfg.rounds
+        assert history[-1].global_report.mean_loss > 1e3
+        assert all(math.isfinite(m.global_report.mean_loss) for m in history)
+
+    def test_evaluation_error_carries_context(self, monkeypatch):
+        def failing(params, ds):
+            raise ValueError("evaluation failed")
+
+        monkeypatch.setattr(federation, "evaluate", failing)
+        with pytest.raises(FederationError, match="round 1, client 0: evaluation failed"):
+            pf.run_federation(small_config("fedavg"), severe_shards())
 
     def test_uniform_eval_weighting(self):
         shards = severe_shards()

@@ -146,10 +146,24 @@ class TestLossAndGrads:
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        before = flatten_trainable(params)
         grads = np.zeros_like(params.flat)
         stepped, state = pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
-        assert np.array_equal(flatten_trainable(stepped), flatten_trainable(params))
+        assert np.array_equal(flatten_trainable(stepped), before)
         assert state.t == 1
+
+    def test_steps_in_place_and_returns_its_arguments(self):
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        flat, stats = params.flat, params.stats.copy()
+        state = init_adam(params)
+        m, v = state.m, state.v
+        grads = np.linspace(-1.0, 1.0, params.flat.size)
+        for t in (1, 2):
+            stepped, new_state = pf.adam_step(params, grads, state, pf.TrainConfig())
+            assert stepped is params and new_state is state and state.t == t
+        assert params.flat is flat and state.m is m and state.v is v
+        assert np.array_equal(params.stats, stats)
+        assert not np.array_equal(params.flat, pf.build_model(params.spec, seed=0).flat)
 
     def test_first_step_is_bias_corrected(self):
         # scalar parameter at 0, gradient 1, lr 0.1: m_hat/sqrt(v_hat) = 1
@@ -218,6 +232,23 @@ class TestTrainLocal:
         second, hist_b = pf.train_local(start, ds, config, 11)
         assert hist_a == hist_b
         assert np.array_equal(flatten_trainable(first), flatten_trainable(second))
+
+    def test_input_params_unchanged(self):
+        ds = two_blob_dataset(20, 3, 0.1, seed=8)
+        start = randomized_params(pf.ModelSpec(3, ((4, 0.01),), 0.3, 2), 0)
+        flat, stats = start.flat.copy(), start.stats.copy()
+        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, prox_mu=0.1)
+        trained, _ = pf.train_local(start, ds, config, 11, w_global=start)
+        assert np.array_equal(start.flat, flat) and np.array_equal(start.stats, stats)
+        assert not np.array_equal(trained.flat, flat)
+        assert not np.array_equal(trained.stats, stats)
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        ds = two_blob_dataset(20, 3, 0.1, seed=8)  # 40 rows: 3 batches of 16
+        start = pf.build_model(pf.ModelSpec(3, ((4, 0.01),), 0.0, 2), seed=0)
+        config = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e300)
+        with pytest.raises(FloatingPointError, match=r"non-finite loss nan in epoch 1, batch 2"):
+            pf.train_local(start, ds, config, 0)
 
     def test_empty_dataset_rejected(self):
         ds = pf.Dataset(np.empty((0, 3)), [], ("a",))
