@@ -22,24 +22,24 @@ print("component means (first 2 dims):")
 print(np.round(model.means[:, :2], 3))
 
 # Component means become the class prototypes; noise protects the raw stats.
-protos = pf.extract_prototypes(model, class_id=1)
+protos = pf.Prototypes({1: model.means})
 noisy = pf.perturb(protos, sigma=0.01, seed=2)
-shift = max(np.abs(a[1] - b[1]).max() for a, b in zip(protos.entries, noisy.entries))
-print(f"\nperturbed {len(noisy.entries)} prototypes, max coordinate shift {shift:.4f}")
+shift = np.abs(noisy.by_class[1] - protos.by_class[1]).max()
+print(f"\nperturbed {len(noisy.by_class[1])} prototypes, max coordinate shift {shift:.4f}")
 
-print(f"upload payload: {noisy.floats} floats ({len(noisy.entries)} vectors x 5 dims)")
+print(f"upload payload: {noisy.floats} floats ({len(noisy.by_class[1])} vectors x 5 dims)")
 
 # Server side: three clients submit prototypes; per class they are reclustered
 # with mini-batch k-means into a compact global set.
 uploads = [noisy]
 for client in (1, 2):
     crng = np.random.default_rng(client)
-    entries = tuple((1, crng.normal(0.45, 0.1, 5)) for _ in range(3))
-    uploads.append(pf.perturb(pf.PrototypeSet(entries, 0.0), 0.01, seed=client))
-received = sum(len(u.entries) for u in uploads)
+    rows = crng.normal(0.45, 0.1, (3, 5))
+    uploads.append(pf.perturb(pf.Prototypes({1: rows}), 0.01, seed=client))
+received = sum(len(u.by_class[1]) for u in uploads)
 gp = pf.aggregate_prototypes(uploads, seed=3)
 print(f"\nserver received {received} prototypes for class 1, "
-      f"kept {gp.prototypes[1].shape[0]} global centroids "
+      f"kept {gp.by_class[1].shape[0]} global centroids "
       f"(heuristic: {pf.choose_cluster_count(received)})")
 
 # Client side again: a silo that never saw class 1 synthesizes samples for it

@@ -12,7 +12,7 @@ Library layout:
 
 from .augment import AugmentationPolicy, augment, smote_pair
 from .clustering import (
-    GlobalPrototypes,
+    Prototypes,
     aggregate_prototypes,
     choose_cluster_count,
     minibatch_kmeans,
@@ -42,10 +42,8 @@ from .federation import (
 )
 from .mixtures import (
     GmmModel,
-    PrototypeSet,
     bic_score,
     em_fit,
-    extract_prototypes,
     perturb,
     select_k_bic,
 )
@@ -74,12 +72,11 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "FederationConfig",
-    "GlobalPrototypes",
     "GmmModel",
     "ModelParams",
     "ModelSpec",
     "PartitionPlan",
-    "PrototypeSet",
+    "Prototypes",
     "RoundMetrics",
     "SyntheticSpec",
     "TrainConfig",
@@ -94,7 +91,6 @@ __all__ = [
     "em_fit",
     "evaluate",
     "exchange_round",
-    "extract_prototypes",
     "fedavg_aggregate",
     "forward",
     "load_csv_dir",

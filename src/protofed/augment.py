@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import GlobalPrototypes
+from .clustering import Prototypes
 from .datasets import Dataset
 
 ELIGIBILITY_RULES = ("missing_only", "below_mean_count", "all")
@@ -57,7 +57,7 @@ def _eligible_classes(local: Dataset, policy: AugmentationPolicy) -> list[int]:
     return list(range(local.n_classes))
 
 
-def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy, seed: int) -> Dataset:
+def augment(local: Dataset, gp: Prototypes, policy: AugmentationPolicy, seed: int) -> Dataset:
     """Append synthetic rows drawn from ``seed`` for the policy's eligible classes.
 
     The budget is round(target_fraction * |local|), split evenly across the
@@ -71,11 +71,11 @@ def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy, se
     """
     if local.n_samples == 0:
         raise ValueError("cannot augment an empty dataset")
-    if not gp.prototypes:
+    if not gp.by_class:
         raise ValueError("global prototypes cover no classes")
     eligible = _eligible_classes(local, policy)
     for class_id in eligible:
-        if class_id not in gp.prototypes:
+        if class_id not in gp.by_class:
             raise ValueError(
                 f"augmentation policy selects class {local.class_names[class_id]!r} "
                 "but no prototypes were received for it"
@@ -93,7 +93,7 @@ def augment(local: Dataset, gp: GlobalPrototypes, policy: AugmentationPolicy, se
     new_rows: list[np.ndarray] = []
     new_labels: list[int] = []
     for class_id in sorted(eligible):
-        protos = gp.prototypes[class_id]
+        protos = gp.by_class[class_id]
         for _ in range(per_class[class_id]):
             coeff = rng.random()
             if protos.shape[0] >= 2:

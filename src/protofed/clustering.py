@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .mixtures import PrototypeSet
 
 CLUSTER_CAP = 4
 KMEANS_BATCH_SIZE = 32
@@ -85,43 +82,48 @@ def choose_cluster_count(n_prototypes: int) -> int:
 
 
 @dataclass(frozen=True)
-class GlobalPrototypes:
-    """Reclustered per-class prototype centroids broadcast to every client.
+class Prototypes:
+    """Class-wise prototype rows, as a client uploads them or the server broadcasts them.
 
-    ``noise_sigma`` records the perturbation level of the uploads (used by
-    single-prototype augmentation).
+    ``by_class`` maps each class id to a (k, d) array with one prototype per
+    row. ``noise_sigma`` records the perturbation level the rows carry (used
+    by single-prototype augmentation).
     """
 
-    prototypes: dict[int, np.ndarray]
+    by_class: dict[int, np.ndarray]
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, np.ndarray] = {}
-        for class_id, centers in self.prototypes.items():
-            arr = np.asarray(centers, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] < 1:
-                raise ValueError(f"class {class_id}: centroids must form a non-empty 2-D array")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
+        frozen: dict[int, np.ndarray] = {}
+        for class_id, rows in self.by_class.items():
+            if class_id < 0:
+                raise ValueError("class ids must be >= 0")
+            arr = np.array(rows, dtype=np.float64)
+            if arr.ndim != 2 or arr.size == 0:
+                raise ValueError(f"class {class_id}: prototypes must form a non-empty 2-D array")
             if not np.isfinite(arr).all():
-                raise ValueError(f"class {class_id}: centroids must be finite")
+                raise ValueError(f"class {class_id}: prototypes must be finite")
             arr.setflags(write=False)
-            cleaned[int(class_id)] = arr
-        object.__setattr__(self, "prototypes", cleaned)
+            frozen[int(class_id)] = arr
+        object.__setattr__(self, "by_class", frozen)
 
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.prototypes))
+        return tuple(sorted(self.by_class))
 
     @property
     def floats(self) -> int:
-        """Payload size: the number of floats broadcast to each client."""
-        return sum(centers.size for centers in self.prototypes.values())
+        """Payload size: the number of floats sent."""
+        return sum(rows.size for rows in self.by_class.values())
 
 
 def aggregate_prototypes(
-    uploads: Sequence["PrototypeSet"],
+    uploads: Sequence[Prototypes],
     seed: int = 0,
     cluster_count: int | None = None,
-) -> GlobalPrototypes:
-    """Group uploaded prototypes by class and recluster each group.
+) -> Prototypes:
+    """Join uploaded prototypes by class and recluster each class's rows.
 
     ``cluster_count`` fixes the centroids per class (capped by the points
     received); None picks them with ``choose_cluster_count``.
@@ -131,21 +133,16 @@ def aggregate_prototypes(
     client still yield centroids, which is how disjoint silos learn about
     classes they do not hold.
     """
-    by_class: dict[int, list[np.ndarray]] = {}
-    sigma = 0.0
-    for upload in uploads:
-        sigma = max(sigma, upload.noise_sigma)
-        for class_id, vector in upload.entries:
-            by_class.setdefault(class_id, []).append(vector)
-    if not by_class:
+    classes = sorted({class_id for upload in uploads for class_id in upload.by_class})
+    if not classes:
         raise ValueError("no prototypes to aggregate")
 
-    prototypes: dict[int, np.ndarray] = {}
-    for class_id in sorted(by_class):
-        pts = np.asarray(by_class[class_id], dtype=np.float64)
+    centroids: dict[int, np.ndarray] = {}
+    for class_id in classes:
+        pts = np.concatenate([u.by_class[class_id] for u in uploads if class_id in u.by_class])
         pts = pts[np.lexsort(pts.T[::-1])]
         k = choose_cluster_count(len(pts)) if cluster_count is None else min(cluster_count, len(pts))
-        prototypes[class_id] = minibatch_kmeans(
+        centroids[class_id] = minibatch_kmeans(
             pts, k, KMEANS_BATCH_SIZE, KMEANS_ITERS, seed=np.random.SeedSequence([seed, class_id])
         )
-    return GlobalPrototypes(prototypes, noise_sigma=sigma)
+    return Prototypes(centroids, noise_sigma=max(u.noise_sigma for u in uploads))

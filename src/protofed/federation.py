@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import AugmentationPolicy, augment
-from .clustering import aggregate_prototypes
+from .clustering import Prototypes, aggregate_prototypes
 from .datasets import Dataset, min_max_scale, stratified_split
-from .mixtures import PrototypeSet, em_fit, extract_prototypes, perturb, select_k_bic
+from .mixtures import em_fit, perturb, select_k_bic
 from .network import (
     EvalReport,
     ModelParams,
@@ -210,8 +210,8 @@ def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalRepor
     )
 
 
-def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, client: int) -> PrototypeSet:
-    entries = []
+def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, client: int) -> Prototypes:
+    means = {}
     for class_id in np.unique(train.labels):
         rows = train.features[train.labels == class_id]
         seed = _int_seed(cfg.seed, _SEED_GMM, round_index, client, int(class_id))
@@ -220,8 +220,8 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
             model = em_fit(rows, k, seed)
         else:
             _, model = select_k_bic(rows, min(cfg.gmm_max_components, rows.shape[0]), seed)
-        entries.extend(extract_prototypes(model, int(class_id)).entries)
-    return PrototypeSet(tuple(entries), 0.0)
+        means[int(class_id)] = model.means
+    return Prototypes(means)
 
 
 def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[RoundMetrics]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import kmeans_plusplus
+from .clustering import Prototypes, kmeans_plusplus
 
 COVARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-4
@@ -182,57 +182,25 @@ def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> tuple[int, GmmModel]:
     return best_k, best_model
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """Class-tagged prototype vectors as uploaded by one client."""
-
-    entries: tuple[tuple[int, np.ndarray], ...]
-    noise_sigma: float
-
-    def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        frozen = []
-        for class_id, vector in self.entries:
-            vec = np.asarray(vector, dtype=np.float64)
-            if vec.ndim != 1:
-                raise ValueError("prototype vectors must be 1-D")
-            if not np.isfinite(vec).all():
-                raise ValueError("prototype vectors must be finite")
-            if class_id < 0:
-                raise ValueError("class ids must be >= 0")
-            vec.setflags(write=False)
-            frozen.append((int(class_id), vec))
-        object.__setattr__(self, "entries", tuple(frozen))
-
-    @property
-    def floats(self) -> int:
-        """Payload size: the number of floats in the uploaded vectors."""
-        return sum(vector.size for _, vector in self.entries)
-
-
-def extract_prototypes(model: GmmModel, class_id: int) -> PrototypeSet:
-    """One noise-free entry per mixture component, vectors equal to the means."""
-    entries = tuple((class_id, model.means[j].copy()) for j in range(model.n_components))
-    return PrototypeSet(entries, 0.0)
-
-
-def _entry_seed(seed: int, class_id: int, vector: np.ndarray) -> np.random.SeedSequence:
-    # Keyed on the entry itself so perturbation commutes with reordering.
-    digest = hashlib.blake2b(vector.tobytes(), digest_size=8).digest()
+def _entry_seed(seed: int, class_id: int, row: np.ndarray) -> np.random.SeedSequence:
+    # Keyed on the row itself so perturbation commutes with reordering.
+    digest = hashlib.blake2b(row.tobytes(), digest_size=8).digest()
     return np.random.SeedSequence([seed, class_id, int.from_bytes(digest, "little")])
 
 
-def perturb(ps: PrototypeSet, sigma: float, seed: int) -> PrototypeSet:
+def perturb(ps: Prototypes, sigma: float, seed: int) -> Prototypes:
     """Add independent N(0, sigma^2) noise per coordinate, reproducibly.
 
-    Each entry draws from its own stream derived from (seed, class, vector),
-    so permuting the entries permutes the noise with them.
+    Each row draws from its own stream derived from (seed, class, row), so
+    reordering the rows reorders the noise with them.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    entries = []
-    for class_id, vector in ps.entries:
-        rng = np.random.default_rng(_entry_seed(seed, class_id, vector))
-        entries.append((class_id, vector + rng.normal(0.0, sigma, size=vector.shape)))
-    return PrototypeSet(tuple(entries), sigma)
+    noisy = {}
+    for class_id, rows in ps.by_class.items():
+        noise = [
+            np.random.default_rng(_entry_seed(seed, class_id, row)).normal(0.0, sigma, size=row.shape)
+            for row in rows
+        ]
+        noisy[class_id] = rows + np.array(noise)
+    return Prototypes(noisy, sigma)

@@ -510,25 +510,27 @@ def train_local(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = ds.n_samples
     history: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
-            idx = order[start : start + config.batch_size]
-            mask = None
-            if spec.dropout_p > 0:
-                mask = _dropout_mask(rng, (idx.size, spec.hidden[0][0]), spec.dropout_p)
-            loss = _loss_and_grad(
-                net, ds.features[idx], ds.labels[idx], config.prox_mu, w_global, True, mask
-            )
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss {loss} in epoch {epoch}, batch {batch_index}"
+    # Divergence is reported by the loss check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            total = 0.0
+            for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
+                idx = order[start : start + config.batch_size]
+                mask = None
+                if spec.dropout_p > 0:
+                    mask = _dropout_mask(rng, (idx.size, spec.hidden[0][0]), spec.dropout_p)
+                loss = _loss_and_grad(
+                    net, ds.features[idx], ds.labels[idx], config.prox_mu, w_global, True, mask
                 )
-            _update_running_stats(net)
-            adam_step(work, net.batch.flat, state, config)  # steps work.flat, which net views
-            total += loss * idx.size
-        history.append(total / n)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite loss {loss} in epoch {epoch}, batch {batch_index}"
+                    )
+                _update_running_stats(net)
+                adam_step(work, net.batch.flat, state, config)  # steps work.flat, which net views
+                total += loss * idx.size
+            history.append(total / n)
     return work, history
 
 
@@ -571,20 +573,17 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     accuracy = float((preds == ds.labels).mean())
 
     n_classes = params.spec.output_classes
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (ds.labels, preds), 1)
-    present = np.flatnonzero((confusion.sum(axis=1) > 0) | (confusion.sum(axis=0) > 0))
-    precisions, recalls, f1s = [], [], []
-    for c in present:
-        tp = confusion[c, c]
-        predicted = confusion[:, c].sum()
-        actual = confusion[c, :].sum()
-        p = tp / predicted if predicted > 0 else 0.0
-        r = tp / actual if actual > 0 else 0.0
-        f1 = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f1)
+    confusion = np.bincount(
+        ds.labels * n_classes + preds, minlength=n_classes * n_classes
+    ).reshape(n_classes, n_classes)
+    predicted = confusion.sum(axis=0)
+    actual = confusion.sum(axis=1)
+    present = (actual > 0) | (predicted > 0)
+    tp, predicted, actual = np.diagonal(confusion)[present], predicted[present], actual[present]
+    precisions = np.divide(tp, predicted, out=np.zeros(tp.size), where=predicted > 0)
+    recalls = np.divide(tp, actual, out=np.zeros(tp.size), where=actual > 0)
+    total = precisions + recalls
+    f1s = np.divide(2 * precisions * recalls, total, out=np.zeros(tp.size), where=total > 0)
     return EvalReport(
         accuracy=accuracy,
         macro_precision=float(np.mean(precisions)),

@@ -241,7 +241,7 @@ def test_criterion_6_em_bic_oracle():
 def test_criterion_7_smote_geometry():
     rng = np.random.default_rng(70)
     protos = rng.random((5, 8))
-    gp = pf.GlobalPrototypes({1: protos}, noise_sigma=0.01)
+    gp = pf.Prototypes({1: protos}, noise_sigma=0.01)
     local = pf.Dataset(rng.random((1000, 8)), np.zeros(1000, dtype=int), ("a", "b"))
     out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 71)
     synthetic = out.features[1000:]

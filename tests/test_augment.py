@@ -17,7 +17,7 @@ def make_local(counts, dims=3, seed=0, n_classes=None):
 
 def make_gp(class_to_vectors, sigma=0.01):
     protos = {c: np.asarray(v, dtype=float) for c, v in class_to_vectors.items()}
-    return pf.GlobalPrototypes(protos, noise_sigma=sigma)
+    return pf.Prototypes(protos, noise_sigma=sigma)
 
 
 class TestSmotePair:
@@ -97,7 +97,7 @@ class TestAugment:
         rng = np.random.default_rng(5)
         local = make_local([200], n_classes=2)
         protos = rng.random((4, 6))
-        gp = pf.GlobalPrototypes({1: protos}, noise_sigma=0.01)
+        gp = pf.Prototypes({1: protos}, noise_sigma=0.01)
         out = pf.augment(
             pf.Dataset(rng.random((200, 6)), np.zeros(200, dtype=int), ("a", "b")),
             gp,
@@ -138,7 +138,7 @@ class TestAugment:
     def test_single_prototype_jitter_fallback(self):
         local = make_local([60], n_classes=2)
         center = np.full(3, 0.5)
-        gp = pf.GlobalPrototypes({1: center[None, :]}, noise_sigma=0.01)
+        gp = pf.Prototypes({1: center[None, :]}, noise_sigma=0.01)
         out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 10)
         synthetic = out.features[60:]
         assert len(synthetic) == 6

@@ -231,6 +231,30 @@ class TestMain:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == expected
 
+    def test_shared_class_exchange_reproduces_pinned_hashes(self, tmp_path):
+        # Under the light partition every client holds every class, so each
+        # class is reclustered from rows of all four uploads; the severe
+        # fixture never joins uploads of one class.
+        config = {
+            "seed": 5,
+            "data": {"synthetic": {"n_classes": 3, "dims": 8, "clusters_per_class": 2,
+                                   "cluster_spread": 0.15, "samples_per_class": 120, "seed": 7}},
+            "partition": {"scenario": "light", "n_clients": 4},
+            "federation": {"strategies": ["fedp3e"], "rounds": 3, "trigger_round": 2,
+                           "train": {"epochs": 3, "learning_rate": 0.02},
+                           "model": {"hidden": [[8, 0.001]]}, "scale_mode": "local"},
+        }
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == {
+            "comparison.csv": "456cd161ecf58c4596c91e22c7602f741ca6877a1f2531ad1dca73f46c5ea208",
+            "metrics_fedp3e.csv": "73886958af4726bd214a95754829e7efd8c020b3da4eb081c87b122dcd6abd30",
+            "summary.json": "f75f3d90d2cfa84069a1c72583cdb2b2cb3a8832e090badfc6b7831c69092b6a",
+        }
+
     def test_seed_override(self, tmp_path):
         path = minimal_config(tmp_path)
         out_a = tmp_path / "a"

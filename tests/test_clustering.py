@@ -66,21 +66,21 @@ class TestChooseClusterCount:
             pf.choose_cluster_count(0)
 
 
-def proto_set(entries, sigma=0.01):
-    return pf.PrototypeSet(tuple((c, np.asarray(v, dtype=float)) for c, v in entries), sigma)
+def proto_set(by_class, sigma=0.01):
+    return pf.Prototypes(by_class, sigma)
 
 
 class TestAggregatePrototypes:
     def test_single_client_single_class(self):
-        ps = proto_set([(2, [0.1, 0.2]), (2, [0.3, 0.4]), (2, [0.5, 0.6])])
+        ps = proto_set({2: [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]})
         gp = pf.aggregate_prototypes([ps], seed=0)
         assert gp.classes() == (2,)
 
     def test_disjoint_clients_cover_all_classes(self):
         uploads = [
-            proto_set([(0, [0.0, 0.0]), (0, [0.1, 0.1]), (0, [0.2, 0.0])]),
-            proto_set([(1, [1.0, 1.0]), (1, [1.1, 1.0]), (1, [0.9, 1.0])]),
-            proto_set([(2, [0.0, 1.0]), (2, [0.1, 1.0]), (2, [0.0, 0.9])]),
+            proto_set({0: [[0.0, 0.0], [0.1, 0.1], [0.2, 0.0]]}),
+            proto_set({1: [[1.0, 1.0], [1.1, 1.0], [0.9, 1.0]]}),
+            proto_set({2: [[0.0, 1.0], [0.1, 1.0], [0.0, 0.9]]}),
         ]
         gp = pf.aggregate_prototypes(uploads, seed=1)
         assert gp.classes() == (0, 1, 2)
@@ -88,52 +88,49 @@ class TestAggregatePrototypes:
     def test_centroids_in_convex_hull_bounds(self):
         rng = np.random.default_rng(3)
         vectors = rng.random((8, 3))
-        uploads = [
-            proto_set([(0, v) for v in vectors[:4]]),
-            proto_set([(0, v) for v in vectors[4:]]),
-        ]
+        uploads = [proto_set({0: vectors[:4]}), proto_set({0: vectors[4:]})]
         gp = pf.aggregate_prototypes(uploads, seed=2)
-        centers = gp.prototypes[0]
+        centers = gp.by_class[0]
         assert (centers >= vectors.min(axis=0) - 1e-12).all()
         assert (centers <= vectors.max(axis=0) + 1e-12).all()
 
     def test_client_order_invariance(self):
         rng = np.random.default_rng(4)
-        a = proto_set([(0, rng.random(3)) for _ in range(3)] + [(1, rng.random(3))])
-        b = proto_set([(0, rng.random(3)) for _ in range(2)] + [(1, rng.random(3))])
+        a = proto_set({0: rng.random((3, 3)), 1: rng.random((1, 3))})
+        b = proto_set({0: rng.random((2, 3)), 1: rng.random((1, 3))})
         gp_ab = pf.aggregate_prototypes([a, b], seed=5)
         gp_ba = pf.aggregate_prototypes([b, a], seed=5)
         for class_id in gp_ab.classes():
-            assert np.array_equal(gp_ab.prototypes[class_id], gp_ba.prototypes[class_id])
+            assert np.array_equal(gp_ab.by_class[class_id], gp_ba.by_class[class_id])
 
     def test_class_coverage_equals_union(self):
         uploads = [
-            proto_set([(0, [0.1, 0.1]), (3, [0.2, 0.9])]),
-            proto_set([(1, [0.5, 0.5])]),
+            proto_set({0: [[0.1, 0.1]], 3: [[0.2, 0.9]]}),
+            proto_set({1: [[0.5, 0.5]]}),
         ]
         gp = pf.aggregate_prototypes(uploads, seed=0)
         assert gp.classes() == (0, 1, 3)
 
     def test_cluster_count_follows_heuristic(self):
         rng = np.random.default_rng(6)
-        uploads = [proto_set([(0, rng.random(4)) for _ in range(3)]) for _ in range(3)]
+        uploads = [proto_set({0: rng.random((3, 4))}) for _ in range(3)]
         gp = pf.aggregate_prototypes(uploads, seed=7)
         # nine received prototypes -> four global centroids
-        assert gp.prototypes[0].shape == (4, 4)
+        assert gp.by_class[0].shape == (4, 4)
 
     def test_cluster_count_override(self):
         rng = np.random.default_rng(7)
-        uploads = [proto_set([(0, rng.random(4)) for _ in range(3)]) for _ in range(3)]
+        uploads = [proto_set({0: rng.random((3, 4))}) for _ in range(3)]
         gp = pf.aggregate_prototypes(uploads, seed=7, cluster_count=2)
-        assert gp.prototypes[0].shape == (2, 4)
+        assert gp.by_class[0].shape == (2, 4)
 
     def test_zero_cluster_count_is_not_the_heuristic(self):
-        uploads = [proto_set([(0, [0.1, 0.2]), (0, [0.3, 0.4])])]
+        uploads = [proto_set({0: [[0.1, 0.2], [0.3, 0.4]]})]
         with pytest.raises(ValueError, match="n_clusters must be >= 1"):
             pf.aggregate_prototypes(uploads, seed=0, cluster_count=0)
 
     def test_sigma_taken_from_uploads(self):
-        ps = proto_set([(0, [0.1, 0.2])], sigma=0.04)
+        ps = proto_set({0: [[0.1, 0.2]]}, sigma=0.04)
         gp = pf.aggregate_prototypes([ps], seed=0)
         assert gp.noise_sigma == 0.04
 
@@ -142,13 +139,29 @@ class TestAggregatePrototypes:
             pf.aggregate_prototypes([], seed=0)
 
 
-class TestGlobalPrototypesWire:
+class TestPrototypesWire:
     def test_float_count(self):
-        gp = pf.GlobalPrototypes(
+        protos = pf.Prototypes(
             {0: np.array([[0.1, 0.2], [0.3, 0.4]]), 2: np.array([[0.5, 0.6]])}, noise_sigma=0.01
         )
-        assert gp.floats == 3 * 2
+        assert protos.floats == 3 * 2
 
     def test_invariants_enforced(self):
+        with pytest.raises(ValueError, match="finite"):
+            pf.Prototypes({0: np.array([[np.inf, 1.0]])})
+        with pytest.raises(ValueError, match="class ids"):
+            pf.Prototypes({-1: np.zeros((1, 2))})
         with pytest.raises(ValueError, match="non-empty"):
-            pf.GlobalPrototypes({0: np.empty((0, 2))})
+            pf.Prototypes({0: np.empty((0, 2))})
+        with pytest.raises(ValueError, match="non-empty"):
+            pf.Prototypes({0: np.zeros(2)})
+        with pytest.raises(ValueError, match="noise_sigma"):
+            pf.Prototypes({0: np.zeros((1, 2))}, noise_sigma=-0.01)
+
+    def test_arrays_are_read_only_copies(self):
+        rows = np.zeros((2, 3))
+        protos = pf.Prototypes({0: rows})
+        rows[0, 0] = 1.0
+        assert protos.by_class[0][0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            protos.by_class[0][0, 0] = 2.0

@@ -178,6 +178,22 @@ class TestShouldTriggerExchange:
         assert pf.should_trigger_exchange(history, self.config("fedavg")) is False
 
 
+class TestClientPrototypes:
+    def test_uploaded_rows_bit_equal_to_em_fit_means(self):
+        rng = np.random.default_rng(12)
+        labels = np.array([0] * 30 + [1] * 20 + [3] * 1)
+        train = pf.Dataset(rng.random((labels.size, 4)), labels, ("a", "b", "c", "d"))
+        cfg = small_config("fedp3e", gmm_components=2)
+        protos = federation._client_prototypes(train, cfg, round_index=2, client=1)
+        assert protos.classes() == (0, 1, 3)
+        assert protos.noise_sigma == 0.0
+        for class_id, rows in protos.by_class.items():
+            seed = federation._int_seed(cfg.seed, federation._SEED_GMM, 2, 1, class_id)
+            class_rows = train.features[labels == class_id]
+            model = pf.em_fit(class_rows, min(2, class_rows.shape[0]), seed)
+            assert np.array_equal(rows, model.means)
+
+
 class TestRunFederation:
     def test_fedavg_float_accounting_is_model_only(self):
         shards = severe_shards()

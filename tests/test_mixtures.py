@@ -112,73 +112,44 @@ class TestSelectKBic:
             pf.select_k_bic(np.empty((0, 2)), k_max=3, seed=0)
 
 
-class TestExtractPrototypes:
-    def test_one_entry_per_component(self):
-        rng = np.random.default_rng(9)
-        x = np.vstack([blob(rng, c, 0.05, 50, 3) for c in (0.0, 1.0, 2.0)])
-        model = pf.em_fit(x, 3, seed=0)
-        protos = pf.extract_prototypes(model, class_id=1)
-        assert len(protos.entries) == 3
-        assert protos.noise_sigma == 0.0
-        assert all(class_id == 1 for class_id, _ in protos.entries)
-
-    def test_single_component_equals_sample_mean(self):
-        rng = np.random.default_rng(10)
-        x = blob(rng, 0.5, 0.1, 40, 2)
-        model = pf.em_fit(x, 1, seed=0)
-        protos = pf.extract_prototypes(model, class_id=0)
-        assert np.array_equal(protos.entries[0][1], model.means[0])
-        assert np.allclose(protos.entries[0][1], x.mean(axis=0))
-
-    def test_entries_bit_equal_to_means(self):
-        rng = np.random.default_rng(11)
-        model = pf.em_fit(rng.random((30, 4)), 2, seed=1)
-        protos = pf.extract_prototypes(model, class_id=2)
-        for j, (_, vector) in enumerate(protos.entries):
-            assert np.array_equal(vector, model.means[j])
-
-
 class TestPerturb:
     def make_set(self, dims=4):
-        return pf.PrototypeSet(
-            ((0, np.zeros(dims)), (1, np.full(dims, 0.5)), (0, np.ones(dims))), 0.0
-        )
+        return pf.Prototypes({0: [np.zeros(dims), np.ones(dims)], 1: [np.full(dims, 0.5)]})
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 5))
     def test_zero_sigma_is_identity(self, seed, n_entries, dims):
         rng = np.random.default_rng(seed)
-        ps = pf.PrototypeSet(
-            tuple((int(rng.integers(0, 4)), rng.normal(0.0, 3.0, dims)) for _ in range(n_entries)), 0.0
-        )
+        class_ids = rng.integers(0, 4, n_entries)
+        rows = rng.normal(0.0, 3.0, (n_entries, dims))
+        ps = pf.Prototypes({int(c): rows[class_ids == c] for c in np.unique(class_ids)})
         out = pf.perturb(ps, 0.0, seed=seed)
-        assert [c for c, _ in out.entries] == [c for c, _ in ps.entries]
-        for (_, before), (_, after) in zip(ps.entries, out.entries):
-            assert np.array_equal(before, after)
+        assert list(out.by_class) == list(ps.by_class)
+        for class_id, before in ps.by_class.items():
+            assert np.array_equal(before, out.by_class[class_id])
         assert out.noise_sigma == 0.0
 
     def test_noise_std_matches_sigma(self):
         # chi-square bounds for the sample std over 10,000 draws at sigma=0.01
-        ps = pf.PrototypeSet(((0, np.zeros(3)),), 0.0)
-        draws = np.array([pf.perturb(ps, 0.01, seed=s).entries[0][1] for s in range(10_000)])
+        ps = pf.Prototypes({0: np.zeros((1, 3))})
+        draws = np.array([pf.perturb(ps, 0.01, seed=s).by_class[0][0] for s in range(10_000)])
         stds = draws.std(axis=0)
         assert (stds >= 0.0097).all() and (stds <= 0.0103).all()
 
     def test_noise_mean_near_zero(self):
-        ps = pf.PrototypeSet(((0, np.full(3, 2.0)),), 0.0)
+        ps = pf.Prototypes({0: np.full((1, 3), 2.0)})
         sigma, n = 0.01, 10_000
-        draws = np.array([pf.perturb(ps, sigma, seed=s).entries[0][1] for s in range(n)])
+        draws = np.array([pf.perturb(ps, sigma, seed=s).by_class[0][0] for s in range(n)])
         deltas = (draws - 2.0).mean(axis=0)
         assert np.abs(deltas).max() <= 4 * sigma / np.sqrt(n)
 
     def test_commutes_with_entry_permutation(self):
         ps = self.make_set()
-        permuted = pf.PrototypeSet(tuple(reversed(ps.entries)), 0.0)
+        permuted = pf.Prototypes({0: ps.by_class[0][::-1], 1: ps.by_class[1]})
         direct = pf.perturb(permuted, 0.05, seed=9)
         swapped = pf.perturb(ps, 0.05, seed=9)
-        for (ca, va), (cb, vb) in zip(direct.entries, reversed(swapped.entries)):
-            assert ca == cb
-            assert np.array_equal(va, vb)
+        assert np.array_equal(direct.by_class[0], swapped.by_class[0][::-1])
+        assert np.array_equal(direct.by_class[1], swapped.by_class[1])
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -187,15 +158,3 @@ class TestPerturb:
     def test_sigma_recorded(self):
         out = pf.perturb(self.make_set(), 0.25, seed=1)
         assert out.noise_sigma == 0.25
-
-
-class TestPrototypeSetWire:
-    def test_float_count(self):
-        ps = pf.PrototypeSet(((2, np.array([0.1, 0.2, 0.3])), (0, np.array([0.4, 0.5, 0.6]))), 0.01)
-        assert ps.floats == 2 * 3
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="finite"):
-            pf.PrototypeSet(((0, np.array([np.inf, 1.0])),), 0.0)
-        with pytest.raises(ValueError, match="class ids"):
-            pf.PrototypeSet(((-1, np.zeros(2)),), 0.0)

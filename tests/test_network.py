@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
@@ -300,6 +300,43 @@ class TestEvaluate:
         plain_ce, _ = loss_and_grads(params, ds.features, ds.labels, mode="eval")
         l2_term = 0.5 * float((params.tensors["w1"] ** 2).sum())
         assert report.mean_loss == pytest.approx(plain_ce - l2_term, abs=1e-9)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 11).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)), min_size=1, max_size=40),
+    )))
+    @example((4, [(0, 0), (0, 2), (1, 1)]))  # class 2 predicted but never true, class 3 in neither
+    @example((3, [(1, 2), (1, 2)]))  # no true positives: precision and recall are 0 everywhere
+    def test_macro_scores_equal_per_class_loop(self, case):
+        n_classes, pairs = case
+        labels = np.array([t for t, _ in pairs])
+        preds = np.array([p for _, p in pairs])
+        # One-hot inputs through an identity output layer predict exactly ``preds``.
+        params = pf.build_model(pf.ModelSpec(n_classes, (), 0.0, n_classes), seed=0)
+        params.tensors["w_out"][...] = np.eye(n_classes)
+        params.tensors["b_out"][...] = 0.0
+        names = tuple(f"c{i}" for i in range(n_classes))
+        report = pf.evaluate(params, pf.Dataset(np.eye(n_classes)[preds], labels, names))
+
+        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        for t, p in pairs:
+            confusion[t, p] += 1
+        precisions, recalls, f1s = [], [], []
+        for c in range(n_classes):
+            tp, predicted, actual = confusion[c, c], confusion[:, c].sum(), confusion[c, :].sum()
+            if predicted == 0 and actual == 0:
+                continue
+            p = tp / predicted if predicted > 0 else 0.0
+            r = tp / actual if actual > 0 else 0.0
+            precisions.append(p)
+            recalls.append(r)
+            f1s.append(2 * p * r / (p + r) if (p + r) > 0 else 0.0)
+        assert report.accuracy == float((labels == preds).mean())
+        assert report.macro_precision == float(np.mean(precisions))
+        assert report.macro_recall == float(np.mean(recalls))
+        assert report.macro_f1 == float(np.mean(f1s))
 
 
 class TestEvalReport:
