@@ -158,3 +158,17 @@ class TestPerturb:
     def test_sigma_recorded(self):
         out = pf.perturb(self.make_set(), 0.25, seed=1)
         assert out.noise_sigma == 0.25
+
+
+class TestPrototypeSetWire:
+    """The client-to-server direction: perturbed prototypes as a client uploads them."""
+
+    def test_float_count(self):
+        upload = pf.perturb(pf.Prototypes({2: [[0.1, 0.2, 0.3]], 0: [[0.4, 0.5, 0.6]]}), 0.01, seed=0)
+        assert upload.floats == 2 * 3
+
+    def test_invariants_enforced(self):
+        with pytest.raises(ValueError, match="finite"):
+            pf.Prototypes({0: np.array([[np.inf, 1.0]])})
+        with pytest.raises(ValueError, match="class ids"):
+            pf.Prototypes({-1: np.zeros((1, 2))})
