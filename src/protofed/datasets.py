@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,9 +128,10 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
 
     Raises:
         FileNotFoundError: missing directory.
-        ValueError: no CSV files, unmatched file name, column count mismatch,
-            or a non-numeric or non-finite cell (the error names the file and
-            row).
+        ValueError: no CSV files, unmatched file name, bytes that are not
+            UTF-8, column count mismatch (a blank line counts as a row of 0
+            columns), or a non-numeric or non-finite cell (the error names
+            the file and row).
     """
     root = Path(path)
     if not root.is_dir():
@@ -138,44 +140,93 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
     if not files:
         raise ValueError(f"no CSV files found under {root}")
 
-    rows: list[list[float]] = []
-    labels: list[int] = []
+    blocks: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     first_rows: list[tuple[int, str]] = []
+    n_rows = 0
     for file in files:
-        first_rows.append((len(rows), file.name))
+        first_rows.append((n_rows, file.name))
         class_id = _class_for_file(file.name, schema)
-        with open(file, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{file.name}: empty file")
-            if len(header) != schema.n_features:
-                raise ValueError(
-                    f"{file.name}: column count mismatch "
-                    f"(got {len(header)}, schema expects {schema.n_features})"
-                )
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != schema.n_features:
-                    raise ValueError(
-                        f"{file.name} row {row_no}: column count mismatch "
-                        f"(got {len(row)}, schema expects {schema.n_features})"
-                    )
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    bad = next(cell for cell in row if not _is_number(cell))
-                    raise ValueError(
-                        f"{file.name} row {row_no}: non-numeric cell {bad!r}"
-                    ) from None
-                labels.append(class_id)
+        block = _read_csv_file(file, schema.n_features)
+        blocks.append(block)
+        labels.append(np.full(len(block), class_id, dtype=np.int64))
+        n_rows += len(block)
 
-    features = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema.n_features)
+    features = np.concatenate(blocks)
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
         # The last file starting at or before the row holds it.
         first, name = next((f, n) for f, n in reversed(first_rows) if f <= row)
         raise ValueError(f"{name} row {row - first + 2}: non-finite cell {features[row, col]}")
-    return Dataset(features, np.asarray(labels, dtype=np.int64), schema.class_names)
+    return Dataset(features, np.concatenate(labels), schema.class_names)
+
+
+def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
+    """One file's samples as an (n, n_features) float64 array; row 1 is the header."""
+    data = file.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        row = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{file.name} row {row}: not UTF-8 text ({err.reason})") from None
+    handle = io.StringIO(text, newline="")
+    header = next(csv.reader(handle), None)
+    if header is None:
+        raise ValueError(f"{file.name}: empty file")
+    if len(header) != n_features:
+        raise ValueError(
+            f"{file.name}: column count mismatch "
+            f"(got {len(header)}, schema expects {n_features})"
+        )
+    # The reader consumed exactly the header record, so the rest is the body.
+    body = handle.read()
+    block = _parse_body(body, n_features)
+    return _read_rows(file.name, body, n_features) if block is None else block
+
+
+def _parse_body(body: str, n_features: int) -> np.ndarray | None:
+    """Parse every row with one np.loadtxt; None where only the row reader decides.
+
+    loadtxt and ``float()`` share CPython's correctly rounded decimal parser,
+    so every file loadtxt takes gives the same bits. loadtxt skips blank
+    lines, which the row reader rejects, and reads a lone carriage return
+    otherwise than csv does. Files with either, and every file loadtxt
+    refuses or shapes otherwise, go to the row reader, the only source of
+    file and row error messages.
+    """
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "" in lines:
+        return None
+    if not lines:
+        return np.empty((0, n_features))
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    return block if block.shape == (len(lines), n_features) else None
+
+
+def _read_rows(name: str, body: str, n_features: int) -> np.ndarray:
+    """Parse the body record by record, naming the file and row of the first bad one."""
+    rows: list[list[float]] = []
+    for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if len(row) != n_features:
+            raise ValueError(
+                f"{name} row {row_no}: column count mismatch "
+                f"(got {len(row)}, schema expects {n_features})"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            bad = next(cell for cell in row if not _is_number(cell))
+            raise ValueError(f"{name} row {row_no}: non-numeric cell {bad!r}") from None
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), n_features)
 
 
 def _is_number(cell: str) -> bool:

@@ -4,6 +4,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protofed as pf
@@ -20,6 +21,27 @@ from protofed.cli import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def write_nbaiot_layout(root, seed, devices=3, rows=60):
+    """Small N-BaIoT-layout captures: one file per (device, capture), 115 `.10g` columns.
+
+    Column magnitudes span four decades, as in the real traffic statistics, so
+    the cells use both fixed and exponent notation.
+    """
+    rng = np.random.default_rng(seed)
+    n_cols = pf.nbaiot_schema().n_features
+    magnitude = 10.0 ** rng.uniform(0.0, 4.0, size=n_cols)
+    offset = {cls: rng.normal(0.0, 0.3, size=n_cols) for cls in ("benign", "gafgyt", "mirai")}
+    header = ",".join(f"stat_{i}" for i in range(n_cols)) + "\n"
+    root.mkdir()
+    for device in range(1, devices + 1):
+        centre = rng.uniform(4.0, 6.0, size=n_cols)
+        for capture in ("benign", "gafgyt.combo", "gafgyt.udp", "mirai.ack", "mirai.syn"):
+            block = (centre + offset[capture.split(".")[0]]
+                     + rng.normal(0.0, 1.0, size=(rows, n_cols))) * magnitude
+            lines = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in block)
+            (root / f"{device}.{capture}.csv").write_text(header + lines, encoding="utf-8")
 
 
 def minimal_config(tmp_path, **overrides):
@@ -253,6 +275,30 @@ class TestMain:
             "comparison.csv": "456cd161ecf58c4596c91e22c7602f741ca6877a1f2531ad1dca73f46c5ea208",
             "metrics_fedp3e.csv": "73886958af4726bd214a95754829e7efd8c020b3da4eb081c87b122dcd6abd30",
             "summary.json": "f75f3d90d2cfa84069a1c72583cdb2b2cb3a8832e090badfc6b7831c69092b6a",
+        }
+
+    def test_csv_dir_exchange_reproduces_pinned_hashes(self, tmp_path):
+        # The CSV loader and 115-dimensional EM on the path a real N-BaIoT run
+        # takes: device files on disk, local scaling, the exchange in round 1.
+        write_nbaiot_layout(tmp_path / "nbaiot", seed=8)
+        config = {
+            "seed": 11,
+            "data": {"csv_dir": {"path": str(tmp_path / "nbaiot")}},
+            "partition": {"scenario": "moderate", "n_clients": 3},
+            "federation": {"strategies": ["fedp3e"], "rounds": 2, "trigger_round": 1,
+                           "train": {"epochs": 1}, "scale_mode": "local"},
+        }
+        path = tmp_path / "nbaiot.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"]["fedp3e"]["exchange_round"] == 1
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == {
+            "comparison.csv": "aaa6a4f417ba400edc470084a25aa37f0f16817d9c2a093bd65ffc6cdce36d3e",
+            "metrics_fedp3e.csv": "8c9d45227f09ce26e3dcc407197dc3ea69bfc12adb8b36c2d5c9e90abd93530f",
+            "summary.json": "5e1798feb4c865640d1b00e5baaab07daf8e6bdb6998114b5a5ef40886e6097e",
         }
 
     def test_seed_override(self, tmp_path):

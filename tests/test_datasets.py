@@ -63,6 +63,56 @@ class TestLoadCsvDir:
         with pytest.raises(ValueError, match="mirai.csv row 4: non-finite cell"):
             pf.load_csv_dir(tmp_path, small_schema())
 
+    @pytest.mark.parametrize("body, row", [
+        ("1,2,3\n\n4,5,6\n", 3),
+        ("1,2,3\n4,5,6\n\n", 4),
+        ("1,2,3\r\n\r\n4,5,6\r\n", 3),
+        ("1,2,3\r\r\n4,5,6\n", 3),
+    ], ids=["mid-file", "trailing", "crlf", "lone-cr"])
+    def test_blank_line_is_a_row_of_zero_columns(self, tmp_path, body, row):
+        (tmp_path / "benign.csv").write_text("f0,f1,f2\n" + body, newline="")
+        expected = rf"benign.csv row {row}: column count mismatch \(got 0,"
+        with pytest.raises(ValueError, match=expected):
+            pf.load_csv_dir(tmp_path, small_schema())
+
+    def test_header_only_file_adds_no_rows(self, tmp_path):
+        write_csv(tmp_path / "benign.csv", [[1, 2, 3], [4, 5, 6]], 3)
+        write_csv(tmp_path / "gafgyt.csv", [], 3)
+        ds = pf.load_csv_dir(tmp_path, small_schema())
+        assert ds.features.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert ds.class_counts().tolist() == [2, 0, 0]
+
+    def test_cells_only_the_row_reader_accepts(self, tmp_path):
+        # float() takes digit separators and csv unquotes cells; loadtxt does
+        # neither, so these files load through the row reader.
+        (tmp_path / "benign.csv").write_text('f0,f1,f2\n1_0,"1.5",3\n4,5,6\n')
+        ds = pf.load_csv_dir(tmp_path, small_schema())
+        assert ds.features.tolist() == [[10.0, 1.5, 3.0], [4.0, 5.0, 6.0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            # Bounded so that rounding to ten digits cannot overflow to inf.
+            st.lists(st.floats(-1e308, 1e308), min_size=3, max_size=3),
+            min_size=1, max_size=20,
+        ),
+        style=st.sampled_from([repr, lambda v: format(v, ".10g")]),
+    )
+    def test_cells_load_bit_equal_to_float(self, tmp_path_factory, values, style):
+        root = tmp_path_factory.mktemp("csv")
+        cells = [[style(v) for v in row] for row in values]
+        lines = "".join(",".join(row) + "\n" for row in cells)
+        (root / "mirai.csv").write_text("f0,f1,f2\n" + lines)
+        expected = np.array([[float(cell) for cell in row] for row in cells])
+        loaded = pf.load_csv_dir(root, small_schema()).features
+        assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
+
+    def test_non_utf8_bytes_name_file_and_row(self, tmp_path):
+        (tmp_path / "1.benign.csv").write_bytes(b"f0,f1,f2\n1,2,3\n4,\xff,6\n7,8,9\n")
+        expected = r"^1.benign.csv row 3: not UTF-8 text \(invalid start byte\)$"
+        with pytest.raises(ValueError, match=expected):
+            pf.load_csv_dir(tmp_path, small_schema())
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             pf.load_csv_dir(tmp_path / "nope", small_schema())

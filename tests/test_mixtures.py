@@ -4,11 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
-from protofed.mixtures import COVARIANCE_FLOOR, n_free_parameters, responsibilities
+from protofed.mixtures import (
+    _LOG_2PI,
+    COVARIANCE_FLOOR,
+    _log_gaussian_prob,
+    _m_step,
+    n_free_parameters,
+    responsibilities,
+)
 
 
 def blob(rng, center, spread, n, dims):
     return rng.normal(center, spread, (n, dims))
+
+
+# The EM formulas with a fresh temporary per step: the reference that the
+# scratch-buffer versions in protofed.mixtures must match bit for bit.
+def reference_log_gaussian_prob(X, means, covs):
+    n, d = X.shape
+    out = np.empty((n, means.shape[0]))
+    for j in range(means.shape[0]):
+        diff = X - means[j]
+        var = covs[j]
+        maha = ((diff**2) / var).sum(axis=1)
+        out[:, j] = -0.5 * (d * _LOG_2PI + np.log(var).sum() + maha)
+    return out
+
+
+def reference_m_step(X, resp):
+    nk = resp.sum(axis=0) + 10 * np.finfo(np.float64).eps
+    means = (resp.T @ X) / nk[:, None]
+    covs = np.empty((resp.shape[1], X.shape[1]))
+    for j in range(resp.shape[1]):
+        diff = X - means[j]
+        covs[j] = np.maximum((resp[:, j, None] * diff**2).sum(axis=0) / nk[j], COVARIANCE_FLOOR)
+    return nk / nk.sum(), means, covs
 
 
 class TestEmFit:
@@ -63,6 +93,25 @@ class TestEmFit:
         x[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             pf.em_fit(x, 1, seed=0)
+
+
+class TestScratchBufferOracle:
+    @pytest.mark.parametrize("n, d, k", [
+        (681, 115, 5), (15, 115, 5), (4, 115, 3), (60, 8, 1), (33, 2, 4),
+    ])
+    def test_buffered_steps_match_fresh_temporaries(self, n, d, k):
+        rng = np.random.default_rng([n, d, k])
+        # Column scales over four decades, as in N-BaIoT traffic statistics.
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(0.0, 4.0, size=d)
+        means = X[rng.choice(n, size=k)] + rng.normal(size=(k, d))
+        covs = np.maximum(rng.uniform(0.0, 2.0, size=(k, d)) * X.var(axis=0), COVARIANCE_FLOOR)
+        resp = rng.dirichlet(np.ones(k), size=n)
+        # Stale contents must not leak into the result.
+        buf = np.full_like(X, np.pi)
+        assert np.array_equal(_log_gaussian_prob(X, means, covs, buf),
+                              reference_log_gaussian_prob(X, means, covs))
+        for got, want in zip(_m_step(X, resp, buf), reference_m_step(X, resp)):
+            assert np.array_equal(got, want)
 
 
 class TestSelectKBic:
