@@ -20,10 +20,7 @@ def kmeans_plusplus(points: np.ndarray, n_clusters: int, rng: np.random.Generato
         raise ValueError(f"n_clusters={n_clusters} exceeds {n} points")
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    # One scratch array for every squared difference; in place it gives the
-    # same bits as a fresh temporary per center.
-    buf = np.empty_like(points, dtype=np.float64)
-    d2 = _squared_distances(points, centers[0], buf)
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, n_clusters):
         total = d2.sum()
         if total > 0:
@@ -31,14 +28,8 @@ def kmeans_plusplus(points: np.ndarray, n_clusters: int, rng: np.random.Generato
         else:
             idx = rng.integers(n)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[j], buf))
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
-
-
-def _squared_distances(points: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    np.subtract(points, center, out=buf)
-    np.square(buf, out=buf)
-    return buf.sum(axis=1)
 
 
 def minibatch_kmeans(

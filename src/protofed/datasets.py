@@ -189,15 +189,13 @@ def _parse_body(body: str, n_features: int) -> np.ndarray | None:
 
     loadtxt and ``float()`` share CPython's correctly rounded decimal parser,
     so every file loadtxt takes gives the same bits. loadtxt skips blank
-    lines, which the row reader rejects, and reads a lone carriage return
+    lines, which the row reader rejects, and reads a carriage return
     otherwise than csv does. Files with either, and every file loadtxt
     refuses or shapes otherwise, go to the row reader, the only source of
     file and row error messages.
     """
     if "\r" in body:
-        body = body.replace("\r\n", "\n")
-        if "\r" in body:
-            return None
+        return None
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()

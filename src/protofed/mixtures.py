@@ -54,18 +54,17 @@ class GmmModel:
         return int(self.means.shape[1])
 
 
-def _log_gaussian_prob(
-    X: np.ndarray, means: np.ndarray, covs: np.ndarray, buf: np.ndarray
-) -> np.ndarray:
+def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """log N(x; mu_k, diag(var_k)) for every (sample, component) pair.
 
-    ``buf`` is (n, d) scratch laid out like ``X``. Writing each component's
-    terms into it in place computes what fresh temporaries would, and the row
-    sums run over an array of the same shape, so the result is bit-equal.
+    Each component's terms are written in place into one (n, d) scratch array
+    laid out like ``X``. That computes what fresh temporaries would, and the
+    row sums run over an array of the same shape, so the result is bit-equal.
     """
     n, d = X.shape
     k = means.shape[0]
     out = np.empty((n, k))
+    buf = np.empty_like(X)
     for j in range(k):
         var = covs[j]
         np.subtract(X, means[j], out=buf)
@@ -83,9 +82,9 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _e_step(
-    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray, buf: np.ndarray
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    weighted = _log_gaussian_prob(X, means, covs, buf) + np.log(weights)
+    weighted = _log_gaussian_prob(X, means, covs) + np.log(weights)
     norm = _logsumexp(weighted, axis=1)
     resp = np.exp(weighted - norm[:, None])
     return resp, float(norm.sum())
@@ -93,8 +92,7 @@ def _e_step(
 
 def responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     """Posterior component memberships; every row sums to 1."""
-    X = np.asarray(X, dtype=np.float64)
-    resp, _ = _e_step(X, model.weights, model.means, model.covariances, np.empty_like(X))
+    resp, _ = _e_step(np.asarray(X, dtype=np.float64), model.weights, model.means, model.covariances)
     return resp
 
 
@@ -124,19 +122,18 @@ def em_fit(
     means = kmeans_plusplus(X, n_components, rng).copy()
     covs = np.tile(np.maximum(X.var(axis=0), COVARIANCE_FLOOR), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
-    buf = np.empty_like(X)
 
     history: list[float] = []
     previous = -np.inf
     for _ in range(EM_MAX_ITER):
-        resp, ll = _e_step(X, weights, means, covs, buf)
+        resp, ll = _e_step(X, weights, means, covs)
         history.append(ll)
         if ll - previous < EM_TOL:
             break
         previous = ll
-        weights, means, covs = _m_step(X, resp, buf)
+        weights, means, covs = _m_step(X, resp)
     else:
-        _, ll = _e_step(X, weights, means, covs, buf)
+        _, ll = _e_step(X, weights, means, covs)
         history.append(ll)
 
     return GmmModel(
@@ -148,14 +145,13 @@ def em_fit(
     )
 
 
-def _m_step(
-    X: np.ndarray, resp: np.ndarray, buf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, means and floored variances; ``buf`` is scratch as in _log_gaussian_prob."""
+def _m_step(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means and floored variances, with one scratch array as in _log_gaussian_prob."""
     nk = resp.sum(axis=0) + 10 * np.finfo(np.float64).eps
     weights = nk / nk.sum()
     means = (resp.T @ X) / nk[:, None]
     covs = np.empty((resp.shape[1], X.shape[1]))
+    buf = np.empty_like(X)
     for j in range(resp.shape[1]):
         np.subtract(X, means[j], out=buf)
         np.square(buf, out=buf)
