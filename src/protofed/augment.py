@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Prototypes
-from .datasets import Dataset
+from .datasets import Dataset, frozen
 
 ELIGIBILITY_RULES = ("missing_only", "below_mean_count", "all")
 
@@ -106,4 +106,4 @@ def augment(local: Dataset, gp: Prototypes, policy: AugmentationPolicy, seed: in
 
     features = np.vstack([local.features, np.asarray(new_rows)])
     labels = np.concatenate([local.labels, np.asarray(new_labels, dtype=np.int64)])
-    return Dataset(features, labels, local.class_names)
+    return Dataset(frozen(features), frozen(labels), local.class_names)

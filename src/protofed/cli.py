@@ -313,6 +313,8 @@ def _execute(spec: RunSpec) -> None:
     else:
         plan = build_partition_plan(spec.scenario, ds.class_counts(), spec.n_clients)
     shards = partition(ds, plan, spec.seed)
+    # The shards hold every row the run needs, so the loaded matrix goes.
+    del ds
 
     summary = {
         "seed": spec.seed,

@@ -21,6 +21,12 @@ _MODERATE_SHARES = 0.15
 class Dataset:
     """Immutable feature matrix with integer class labels.
 
+    The Dataset adopts a read-only ndarray of the right dtype (float64
+    features, int64 labels) that owns its data, without a copy; anything else
+    is copied into a read-only array, so a caller's writable array or a view
+    stays independent of the Dataset. Producers that build fresh arrays hand
+    them over through ``frozen``.
+
     Attributes:
         features: (n_samples, n_features) float64 matrix.
         labels: (n_samples,) int64 vector with values in [0, len(class_names)).
@@ -32,8 +38,8 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64)
-        labs = np.array(self.labels, dtype=np.int64)
+        feats = _adopt(self.features, np.float64)
+        labs = _adopt(self.labels, np.int64)
         names = tuple(str(n) for n in self.class_names)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
@@ -53,8 +59,6 @@ class Dataset:
                 f"labels must lie in [0, {len(names)}), got range "
                 f"[{labs.min()}, {labs.max()}]"
             )
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "class_names", names)
@@ -76,9 +80,27 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
     def select(self, indices: np.ndarray) -> "Dataset":
-        """New Dataset holding the given rows (copying, original untouched)."""
+        """New Dataset holding a copy of the given rows, original untouched."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.class_names)
+        return Dataset(frozen(self.features[idx]), frozen(self.labels[idx]), self.class_names)
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only, so a Dataset built from it adopts it without a copy.
+
+    Only for an array its caller has just built and hands over: nothing else
+    may hold it for writing.
+    """
+    array.setflags(write=False)
+    return array
+
+
+def _adopt(values, dtype: type) -> np.ndarray:
+    """``values`` itself if a Dataset may keep it as is, else a read-only copy."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    return frozen(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -158,7 +180,7 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
         # The last file starting at or before the row holds it.
         first, name = next((f, n) for f, n in reversed(first_rows) if f <= row)
         raise ValueError(f"{name} row {row - first + 2}: non-finite cell {features[row, col]}")
-    return Dataset(features, np.concatenate(labels), schema.class_names)
+    return Dataset(frozen(features), frozen(np.concatenate(labels)), schema.class_names)
 
 
 def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
@@ -247,9 +269,10 @@ def min_max_scale(ds: Dataset) -> Dataset:
     hi = ds.features.max(axis=0)
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
-    scaled = (ds.features - lo) / safe
+    scaled = ds.features - lo
+    scaled /= safe
     scaled[:, span == 0] = 0.0
-    return Dataset(scaled, ds.labels, ds.class_names)
+    return Dataset(frozen(scaled), ds.labels, ds.class_names)
 
 
 def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -451,7 +474,7 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
             features.append(center + rng.normal(0.0, spec.cluster_spread, size=(count, spec.dims)))
         labels.append(np.full(spec.samples_per_class, class_id, dtype=np.int64))
     names = tuple(f"class_{c}" for c in range(spec.n_classes))
-    return Dataset(np.vstack(features), np.concatenate(labels), names)
+    return Dataset(frozen(np.vstack(features)), frozen(np.concatenate(labels)), names)
 
 
 def _place_centers(rng: np.random.Generator, count: int, dims: int, min_sep: float) -> np.ndarray:

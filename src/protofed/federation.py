@@ -10,7 +10,7 @@ import numpy as np
 
 from .augment import AugmentationPolicy, augment
 from .clustering import Prototypes, aggregate_prototypes
-from .datasets import Dataset, min_max_scale, stratified_split
+from .datasets import Dataset, frozen, min_max_scale, stratified_split
 from .mixtures import em_fit, perturb, select_k_bic
 from .network import (
     EvalReport,
@@ -181,8 +181,8 @@ def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
     if mode == "local":
         return [min_max_scale(ds) for ds in client_data]
     pooled = min_max_scale(Dataset(
-        np.vstack([ds.features for ds in client_data]),
-        np.concatenate([ds.labels for ds in client_data]),
+        frozen(np.vstack([ds.features for ds in client_data])),
+        frozen(np.concatenate([ds.labels for ds in client_data])),
         client_data[0].class_names,
     ))
     parts = np.split(pooled.features, np.cumsum([ds.n_samples for ds in client_data])[:-1])
@@ -251,11 +251,13 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
     scaled = _scale_clients(client_data, cfg.scale_mode)
     train_sets: list[Dataset] = []
     test_sets: list[Dataset] = []
-    for k, ds in enumerate(scaled):
+    for k in range(cfg.n_clients):
         try:
-            train, test = stratified_split(ds, cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k))
+            train, test = stratified_split(scaled[k], cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k))
         except ValueError as err:
             raise FederationError(f"client {k}: {err}") from err
+        # The split holds every row the run needs, so the scaled copy goes.
+        scaled[k] = None
         train_sets.append(train)
         test_sets.append(test)
 

@@ -99,3 +99,24 @@ def lloyd_kmeans(points: np.ndarray, centers: np.ndarray, iters: int = 200) -> n
 def kmeans_sse(points: np.ndarray, centers: np.ndarray) -> float:
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return float(d2.min(axis=1).sum())
+
+
+def write_nbaiot_layout(root, seed, devices=3, rows=60):
+    """Small N-BaIoT-layout captures: one file per (device, capture), 115 `.10g` columns.
+
+    Column magnitudes span four decades, as in the real traffic statistics, so
+    the cells use both fixed and exponent notation.
+    """
+    rng = np.random.default_rng(seed)
+    n_cols = pf.nbaiot_schema().n_features
+    magnitude = 10.0 ** rng.uniform(0.0, 4.0, size=n_cols)
+    offset = {cls: rng.normal(0.0, 0.3, size=n_cols) for cls in ("benign", "gafgyt", "mirai")}
+    header = ",".join(f"stat_{i}" for i in range(n_cols)) + "\n"
+    root.mkdir()
+    for device in range(1, devices + 1):
+        centre = rng.uniform(4.0, 6.0, size=n_cols)
+        for capture in ("benign", "gafgyt.combo", "gafgyt.udp", "mirai.ack", "mirai.syn"):
+            block = (centre + offset[capture.split(".")[0]]
+                     + rng.normal(0.0, 1.0, size=(rows, n_cols))) * magnitude
+            lines = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in block)
+            (root / f"{device}.{capture}.csv").write_text(header + lines, encoding="utf-8")

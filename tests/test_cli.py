@@ -1,13 +1,14 @@
 import csv
 import hashlib
 import json
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import protofed as pf
+import protofed.cli as cli
 from protofed.cli import (
     COMPARISON_COLUMNS,
     METRICS_COLUMNS,
@@ -18,30 +19,10 @@ from protofed.cli import (
     run,
     spec_to_config,
 )
+from helpers import write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-
-
-def write_nbaiot_layout(root, seed, devices=3, rows=60):
-    """Small N-BaIoT-layout captures: one file per (device, capture), 115 `.10g` columns.
-
-    Column magnitudes span four decades, as in the real traffic statistics, so
-    the cells use both fixed and exponent notation.
-    """
-    rng = np.random.default_rng(seed)
-    n_cols = pf.nbaiot_schema().n_features
-    magnitude = 10.0 ** rng.uniform(0.0, 4.0, size=n_cols)
-    offset = {cls: rng.normal(0.0, 0.3, size=n_cols) for cls in ("benign", "gafgyt", "mirai")}
-    header = ",".join(f"stat_{i}" for i in range(n_cols)) + "\n"
-    root.mkdir()
-    for device in range(1, devices + 1):
-        centre = rng.uniform(4.0, 6.0, size=n_cols)
-        for capture in ("benign", "gafgyt.combo", "gafgyt.udp", "mirai.ack", "mirai.syn"):
-            block = (centre + offset[capture.split(".")[0]]
-                     + rng.normal(0.0, 1.0, size=(rows, n_cols))) * magnitude
-            lines = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in block)
-            (root / f"{device}.{capture}.csv").write_text(header + lines, encoding="utf-8")
 
 
 def minimal_config(tmp_path, **overrides):
@@ -300,6 +281,45 @@ class TestMain:
             "metrics_fedp3e.csv": "8c9d45227f09ce26e3dcc407197dc3ea69bfc12adb8b36c2d5c9e90abd93530f",
             "summary.json": "5e1798feb4c865640d1b00e5baaab07daf8e6bdb6998114b5a5ef40886e6097e",
         }
+
+    def test_light_partition_twelve_clients_reproduces_pinned_hashes(self, tmp_path):
+        # The benchmark's light12 shape cut to the fixture's six-round
+        # trigger: twelve small clients that all hold every class.
+        config = json.loads((FIXTURES / "severe_nonidd.json").read_text(encoding="utf-8"))
+        config["data"]["synthetic"]["clusters_per_class"] = 2
+        config["partition"] = {"scenario": "light", "n_clients": 12}
+        config["federation"].update(strategies=["fedavg", "fedprox"], rounds=6)
+        config["federation"]["train"]["epochs"] = 2
+        path = tmp_path / "light12.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == {
+            "comparison.csv": "13ae38102293a2fa7fcd075fb44ae279a6a050bb42dbb832f358864cb0c7e8ea",
+            "metrics_fedavg.csv": "f0cd9384bb4fd0d22ecc54452e32d637db33ae9a3ae7312a4f6398a48036aaf6",
+            "metrics_fedprox.csv": "e30b4f5df3df07c8a28598d6fa29db4463e2eda130dee0b0a4d6d49404c8581d",
+            "summary.json": "a82c5edf321488ceadb66680cfaaff99bfd15e740f94ea753755ef670a6b7e9d",
+        }
+
+    def test_loaded_dataset_released_before_first_run(self, tmp_path, monkeypatch):
+        loaded, alive = [], []
+        synthesize, run_federation = cli.synthesize, cli.run_federation
+
+        def recording_synthesize(spec):
+            ds = synthesize(spec)
+            loaded.extend([weakref.ref(ds), weakref.ref(ds.features)])
+            return ds
+
+        def checking_run_federation(cfg, shards):
+            if not alive:
+                alive.append([ref() is not None for ref in loaded])
+            return run_federation(cfg, shards)
+
+        monkeypatch.setattr(cli, "synthesize", recording_synthesize)
+        monkeypatch.setattr(cli, "run_federation", checking_run_federation)
+        assert main(["run", str(minimal_config(tmp_path))]) == 0
+        assert alive == [[False, False]]
 
     def test_seed_override(self, tmp_path):
         path = minimal_config(tmp_path)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.datasets import PartitionPlan
+from helpers import write_nbaiot_layout
 
 
 def write_csv(path, rows, n_cols):
@@ -308,3 +310,77 @@ class TestDatasetInvariants:
         ds = pf.Dataset(np.zeros((2, 2)), [0, 0], ("a",))
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
+
+    def test_read_only_owning_array_is_adopted(self):
+        features = np.zeros((3, 2))
+        labels = np.array([0, 1, 0])
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        ds = pf.Dataset(features, labels, ("a", "b"))
+        assert ds.features is features
+        assert ds.labels is labels
+
+    def test_writable_array_is_copied(self):
+        features = np.zeros((3, 2))
+        ds = pf.Dataset(features, np.array([0, 1, 0]), ("a", "b"))
+        assert ds.features is not features
+        assert features.flags.writeable
+        assert not np.shares_memory(ds.features, features)
+        features[0, 0] = 1.0
+        assert ds.features[0, 0] == 0.0
+
+    def test_read_only_view_is_copied(self):
+        base = np.zeros((4, 2))
+        base.setflags(write=False)
+        view = base[1:]
+        ds = pf.Dataset(view, np.array([0, 1, 0]), ("a", "b"))
+        assert ds.features is not view
+        assert ds.features.flags.owndata
+        assert not np.shares_memory(ds.features, base)
+
+    def test_wrong_dtypes_are_converted(self):
+        features = np.ones((2, 2), dtype=np.float32)
+        labels = np.array([0, 1], dtype=np.int32)
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        ds = pf.Dataset(features, labels, ("a", "b"))
+        assert ds.features.dtype == np.float64
+        assert ds.labels.dtype == np.int64
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+    def test_select_returns_owning_arrays_independent_of_source(self):
+        ds = pf.Dataset(np.arange(12.0).reshape(6, 2), np.arange(6) % 2, ("a", "b"))
+        part = ds.select(np.array([4, 1]))
+        for mine, source in ((part.features, ds.features), (part.labels, ds.labels)):
+            assert mine.flags.owndata
+            assert not mine.flags.writeable
+            assert not np.shares_memory(mine, source)
+        assert np.array_equal(part.features, [[8.0, 9.0], [2.0, 3.0]])
+
+
+def traced_peak_bytes(call):
+    """``call()`` and the most memory it held at once beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+class TestMemoryPeaks:
+    def test_select_peaks_near_its_result(self):
+        rng = np.random.default_rng(0)
+        ds = pf.Dataset(rng.random((4000, 115)), rng.integers(0, 3, 4000), ("a", "b", "c"))
+        rows = np.arange(0, 4000, 2)
+        part, peak = traced_peak_bytes(lambda: ds.select(rows))
+        assert peak <= 1.3 * (part.features.nbytes + part.labels.nbytes)
+
+    def test_load_csv_dir_peaks_near_twice_its_result(self, tmp_path):
+        # 45 files, so one file's text and parse buffers are small beside the matrix.
+        write_nbaiot_layout(tmp_path / "nbaiot", seed=1, devices=9, rows=40)
+        ds, peak = traced_peak_bytes(lambda: pf.load_csv_dir(tmp_path / "nbaiot", pf.nbaiot_schema()))
+        assert ds.n_samples == 45 * 40
+        assert peak <= 2.5 * (ds.features.nbytes + ds.labels.nbytes)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -289,6 +290,26 @@ class TestRunFederation:
         monkeypatch.setattr(federation, "evaluate", failing)
         with pytest.raises(FederationError, match="round 1, client 0: evaluation failed"):
             pf.run_federation(small_config("fedavg"), severe_shards())
+
+    def test_scaled_copies_released_before_training(self, monkeypatch):
+        scaled, alive = [], []
+        min_max_scale, train_local = federation.min_max_scale, federation.train_local
+
+        def recording_scale(ds):
+            result = min_max_scale(ds)
+            scaled.extend([weakref.ref(result), weakref.ref(result.features)])
+            return result
+
+        def checking_train_local(*args, **kwargs):
+            if not alive:
+                alive.append([ref() is not None for ref in scaled])
+            return train_local(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "min_max_scale", recording_scale)
+        monkeypatch.setattr(federation, "train_local", checking_train_local)
+        pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1, scale_mode="local"),
+                          severe_shards())
+        assert alive == [[False] * 6]
 
     def test_uniform_eval_weighting(self):
         shards = severe_shards()
