@@ -15,7 +15,7 @@ model = pf.ModelSpec(12, ((32, 1e-3), (16, 1e-3)), 0.5, 3)
 histories = {}
 for strategy, mu in (("fedavg", 0.0), ("fedprox", 0.1), ("fedp3e", 0.0)):
     cfg = pf.FederationConfig(
-        strategy=strategy, n_clients=3, rounds=10, trigger_round=4,
+        strategy=strategy, rounds=10, trigger_round=4,
         accuracy_threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=10, batch_size=32, learning_rate=0.005, prox_mu=mu),
         model=model, scale_mode="none", seed=1,
@@ -32,9 +32,13 @@ for idx in range(10):
 exchange = pf.exchange_round(histories["fedp3e"])
 metrics = histories["fedp3e"][exchange - 1]
 d_w = metrics.model_upload_floats // metrics.n_clients
-up = metrics.proto_upload_floats[0]
-down = metrics.proto_download_floats
+uploads, download, total = pf.exchange_cost_ratios(
+    metrics.proto_upload_floats, metrics.proto_download_floats, d_w
+)
 print(f"\none-shot exchange at round {exchange}:")
 print(f"  model update: {d_w} floats per client per direction")
-print(f"  prototype upload: {up} floats per client ({100 * up / d_w:.2f}% of a model)")
-print(f"  prototype download: {down} floats per client ({100 * down / d_w:.2f}% of a model)")
+up = metrics.proto_upload_floats[0]
+down = metrics.proto_download_floats
+print(f"  prototype upload: {up} floats per client ({100 * uploads[0]:.2f}% of a model)")
+print(f"  prototype download: {down} floats per client ({100 * download:.2f}% of a model)")
+print(f"  exchange total: {100 * total:.2f}% of a model")

@@ -6,7 +6,7 @@ Library layout:
     mixtures    per-class GMM prototypes with noise perturbation
     clustering  server-side prototype consolidation (mini-batch k-means)
     augment     SMOTE-style interpolation of global prototypes
-    federation  the round loop, aggregation and communication accounting
+    federation  the round loop, aggregation and exchange-cost ratios
     cli         JSON-config experiment runner
 """
 
@@ -31,10 +31,9 @@ from .datasets import (
     synthesize,
 )
 from .federation import (
-    CommCostReport,
     FederationConfig,
     RoundMetrics,
-    comm_cost_report,
+    exchange_cost_ratios,
     exchange_round,
     fedavg_aggregate,
     run_federation,
@@ -67,7 +66,6 @@ from .network import (
 __all__ = [
     "AdamState",
     "AugmentationPolicy",
-    "CommCostReport",
     "CsvSchema",
     "Dataset",
     "EvalReport",
@@ -87,9 +85,9 @@ __all__ = [
     "build_model",
     "build_partition_plan",
     "choose_cluster_count",
-    "comm_cost_report",
     "em_fit",
     "evaluate",
+    "exchange_cost_ratios",
     "exchange_round",
     "fedavg_aggregate",
     "forward",

@@ -66,6 +66,8 @@ class RunSpec:
             raise ValueError("run spec needs at least one federation config")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        if self.n_clients < 1:
+            raise ValueError("n_clients must be >= 1")
         strategies = [cfg.strategy for cfg in self.configs]
         if len(set(strategies)) != len(strategies):
             raise ValueError("each strategy may appear only once per run spec")
@@ -87,7 +89,7 @@ _DEFAULTS = {
 _FILLED = {
     RunSpec: ("data", "configs", "output_dir", "seed"),
     CsvSource: ("schema",),
-    FederationConfig: ("strategy", "n_clients", "seed", "train", "aug", "model"),
+    FederationConfig: ("strategy", "seed", "train", "aug", "model"),
     ModelSpec: ("input_dim", "output_classes"),
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
@@ -195,8 +197,7 @@ def parse_config(path: str | Path) -> RunSpec:
         model = ModelSpec(input_dim=input_dim, output_classes=n_classes,
                           **_read(model, "federation.model", ModelSpec))
     configs = tuple(
-        FederationConfig(strategy=name, n_clients=part["n_clients"], seed=seed,
-                         train=train, aug=aug, model=model, **base)
+        FederationConfig(strategy=name, seed=seed, train=train, aug=aug, model=model, **base)
         for name in strategies
     )
     return RunSpec(data=data, configs=configs, output_dir=output_dir, seed=seed, **part)

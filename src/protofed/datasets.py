@@ -257,16 +257,19 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def min_max_scale(ds: Dataset) -> Dataset:
-    """Rescale every column to [0, 1] by (x - min) / (max - min).
+def min_max_scale(ds: Dataset, bounds: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
+    """Rescale every column by (x - lo) / (hi - lo).
 
-    Statistics come from ``ds`` alone. A constant column maps to 0.0
-    everywhere, which keeps the transform defined and idempotent.
+    ``bounds`` holds the per-column ``(lo, hi)``; by default they are the
+    column minima and maxima of ``ds`` alone, which maps it onto [0, 1]. A
+    column with ``hi == lo`` maps to 0.0 everywhere, which keeps the
+    transform defined and idempotent.
     """
     if ds.n_samples == 0:
         raise ValueError("cannot scale an empty dataset")
-    lo = ds.features.min(axis=0)
-    hi = ds.features.max(axis=0)
+    if bounds is None:
+        bounds = ds.features.min(axis=0), ds.features.max(axis=0)
+    lo, hi = bounds
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
     scaled = ds.features - lo

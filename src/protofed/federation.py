@@ -10,7 +10,7 @@ import numpy as np
 
 from .augment import AugmentationPolicy, augment
 from .clustering import Prototypes, aggregate_prototypes
-from .datasets import Dataset, frozen, min_max_scale, stratified_split
+from .datasets import Dataset, min_max_scale, stratified_split
 from .mixtures import em_fit, perturb, select_k_bic
 from .network import (
     EvalReport,
@@ -53,7 +53,6 @@ class FederationConfig:
     """All protocol knobs for one federated run."""
 
     strategy: str
-    n_clients: int
     rounds: int = 20
     train: TrainConfig = TrainConfig()
     aug: AugmentationPolicy = AugmentationPolicy()
@@ -73,8 +72,6 @@ class FederationConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0.0 < self.accuracy_threshold <= 1.0:
@@ -180,13 +177,10 @@ def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
         return list(client_data)
     if mode == "local":
         return [min_max_scale(ds) for ds in client_data]
-    pooled = min_max_scale(Dataset(
-        frozen(np.vstack([ds.features for ds in client_data])),
-        frozen(np.concatenate([ds.labels for ds in client_data])),
-        client_data[0].class_names,
-    ))
-    parts = np.split(pooled.features, np.cumsum([ds.n_samples for ds in client_data])[:-1])
-    return [Dataset(part, ds.labels, ds.class_names) for ds, part in zip(client_data, parts)]
+    # Min and max are exact, so the clients' extremes are the pooled data's.
+    lo = np.min([ds.features.min(axis=0) for ds in client_data], axis=0)
+    hi = np.max([ds.features.max(axis=0) for ds in client_data], axis=0)
+    return [min_max_scale(ds, (lo, hi)) for ds in client_data]
 
 
 def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalReport:
@@ -225,7 +219,7 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
 
 
 def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[RoundMetrics]:
-    """Execute the configured protocol over the given client datasets.
+    """Execute the configured protocol, one client per dataset in ``client_data``.
 
     Every client scales and splits its data locally, trains for the
     configured epochs each round, and uploads its model for weighted
@@ -235,10 +229,9 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
     are bit-identical across reruns. A failure in a round raises
     FederationError naming the round, and the client where there is one.
     """
-    if len(client_data) != cfg.n_clients:
-        raise ValueError(
-            f"config expects {cfg.n_clients} clients but got {len(client_data)} datasets"
-        )
+    if not client_data:
+        raise ValueError("need at least one client dataset")
+    n_clients = len(client_data)
     first = client_data[0]
     for k, ds in enumerate(client_data):
         if ds.n_samples == 0:
@@ -251,7 +244,7 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
     scaled = _scale_clients(client_data, cfg.scale_mode)
     train_sets: list[Dataset] = []
     test_sets: list[Dataset] = []
-    for k in range(cfg.n_clients):
+    for k in range(n_clients):
         try:
             train, test = stratified_split(scaled[k], cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k))
         except ValueError as err:
@@ -275,11 +268,11 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
         exchange = should_trigger_exchange(history, cfg)
-        proto_upload = [0] * cfg.n_clients
+        proto_upload = [0] * n_clients
         proto_download = 0
         if exchange:
             uploads = []
-            for k in range(cfg.n_clients):
+            for k in range(n_clients):
                 with _failing_at(f"round {round_index}, client {k}"):
                     ps = _client_prototypes(train_sets[k], cfg, round_index, k)
                     ps = perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, round_index, k))
@@ -291,14 +284,14 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
                 cluster_count=cfg.global_prototypes_per_class,
             )
             proto_download = gp.floats
-            for k in range(cfg.n_clients):
+            for k in range(n_clients):
                 with _failing_at(f"round {round_index}, client {k}"):
                     train_sets[k] = augment(
                         train_sets[k], gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, round_index, k)
                     )
 
         updates = []
-        for k in range(cfg.n_clients):
+        for k in range(n_clients):
             seed = _int_seed(cfg.seed, _SEED_TRAIN, round_index, k)
             with _failing_at(f"round {round_index}, client {k}"):
                 updated, _ = train_local(
@@ -320,8 +313,8 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
             round_index=round_index,
             global_report=_combine_reports(reports, cfg.eval_weighting),
             client_reports=tuple(reports),
-            model_upload_floats=cfg.n_clients * d_w,
-            model_download_floats=cfg.n_clients * d_w,
+            model_upload_floats=n_clients * d_w,
+            model_download_floats=n_clients * d_w,
             proto_upload_floats=tuple(proto_upload),
             proto_download_floats=proto_download,
             exchange_triggered=exchange,
@@ -348,69 +341,3 @@ def exchange_cost_ratios(
     """
     mean_upload = sum(uploads) / len(uploads)
     return [u / d_w for u in uploads], download / d_w, (mean_upload + download) / d_w
-
-
-@dataclass(frozen=True)
-class CommCostReport:
-    """Analytic one-shot exchange cost versus what the run actually shipped."""
-
-    upload_floats: int
-    download_floats: int
-    upload_ratio: float
-    download_ratio: float
-    total_ratio: float
-    matches_run: bool
-    mismatches: tuple[str, ...]
-
-
-def comm_cost_report(
-    run: list[RoundMetrics],
-    d_w: int,
-    d_x: int,
-    protos_per_class: int,
-    global_protos_per_class: int,
-    classes_per_client: int,
-    n_global_classes: int,
-) -> CommCostReport:
-    """Prototype-exchange float accounting relative to a model update.
-
-    Computes the analytic payloads (classes_per_client * protos_per_class *
-    d_x uploaded per client; n_global_classes * global_protos_per_class * d_x
-    downloaded per client) and cross-checks them, along with the model float
-    counts, against the payload sizes the run recorded.
-    """
-    upload = classes_per_client * protos_per_class * d_x
-    download = n_global_classes * global_protos_per_class * d_x
-    mismatches: list[str] = []
-    for metrics in run:
-        k = metrics.n_clients
-        if metrics.model_upload_floats != k * d_w:
-            mismatches.append(
-                f"round {metrics.round_index}: model upload {metrics.model_upload_floats} != {k * d_w}"
-            )
-        if metrics.model_download_floats != k * d_w:
-            mismatches.append(
-                f"round {metrics.round_index}: model download {metrics.model_download_floats} != {k * d_w}"
-            )
-        if metrics.exchange_triggered:
-            for client, sent in enumerate(metrics.proto_upload_floats):
-                if sent != upload:
-                    mismatches.append(
-                        f"round {metrics.round_index}, client {client}: "
-                        f"prototype upload {sent} != analytic {upload}"
-                    )
-            if metrics.proto_download_floats != download:
-                mismatches.append(
-                    f"round {metrics.round_index}: prototype download "
-                    f"{metrics.proto_download_floats} != analytic {download}"
-                )
-    (upload_ratio,), download_ratio, total_ratio = exchange_cost_ratios((upload,), download, d_w)
-    return CommCostReport(
-        upload_floats=upload,
-        download_floats=download,
-        upload_ratio=upload_ratio,
-        download_ratio=download_ratio,
-        total_ratio=total_ratio,
-        matches_run=not mismatches,
-        mismatches=tuple(mismatches),
-    )

@@ -594,11 +594,6 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     )
 
 
-def flatten_trainable(params: ModelParams) -> np.ndarray:
-    """A copy of the flat trainable vector."""
-    return params.flat.copy()
-
-
 def _header(spec: ModelSpec) -> dict:
     trainable, running = _layout(spec)
     return {

@@ -1,6 +1,8 @@
-"""Shared test utilities: finite-difference checks and tiny data builders."""
+"""Shared test utilities: finite-difference checks, tiny data builders and a memory probe."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -120,3 +122,15 @@ def write_nbaiot_layout(root, seed, devices=3, rows=60):
                      + rng.normal(0.0, 1.0, size=(rows, n_cols))) * magnitude
             lines = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in block)
             (root / f"{device}.{capture}.csv").write_text(header + lines, encoding="utf-8")
+
+
+def traced_peak_bytes(call):
+    """``call()`` and the most memory it held at once beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before

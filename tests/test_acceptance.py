@@ -42,7 +42,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 def trend_config(strategy: str, **overrides) -> pf.FederationConfig:
     base = dict(
-        strategy=strategy, n_clients=3, rounds=20, trigger_round=6,
+        strategy=strategy, rounds=20, trigger_round=6,
         accuracy_threshold=0.97, noise_sigma=0.01, train=TREND_TRAIN,
         model=TREND_MODEL, scale_mode="none", seed=RUN_SEED,
     )
@@ -68,7 +68,7 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
     plan = pf.build_partition_plan("iid", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=4)
     cfg = pf.FederationConfig(
-        strategy="fedp3e", n_clients=3, rounds=2, trigger_round=2,
+        strategy="fedp3e", rounds=2, trigger_round=2,
         accuracy_threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=1, batch_size=32, learning_rate=1e-4),
         model=pf.ModelSpec(FULL_SCALE_D_X, ((128, 1e-3), (64, 1e-3)), 0.5, 3),
@@ -77,27 +77,31 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
     return pf.run_federation(cfg, shards)
 
 
+def _exchange_cost(history: list[pf.RoundMetrics]):
+    """The exchange round and its cost ratios, as ``summary.json`` reports them."""
+    m = history[pf.exchange_round(history) - 1]
+    d_w = m.model_upload_floats // m.n_clients
+    return m, d_w, pf.exchange_cost_ratios(m.proto_upload_floats, m.proto_download_floats, d_w)
+
+
 def test_criterion_2_communication_cost_reproduction():
     history = _comm_cost_run()
     assert pf.exchange_round(history) == 2
-    rep = pf.comm_cost_report(
-        history, d_w=FULL_SCALE_D_W, d_x=FULL_SCALE_D_X, protos_per_class=3,
-        global_protos_per_class=4, classes_per_client=3, n_global_classes=3,
-    )
-    upload_pp = 100 * rep.upload_ratio
-    download_pp = 100 * rep.download_ratio
+    m, d_w, (uploads, download, _) = _exchange_cost(history)
+    upload_pp = [100 * ratio for ratio in uploads]
+    download_pp = 100 * download
     ok = (
-        rep.upload_floats == 1035
-        and rep.download_floats == 1380
-        and abs(upload_pp - 4.37) <= 0.005
+        d_w == FULL_SCALE_D_W
+        and m.proto_upload_floats == (1035,) * 3
+        and m.proto_download_floats == 1380
+        and all(abs(pp - 4.37) <= 0.005 for pp in upload_pp)
         and abs(download_pp - 5.83) <= 0.005
-        and rep.matches_run
     )
     assert report(
         "2 comm-cost", ok,
-        f"upload={rep.upload_floats} ({upload_pp:.4f}%), "
-        f"download={rep.download_floats} ({download_pp:.4f}%), "
-        f"run-match={rep.matches_run}",
+        f"model={d_w}, upload={list(m.proto_upload_floats)} "
+        f"({', '.join(f'{pp:.4f}%' for pp in upload_pp)}), "
+        f"download={m.proto_download_floats} ({download_pp:.4f}%)",
     )
 
 
@@ -114,17 +118,14 @@ def test_criterion_2_total_ratio_reference_value():
     whether the misprint is in the paper's cost table or in a later copy of
     it, and which cost 9.58% was meant to give, cannot be settled here.
     """
-    history = _comm_cost_run()
-    rep = pf.comm_cost_report(
-        history, d_w=FULL_SCALE_D_W, d_x=FULL_SCALE_D_X, protos_per_class=3,
-        global_protos_per_class=4, classes_per_client=3, n_global_classes=3,
-    )
+    _, _, (uploads, download, total) = _exchange_cost(_comm_cost_run())
     expected_pp = 100 * (1035 + 1380) / 23683
     # Each published component is rounded to 0.01 pp, so their sum is
     # within 0.01 pp of the exact total.
     assert abs((4.37 + 5.83) - expected_pp) <= 0.01
-    total_pp = 100 * rep.total_ratio
-    is_sum = math.isclose(rep.total_ratio, rep.upload_ratio + rep.download_ratio, rel_tol=1e-12)
+    upload = sum(uploads) / len(uploads)
+    total_pp = 100 * total
+    is_sum = math.isclose(total, upload + download, rel_tol=1e-12)
     ok = is_sum and abs(total_pp - expected_pp) <= 0.005
     report(
         "2b comm-cost-total", ok,
@@ -132,7 +133,7 @@ def test_criterion_2_total_ratio_reference_value():
     )
     assert ok, (
         f"total exchange ratio is {total_pp:.4f}%, upload+download is "
-        f"{100 * (rep.upload_ratio + rep.download_ratio):.4f}%; expected "
+        f"{100 * (upload + download):.4f}%; expected "
         f"(1035+1380)/23683 = {expected_pp:.4f}% (4.37% + 5.83%). The reference's "
         "9.58% contradicts these components and is not the value checked"
     )
@@ -312,7 +313,7 @@ def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
     plan = pf.build_partition_plan("severe", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=81)
     cfg = pf.FederationConfig(
-        strategy="fedp3e", n_clients=3, rounds=6, trigger_round=3,
+        strategy="fedp3e", rounds=6, trigger_round=3,
         accuracy_threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.005),
         model=pf.ModelSpec(8, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
@@ -337,7 +338,7 @@ def test_criterion_9_fedprox_sensitivity():
     finals = {}
     for mu in (0.1, 1.0):
         cfg = pf.FederationConfig(
-            strategy="fedprox", n_clients=3, rounds=20, trigger_round=6,
+            strategy="fedprox", rounds=20, trigger_round=6,
             accuracy_threshold=0.97, noise_sigma=0.01,
             train=pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005, prox_mu=mu),
             model=PROX_MODEL, scale_mode="none", seed=RUN_SEED,

@@ -58,7 +58,7 @@ def test_run_federation_passes_datasets_and_configs_where_probes_read_them(monke
     data = pf.synthesize(pf.SyntheticSpec(3, 4, 1, 0.05, 30, seed=0))
     shards = pf.partition(data, pf.build_partition_plan("severe", data.class_counts(), 3), seed=0)
     cfg = pf.FederationConfig(
-        "fedp3e", 3, rounds=1, trigger_round=1, train=pf.TrainConfig(epochs=1),
+        "fedp3e", rounds=1, trigger_round=1, train=pf.TrainConfig(epochs=1),
         model=pf.ModelSpec(4, ((4, 0.0),), 0.0, 3), scale_mode="none", gmm_components=1,
     )
     assert pf.run_federation(cfg, shards)[0].exchange_triggered

@@ -111,7 +111,7 @@ class TestParseConfig:
                                adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
         configs = tuple(
             pf.FederationConfig(
-                strategy=strategy, n_clients=2, rounds=7, train=train,
+                strategy=strategy, rounds=7, train=train,
                 aug=pf.AugmentationPolicy(0.2, "missing_only"), accuracy_threshold=0.9,
                 trigger_round=3, noise_sigma=0.02,
                 model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
@@ -371,6 +371,15 @@ class TestMain:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_clients_is_a_usage_error(self, tmp_path, capsys):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["partition"]["n_clients"] = 0
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: n_clients must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_fails(self, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.datasets import PartitionPlan
-from helpers import write_nbaiot_layout
+from helpers import traced_peak_bytes, write_nbaiot_layout
 
 
 def write_csv(path, rows, n_cols):
@@ -356,18 +355,6 @@ class TestDatasetInvariants:
             assert not mine.flags.writeable
             assert not np.shares_memory(mine, source)
         assert np.array_equal(part.features, [[8.0, 9.0], [2.0, 3.0]])
-
-
-def traced_peak_bytes(call):
-    """``call()`` and the most memory it held at once beyond what was live before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak - before
 
 
 class TestMemoryPeaks:

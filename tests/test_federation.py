@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import protofed as pf
 import protofed.federation as federation
 from protofed.federation import FederationError, _combine_reports, _scale_clients
-from protofed.network import flatten_trainable
-from helpers import randomized_params
+from helpers import randomized_params, traced_peak_bytes
 
 
 def scalar_params(values, seed=0):
@@ -32,7 +31,6 @@ def severe_shards(n_per_class=60, dims=6, seed=0):
 def small_config(strategy="fedavg", **overrides):
     base = dict(
         strategy=strategy,
-        n_clients=3,
         rounds=4,
         trigger_round=2,
         accuracy_threshold=0.97,
@@ -50,7 +48,7 @@ class TestFedavgAggregate:
     def test_single_client_identity(self):
         params = randomized_params(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), 1)
         merged = pf.fedavg_aggregate([(params, 10)])
-        assert np.array_equal(flatten_trainable(merged), flatten_trainable(params))
+        assert np.array_equal(merged.flat, params.flat)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.lists(st.integers(1, 1000), min_size=1, max_size=8))
@@ -124,6 +122,14 @@ class TestScaleClients:
         # bytes of the per-client implementation this replaced
         digest = hashlib.sha256(pooled.tobytes()).hexdigest()
         assert digest == "88a1b8daf1fb6a74d8feedfa588667d9d28eee7c902558c81a4bb73d2f65479c"
+
+    def test_global_mode_makes_one_copy_of_the_data(self):
+        rng = np.random.default_rng(0)
+        clients = [pf.Dataset(rng.random((1000, 115)), rng.integers(0, 3, 1000), ("a", "b", "c"))
+                   for _ in range(9)]
+        scaled, peak = traced_peak_bytes(lambda: _scale_clients(clients, "global"))
+        assert len(scaled) == 9
+        assert peak <= 1.2 * sum(ds.features.nbytes for ds in clients)
 
 
 def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
@@ -263,10 +269,15 @@ class TestRunFederation:
         with pytest.raises(FederationError, match="client 1: 7 features, client 0 has 6"):
             pf.run_federation(small_config("fedavg"), shards)
 
-    def test_client_count_checked(self):
+    def test_no_clients_rejected(self):
+        with pytest.raises(ValueError, match="at least one client"):
+            pf.run_federation(small_config("fedavg"), [])
+
+    def test_client_count_comes_from_the_data(self):
         shards = severe_shards()
-        with pytest.raises(ValueError, match="3 clients"):
-            pf.run_federation(small_config("fedavg"), shards[:2])
+        history = pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1), shards[:2])
+        assert history[0].n_clients == 2
+        assert len(history[0].proto_upload_floats) == 2
 
     def test_divergence_names_round_and_client(self):
         # used to stop with a bare "mean_loss must be >= 0, got nan" from evaluate
@@ -295,8 +306,8 @@ class TestRunFederation:
         scaled, alive = [], []
         min_max_scale, train_local = federation.min_max_scale, federation.train_local
 
-        def recording_scale(ds):
-            result = min_max_scale(ds)
+        def recording_scale(ds, bounds=None):
+            result = min_max_scale(ds, bounds)
             scaled.extend([weakref.ref(result), weakref.ref(result.features)])
             return result
 
@@ -362,30 +373,8 @@ class TestProxDeviation:
             for mu in (0.1, 2.0):
                 config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, prox_mu=mu)
                 trained, _ = pf.train_local(anchor, ds, config, seed, w_global=anchor)
-                drifts[mu] = np.linalg.norm(
-                    flatten_trainable(trained) - flatten_trainable(anchor)
-                )
+                drifts[mu] = np.linalg.norm(trained.flat - anchor.flat)
             if drifts[2.0] > drifts[0.1]:
                 violations += 1
         assert violations <= 1
 
-
-class TestCommCostReport:
-    def test_analytic_counts_and_ratios(self):
-        report = pf.comm_cost_report(
-            [], d_w=23_683, d_x=115, protos_per_class=3, global_protos_per_class=4,
-            classes_per_client=3, n_global_classes=3,
-        )
-        assert report.upload_floats == 1035
-        assert report.download_floats == 1380
-        assert report.upload_ratio == pytest.approx(1035 / 23_683)
-        assert report.matches_run
-
-    def test_mismatch_detected(self):
-        metrics = fake_metrics(1, 0.5)
-        report = pf.comm_cost_report(
-            [metrics], d_w=99, d_x=10, protos_per_class=1, global_protos_per_class=1,
-            classes_per_client=1, n_global_classes=1,
-        )
-        assert not report.matches_run
-        assert any("model upload" in m for m in report.mismatches)

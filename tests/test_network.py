@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.network import (
-    flatten_trainable,
     init_adam,
     loss_and_grads,
     params_from_bytes,
@@ -32,7 +31,7 @@ class TestBuildModel:
     def test_same_seed_same_parameters(self):
         a = pf.build_model(REFERENCE_SPEC, seed=42)
         b = pf.build_model(REFERENCE_SPEC, seed=42)
-        assert np.array_equal(flatten_trainable(a), flatten_trainable(b))
+        assert np.array_equal(a.flat, b.flat)
 
     def test_biases_and_norm_defaults(self):
         model = pf.build_model(pf.ModelSpec(4, ((5, 0.0),), 0.0, 3), seed=1)
@@ -146,10 +145,10 @@ class TestLossAndGrads:
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
-        before = flatten_trainable(params)
+        before = params.flat.copy()
         grads = np.zeros_like(params.flat)
         stepped, state = pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
-        assert np.array_equal(flatten_trainable(stepped), before)
+        assert np.array_equal(stepped.flat, before)
         assert state.t == 1
 
     def test_steps_in_place_and_returns_its_arguments(self):
@@ -199,7 +198,7 @@ class TestTrainLocal:
             _, grads = loss_and_grads(work, ds.features[order], ds.labels[order], mode="train")
             grads = np.concatenate([g.ravel() for g in grads.values()])
             work, state = pf.adam_step(work, grads, state, config)
-        assert np.array_equal(flatten_trainable(trained), flatten_trainable(work))
+        assert np.array_equal(trained.flat, work.flat)
 
     def test_learns_separable_blobs(self):
         # enough steps for the batch-norm running stats (EMA 0.99) to settle
@@ -217,10 +216,10 @@ class TestTrainLocal:
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
         start = randomized_params(spec, 5)
         anchor = pf.build_model(spec, seed=6)
-        before = np.linalg.norm(flatten_trainable(start) - flatten_trainable(anchor))
+        before = np.linalg.norm(start.flat - anchor.flat)
         config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.001, prox_mu=1e6)
         trained, _ = pf.train_local(start, ds, config, 7, w_global=anchor)
-        after = np.linalg.norm(flatten_trainable(trained) - flatten_trainable(anchor))
+        after = np.linalg.norm(trained.flat - anchor.flat)
         assert after <= before
 
     def test_two_runs_identical(self):
@@ -231,7 +230,7 @@ class TestTrainLocal:
         first, hist_a = pf.train_local(start, ds, config, 11)
         second, hist_b = pf.train_local(start, ds, config, 11)
         assert hist_a == hist_b
-        assert np.array_equal(flatten_trainable(first), flatten_trainable(second))
+        assert np.array_equal(first.flat, second.flat)
 
     def test_input_params_unchanged(self):
         ds = two_blob_dataset(20, 3, 0.1, seed=8)
@@ -364,7 +363,7 @@ class TestParamLayout:
         params.tensors["b1"][...] = [1.0, 2.0, 3.0, 4.0]
         params.running["var1"][2] = 9.0
         # layout: w1 (3x4), then b1
-        assert flatten_trainable(params)[12:16].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert params.flat[12:16].tolist() == [1.0, 2.0, 3.0, 4.0]
         after = params_to_bytes(params)
         assert after != before
         restored = params_from_bytes(after)
@@ -416,4 +415,4 @@ class TestSerialization:
         path = tmp_path / "model.params"
         pf.save_params(params, path)
         loaded = pf.load_params(path)
-        assert np.array_equal(flatten_trainable(loaded), flatten_trainable(params))
+        assert np.array_equal(loaded.flat, params.flat)
