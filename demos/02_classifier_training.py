@@ -3,9 +3,6 @@
 Run with: python demos/02_classifier_training.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 import protofed as pf
@@ -47,11 +44,3 @@ print(f"\nepoch losses: first={losses[0]:.4f} last={losses[-1]:.4f}")
 report = pf.evaluate(trained, data)
 print(f"evaluation: accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f} "
       f"loss={report.mean_loss:.4f}")
-
-# Parameter records round-trip through a flat float64 file.
-with tempfile.TemporaryDirectory() as tmp:
-    record = Path(tmp) / "demo_model.params"
-    pf.save_params(trained, record)
-    restored = pf.load_params(record)
-print(f"\nsaved and restored {restored.trainable_count} parameters "
-      f"(bit-exact: {np.array_equal(restored.tensors['w1'], trained.tensors['w1'])})")

@@ -56,10 +56,8 @@ from .network import (
     build_model,
     evaluate,
     forward,
-    load_params,
     loss_and_grads,
     mlp_spec,
-    save_params,
     train_local,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "fedavg_aggregate",
     "forward",
     "load_csv_dir",
-    "load_params",
     "loss_and_grads",
     "min_max_scale",
     "minibatch_kmeans",
@@ -101,7 +98,6 @@ __all__ = [
     "partition",
     "perturb",
     "run_federation",
-    "save_params",
     "select_k_bic",
     "should_trigger_exchange",
     "smote_pair",

@@ -294,7 +294,8 @@ def run(spec: RunSpec) -> int:
     """Execute every configured strategy; return a process exit code.
 
     Writes metrics_<strategy>.csv per strategy plus summary.json and
-    comparison.csv into the spec's output directory. Outputs are
+    comparison.csv into the spec's output directory, once every strategy
+    has finished; a run that fails writes nothing. Outputs are
     byte-deterministic for a given spec.
     """
     try:
@@ -306,8 +307,6 @@ def run(spec: RunSpec) -> int:
 
 
 def _execute(spec: RunSpec) -> None:
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ds = _load_dataset(spec)
     if spec.quotas is not None:
         plan = PartitionPlan(spec.scenario, spec.quotas)
@@ -316,7 +315,11 @@ def _execute(spec: RunSpec) -> None:
     shards = partition(ds, plan, spec.seed)
     # The shards hold every row the run needs, so the loaded matrix goes.
     del ds
+    # Every strategy runs before the first write, so a failed run writes nothing.
+    runs = [(cfg, run_federation(cfg, shards)) for cfg in spec.configs]
 
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "seed": spec.seed,
         "scenario": spec.scenario,
@@ -324,8 +327,7 @@ def _execute(spec: RunSpec) -> None:
         "strategies": {},
     }
     rows = []
-    for cfg in spec.configs:
-        history = run_federation(cfg, shards)
+    for cfg, history in runs:
         _write_metrics_csv(out / f"metrics_{cfg.strategy}.csv", history)
         entry = summary["strategies"][cfg.strategy] = _strategy_summary(cfg, history)
         ex_round = entry["exchange_round"]

@@ -109,9 +109,6 @@ class Prototypes:
             frozen[int(class_id)] = arr
         object.__setattr__(self, "by_class", frozen)
 
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_class))
-
     @property
     def floats(self) -> int:
         """Payload size: the number of floats sent."""

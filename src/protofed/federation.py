@@ -100,16 +100,16 @@ class FederationConfig:
 class RoundMetrics:
     """Everything measured in one round, including protocol float counts.
 
-    ``proto_upload_floats`` holds one count per client (zeros unless the
-    exchange ran this round); ``proto_download_floats`` is the per-client
-    broadcast payload size.
+    ``model_upload_floats`` counts the model downloads too: every client
+    receives one global model of the size it uploads. ``proto_upload_floats``
+    holds one count per client (zeros unless the exchange ran this round);
+    ``proto_download_floats`` is the per-client broadcast payload size.
     """
 
     round_index: int
     global_report: EvalReport
     client_reports: tuple[EvalReport, ...]
     model_upload_floats: int
-    model_download_floats: int
     proto_upload_floats: tuple[int, ...]
     proto_download_floats: int
     exchange_triggered: bool
@@ -124,7 +124,7 @@ class RoundMetrics:
 
     @property
     def downloaded_floats(self) -> int:
-        return self.model_download_floats + self.n_clients * self.proto_download_floats
+        return self.model_upload_floats + self.n_clients * self.proto_download_floats
 
 
 def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
@@ -245,10 +245,8 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
     train_sets: list[Dataset] = []
     test_sets: list[Dataset] = []
     for k in range(n_clients):
-        try:
+        with _failing_at(f"client {k}"):
             train, test = stratified_split(scaled[k], cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k))
-        except ValueError as err:
-            raise FederationError(f"client {k}: {err}") from err
         # The split holds every row the run needs, so the scaled copy goes.
         scaled[k] = None
         train_sets.append(train)
@@ -314,7 +312,6 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
             global_report=_combine_reports(reports, cfg.eval_weighting),
             client_reports=tuple(reports),
             model_upload_floats=n_clients * d_w,
-            model_download_floats=n_clients * d_w,
             proto_upload_floats=tuple(proto_upload),
             proto_download_floats=proto_download,
             exchange_triggered=exchange,

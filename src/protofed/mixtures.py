@@ -90,12 +90,6 @@ def _e_step(
     return resp, float(norm.sum())
 
 
-def responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Posterior component memberships; every row sums to 1."""
-    resp, _ = _e_step(np.asarray(X, dtype=np.float64), model.weights, model.means, model.covariances)
-    return resp
-
-
 def em_fit(
     X: np.ndarray,
     n_components: int,

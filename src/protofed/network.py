@@ -6,12 +6,10 @@ backward pass can be validated against central finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -21,8 +19,6 @@ from .datasets import Dataset
 
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99
-
-_PARAMS_FORMAT = "protofed-params-v1"
 
 _Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -75,7 +71,7 @@ def _layout(spec: ModelSpec) -> tuple[_Layout, _Layout]:
     """(name, shape) of each trainable tensor and each running statistic.
 
     The one statement of the parameter layout: list order is buffer order in
-    ``ModelParams.flat``/``stats``, in gradients and in parameter records.
+    ``ModelParams.flat``/``stats`` and in gradients.
     """
     trainable: list[tuple[str, tuple[int, ...]]] = []
     running: list[tuple[str, tuple[int, ...]]] = []
@@ -592,44 +588,3 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
         mean_loss=mean_loss,
         n_samples=n,
     )
-
-
-def _header(spec: ModelSpec) -> dict:
-    trainable, running = _layout(spec)
-    return {
-        "format": _PARAMS_FORMAT,
-        "spec": {**vars(spec), "hidden": [list(h) for h in spec.hidden]},
-        "tensors": [[name, list(shape)] for name, shape in trainable],
-        "running": [[name, list(shape)] for name, shape in running],
-    }
-
-
-def params_to_bytes(params: ModelParams) -> bytes:
-    """Flat little-endian float64 record with a JSON header line."""
-    header = json.dumps(_header(params.spec), sort_keys=True).encode("utf-8")
-    payload = params.flat.astype("<f8").tobytes() + params.stats.astype("<f8").tobytes()
-    return header + b"\n" + payload
-
-
-def params_from_bytes(data: bytes) -> ModelParams:
-    newline = data.index(b"\n")
-    header = json.loads(data[:newline].decode("utf-8"))
-    if header.get("format") != _PARAMS_FORMAT:
-        raise ValueError(f"unrecognized parameter record format: {header.get('format')!r}")
-    spec = ModelSpec(**header["spec"])
-    if header != _header(spec):
-        raise ValueError("parameter record tensors do not match its model spec")
-    payload = np.frombuffer(data[newline + 1 :], dtype="<f8")
-    trainable, running = _layout(spec)
-    split = _size(trainable)
-    if payload.size != split + _size(running):
-        raise ValueError("parameter record length does not match its header")
-    return ModelParams(spec, payload[:split].astype(np.float64), payload[split:].astype(np.float64))
-
-
-def save_params(params: ModelParams, path: str | Path) -> None:
-    Path(path).write_bytes(params_to_bytes(params))
-
-
-def load_params(path: str | Path) -> ModelParams:
-    return params_from_bytes(Path(path).read_bytes())

@@ -2,11 +2,12 @@
 exact call counts; these tests keep the names and call pattern it relies on."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import protofed as pf
-import protofed.federation as federation
+import protofed.cli as cli
 import protofed.network as network
 from helpers import two_blob_dataset
 
@@ -42,30 +43,31 @@ def test_train_local_calls_adam_step_once_per_mini_batch(monkeypatch):
     assert len(calls) == config.epochs * math.ceil(ds.n_samples / config.batch_size)
 
 
-def test_run_federation_passes_datasets_and_configs_where_probes_read_them(monkeypatch):
-    # child.py reads args[1].n_samples * args[2].epochs of train_local and
-    # args[0].n_samples of augment
-    calls = []
-
-    def record(fn):
-        def wrapper(*args, **kwargs):
-            calls.append((fn.__name__, args))
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(federation, "train_local", record(federation.train_local))
-    monkeypatch.setattr(federation, "augment", record(federation.augment))
-    data = pf.synthesize(pf.SyntheticSpec(3, 4, 1, 0.05, 30, seed=0))
-    shards = pf.partition(data, pf.build_partition_plan("severe", data.class_counts(), 3), seed=0)
-    cfg = pf.FederationConfig(
-        "fedp3e", rounds=1, trigger_round=1, train=pf.TrainConfig(epochs=1),
-        model=pf.ModelSpec(4, ((4, 0.0),), 0.0, 3), scale_mode="none", gmm_components=1,
-    )
-    assert pf.run_federation(cfg, shards)[0].exchange_triggered
-    names = [name for name, _ in calls]
-    assert names.count("augment") == 3 and names.count("train_local") == 3
-    for name, args in calls:
-        if name == "train_local":
-            assert isinstance(args[1], pf.Dataset) and isinstance(args[2], pf.TrainConfig)
-        else:
-            assert isinstance(args[0], pf.Dataset)
+def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_path):
+    # Every probe of a trace-mode child reads the real arguments and results
+    # of one tiny fedp3e run; a probe that reads a missing field fails the run.
+    config = {
+        "seed": 0,
+        "data": {"synthetic": {"n_classes": 3, "dims": 4, "cluster_spread": 0.05,
+                               "samples_per_class": 30, "seed": 0}},
+        "partition": {"scenario": "severe", "n_clients": 3},
+        "federation": {
+            "strategies": ["fedp3e"], "rounds": 1, "trigger_round": 1, "gmm_components": None,
+            "train": {"epochs": 1}, "model": {"hidden": [[4, 0.0]], "dropout_p": 0.0},
+            "scale_mode": "none",
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    child = load_child()
+    tracer = child.Tracer(child.targets("trace"))
+    with tracer:
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert tracer.restored()
+    stats = tracer.stats
+    assert stats["network.train_local"].calls == 3 and stats["augment.augment"].calls == 3
+    assert stats["network.train_local"].counts["samples"] > 0
+    assert stats["mixtures.em_fit"].counts["iters"] > 0
+    federation_counts = stats["federation.run_federation"].counts
+    assert federation_counts["model_floats"] > 0 and federation_counts["proto_up_floats"] > 0

@@ -216,6 +216,23 @@ class TestRun:
         assert run(spec) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_run_leaves_output_dir_untouched(self, tmp_path, capsys):
+        # fedavg finishes; fedp3e then fails in round 1 because two severe
+        # clients over three classes leave a class without prototypes.
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["partition"]["n_clients"] = 2
+        raw["federation"].update({"strategies": ["fedavg", "fedp3e"], "trigger_round": 1})
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = b'{"from": "an earlier run"}\n'
+        (out / "summary.json").write_bytes(earlier)
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "round 1, client 0" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert (out / "summary.json").read_bytes() == earlier
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):

@@ -7,10 +7,10 @@ import protofed as pf
 from protofed.mixtures import (
     _LOG_2PI,
     COVARIANCE_FLOOR,
+    _e_step,
     _log_gaussian_prob,
     _m_step,
     n_free_parameters,
-    responsibilities,
 )
 
 
@@ -77,11 +77,11 @@ class TestEmFit:
             diffs = np.diff(model.log_likelihood_history)
             assert (diffs >= -1e-8).all()
 
-    def test_responsibilities_rows_sum_to_one(self):
+    def test_e_step_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         x = rng.random((40, 3))
         model = pf.em_fit(x, 3, seed=0)
-        resp = responsibilities(model, x)
+        resp, _ = _e_step(x, model.weights, model.means, model.covariances)
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_too_many_components_rejected(self):
