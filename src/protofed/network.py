@@ -85,10 +85,6 @@ def _layout(spec: ModelSpec) -> tuple[_Layout, _Layout]:
     return tuple(trainable), tuple(running)
 
 
-def _size(layout: _Layout) -> int:
-    return sum(math.prod(shape) for _, shape in layout)
-
-
 def _views(buffer: np.ndarray, layout: _Layout) -> Mapping[str, np.ndarray]:
     """Read-only name -> view mapping over consecutive slices of ``buffer``."""
     views = {}
@@ -121,7 +117,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         trainable, running = _layout(self.spec)
         for name, views, layout in (("flat", "tensors", trainable), ("stats", "running", running)):
-            size = _size(layout)
+            size = sum(math.prod(shape) for _, shape in layout)
             buffer = getattr(self, name)
             buffer = np.zeros(size) if buffer is None else np.ascontiguousarray(buffer, np.float64)
             if buffer.shape != (size,):
