@@ -6,7 +6,7 @@ Library layout:
     mixtures    per-class GMM prototypes with noise perturbation
     clustering  server-side prototype consolidation (mini-batch k-means)
     augment     SMOTE-style interpolation of global prototypes
-    federation  the round loop, aggregation and exchange-cost ratios
+    federation  client splits, the round loop, aggregation and exchange-cost ratios
     cli         JSON-config experiment runner
 """
 
@@ -38,6 +38,7 @@ from .federation import (
     fedavg_aggregate,
     run_federation,
     should_trigger_exchange,
+    split_clients,
 )
 from .mixtures import (
     GmmModel,
@@ -101,6 +102,7 @@ __all__ = [
     "select_k_bic",
     "should_trigger_exchange",
     "smote_pair",
+    "split_clients",
     "stratified_split",
     "synthesize",
     "train_local",

@@ -29,6 +29,7 @@ from .federation import (
     exchange_cost_ratios,
     exchange_round,
     run_federation,
+    split_clients,
 )
 from .network import EvalReport, ModelSpec, TrainConfig
 
@@ -71,6 +72,9 @@ class RunSpec:
         strategies = [cfg.strategy for cfg in self.configs]
         if len(set(strategies)) != len(strategies):
             raise ValueError("each strategy may appear only once per run spec")
+        if len({(cfg.seed, cfg.scale_mode, cfg.train_fraction) for cfg in self.configs}) > 1:
+            raise ValueError("strategies split the clients once, so they must share "
+                             "seed, scale_mode and train_fraction")
         if self.quotas is not None and len(self.quotas) != self.n_clients:
             raise ValueError(
                 f"quotas cover {len(self.quotas)} clients but partition declares {self.n_clients}"
@@ -315,8 +319,11 @@ def _execute(spec: RunSpec) -> None:
     shards = partition(ds, plan, spec.seed)
     # The shards hold every row the run needs, so the loaded matrix goes.
     del ds
+    # The configs share every split setting (RunSpec checks), so one split serves all.
+    clients = split_clients(spec.configs[0], shards)
+    del shards
     # Every strategy runs before the first write, so a failed run writes nothing.
-    runs = [(cfg, run_federation(cfg, shards)) for cfg in spec.configs]
+    runs = [(cfg, run_federation(cfg, clients)) for cfg in spec.configs]
 
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)

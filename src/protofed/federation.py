@@ -172,17 +172,6 @@ def _int_seed(master: int, *fields: int) -> int:
     return int(np.random.SeedSequence([master, *fields]).generate_state(1)[0])
 
 
-def _scale_clients(client_data: list[Dataset], mode: str) -> list[Dataset]:
-    if mode == "none":
-        return list(client_data)
-    if mode == "local":
-        return [min_max_scale(ds) for ds in client_data]
-    # Min and max are exact, so the clients' extremes are the pooled data's.
-    lo = np.min([ds.features.min(axis=0) for ds in client_data], axis=0)
-    hi = np.max([ds.features.max(axis=0) for ds in client_data], axis=0)
-    return [min_max_scale(ds, (lo, hi)) for ds in client_data]
-
-
 def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalReport:
     if weighting == "test_size":
         weights = np.array([r.n_samples for r in reports], dtype=np.float64)
@@ -218,20 +207,17 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
     return Prototypes(means)
 
 
-def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[RoundMetrics]:
-    """Execute the configured protocol, one client per dataset in ``client_data``.
+def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tuple[Dataset, Dataset]]:
+    """Scale and split each client's data locally, one ``(train, test)`` pair per client.
 
-    Every client scales and splits its data locally, trains for the
-    configured epochs each round, and uploads its model for weighted
-    averaging. Under the fedp3e strategy a one-shot prototype exchange can
-    fire at the trigger round, after which clients train on augmented data.
-    All randomness is derived from per-(round, client) sub-seeds, so results
-    are bit-identical across reruns. A failure in a round raises
-    FederationError naming the round, and the client where there is one.
+    Every silo must share client 0's feature count and class names. Under
+    ``scale_mode="global"`` the bounds are the pooled column minima and
+    maxima, taken before any client is scaled; clients are then scaled one
+    at a time, so at most one scaled copy is alive beside the splits.
+    Failures raise FederationError naming the client.
     """
     if not client_data:
         raise ValueError("need at least one client dataset")
-    n_clients = len(client_data)
     first = client_data[0]
     for k, ds in enumerate(client_data):
         if ds.n_samples == 0:
@@ -241,17 +227,37 @@ def run_federation(cfg: FederationConfig, client_data: list[Dataset]) -> list[Ro
         if ds.class_names != first.class_names:
             raise FederationError(f"client {k}: classes {ds.class_names}, client 0 has {first.class_names}")
 
-    scaled = _scale_clients(client_data, cfg.scale_mode)
-    train_sets: list[Dataset] = []
-    test_sets: list[Dataset] = []
-    for k in range(n_clients):
+    bounds = None
+    if cfg.scale_mode == "global":
+        # Min and max are exact, so the clients' extremes are the pooled data's.
+        bounds = (np.min([ds.features.min(axis=0) for ds in client_data], axis=0),
+                  np.max([ds.features.max(axis=0) for ds in client_data], axis=0))
+    clients = []
+    for k, ds in enumerate(client_data):
+        if cfg.scale_mode != "none":
+            ds = min_max_scale(ds, bounds)
         with _failing_at(f"client {k}"):
-            train, test = stratified_split(scaled[k], cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k))
-        # The split holds every row the run needs, so the scaled copy goes.
-        scaled[k] = None
-        train_sets.append(train)
-        test_sets.append(test)
+            clients.append(stratified_split(ds, cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k)))
+    return clients
 
+
+def run_federation(cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]]) -> list[RoundMetrics]:
+    """Execute the configured protocol over the ``(train, test)`` pairs of ``split_clients``.
+
+    Every client trains for the configured epochs each round on its train
+    set, uploads its model for weighted averaging, and evaluates the global
+    model on its test set. Under the fedp3e strategy a one-shot prototype
+    exchange can fire at the trigger round, after which clients train on
+    augmented data; ``clients`` itself is left as it was, so several
+    strategies can run on the same splits. All randomness is derived from
+    per-(round, client) sub-seeds, so results are bit-identical across
+    reruns. A failure in a round raises FederationError naming the round,
+    and the client where there is one.
+    """
+    n_clients = len(clients)
+    train_sets = [train for train, _ in clients]
+    test_sets = [test for _, test in clients]
+    first = train_sets[0]
     n_classes = first.n_classes
     spec = cfg.model or mlp_spec(first.n_features, n_classes)
     if spec.input_dim != first.n_features:

@@ -74,7 +74,7 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
         model=pf.ModelSpec(FULL_SCALE_D_X, ((128, 1e-3), (64, 1e-3)), 0.5, 3),
         scale_mode="none", gmm_components=3, seed=4,
     )
-    return pf.run_federation(cfg, shards)
+    return pf.run_federation(cfg, pf.split_clients(cfg, shards))
 
 
 def _exchange_cost(history: list[pf.RoundMetrics]):
@@ -140,9 +140,9 @@ def test_criterion_2_total_ratio_reference_value():
 
 
 def test_criterion_3_severe_noniid_trend():
-    shards = partitioned(TREND_DATA, "severe")
-    p3e = pf.run_federation(trend_config("fedp3e"), shards)
-    avg = pf.run_federation(trend_config("fedavg"), shards)
+    clients = pf.split_clients(trend_config("fedavg"), partitioned(TREND_DATA, "severe"))
+    p3e = pf.run_federation(trend_config("fedp3e"), clients)
+    avg = pf.run_federation(trend_config("fedavg"), clients)
     acc_p3e = p3e[-1].global_report.accuracy
     acc_avg = avg[-1].global_report.accuracy
     ok = acc_avg <= 0.60 and acc_p3e >= acc_avg + 0.25 and pf.exchange_round(p3e) == 6
@@ -154,9 +154,9 @@ def test_criterion_3_severe_noniid_trend():
 
 
 def test_criterion_4_iid_parity_trend():
-    shards = partitioned(TREND_DATA, "iid")
-    p3e = pf.run_federation(trend_config("fedp3e"), shards)
-    avg = pf.run_federation(trend_config("fedavg"), shards)
+    clients = pf.split_clients(trend_config("fedavg"), partitioned(TREND_DATA, "iid"))
+    p3e = pf.run_federation(trend_config("fedp3e"), clients)
+    avg = pf.run_federation(trend_config("fedavg"), clients)
     early_mean = float(np.mean([m.global_report.accuracy for m in p3e[:5]]))
     diff = abs(p3e[-1].global_report.accuracy - avg[-1].global_report.accuracy)
     ok = early_mean >= 0.97 and pf.exchange_round(p3e) is None and diff <= 0.02
@@ -319,9 +319,10 @@ def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
         model=pf.ModelSpec(8, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
         scale_mode="none", seed=82,
     )
+    clients = pf.split_clients(cfg, shards)
     digests = []
     for attempt in range(2):
-        history = pf.run_federation(cfg, shards)
+        history = pf.run_federation(cfg, clients)
         path = tmp_path / f"metrics_{attempt}.csv"
         _write_metrics_csv(path, history)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
@@ -343,7 +344,7 @@ def test_criterion_9_fedprox_sensitivity():
             train=pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005, prox_mu=mu),
             model=PROX_MODEL, scale_mode="none", seed=RUN_SEED,
         )
-        history = pf.run_federation(cfg, shards)
+        history = pf.run_federation(cfg, pf.split_clients(cfg, shards))
         finals[mu] = history[-1].global_report.accuracy
     gap = finals[0.1] - finals[1.0]
     ok = gap >= 0.10

@@ -71,3 +71,30 @@ def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_p
     assert stats["mixtures.em_fit"].counts["iters"] > 0
     federation_counts = stats["federation.run_federation"].counts
     assert federation_counts["model_floats"] > 0 and federation_counts["proto_up_floats"] > 0
+
+
+def test_clients_are_split_once_per_run_and_trained_once_per_strategy(tmp_path):
+    # perfbench times the split through federation.stratified_split and each
+    # strategy through cli.run_federation; the split is shared by every strategy.
+    config = {
+        "seed": 0,
+        "data": {"synthetic": {"n_classes": 3, "dims": 4, "cluster_spread": 0.05,
+                               "samples_per_class": 30, "seed": 0}},
+        "partition": {"scenario": "light", "n_clients": 3},
+        "federation": {
+            "strategies": ["fedavg", "fedp3e"], "rounds": 1, "trigger_round": 1,
+            "train": {"epochs": 1}, "model": {"hidden": [[4, 0.0]], "dropout_p": 0.0},
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    child = load_child()
+    wrapped = {(module.__name__, name) for module, name, _, _ in child.targets("trace")}
+    assert {("protofed.federation", "stratified_split"), ("protofed.cli", "run_federation")} <= wrapped
+    tracer = child.Tracer(child.targets("trace"))
+    with tracer:
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert tracer.stats["datasets.stratified_split"].calls == 3
+    assert tracer.stats["federation.run_federation"].calls == 2
+    assert tracer.stats["network.train_local"].calls == 2 * 3

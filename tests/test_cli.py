@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import protofed as pf
 import protofed.cli as cli
+import protofed.federation as federation
 from protofed.cli import (
     COMPARISON_COLUMNS,
     METRICS_COLUMNS,
@@ -320,23 +322,63 @@ class TestMain:
         }
 
     def test_loaded_dataset_released_before_first_run(self, tmp_path, monkeypatch):
+        # neither the loaded matrix nor the client shards outlive the split
         loaded, alive = [], []
-        synthesize, run_federation = cli.synthesize, cli.run_federation
+        synthesize, partition, run_federation = cli.synthesize, cli.partition, cli.run_federation
 
         def recording_synthesize(spec):
             ds = synthesize(spec)
             loaded.extend([weakref.ref(ds), weakref.ref(ds.features)])
             return ds
 
-        def checking_run_federation(cfg, shards):
+        def recording_partition(ds, plan, seed):
+            shards = partition(ds, plan, seed)
+            loaded.extend(weakref.ref(shard.features) for shard in shards)
+            return shards
+
+        def checking_run_federation(cfg, clients):
             if not alive:
                 alive.append([ref() is not None for ref in loaded])
-            return run_federation(cfg, shards)
+            return run_federation(cfg, clients)
 
         monkeypatch.setattr(cli, "synthesize", recording_synthesize)
+        monkeypatch.setattr(cli, "partition", recording_partition)
         monkeypatch.setattr(cli, "run_federation", checking_run_federation)
         assert main(["run", str(minimal_config(tmp_path))]) == 0
-        assert alive == [[False, False]]
+        assert alive == [[False] * 5]
+
+    def test_training_holds_about_one_copy_of_the_data(self, tmp_path, monkeypatch):
+        data = {"synthetic": {"n_classes": 3, "dims": 50, "cluster_spread": 0.05,
+                              "samples_per_class": 2000, "seed": 1}}
+        path = minimal_config(tmp_path, data=data, partition={"scenario": "light", "n_clients": 4})
+        raw = json.loads(path.read_text())
+        raw["federation"].update(strategies=["fedavg", "fedprox"], rounds=1, trigger_round=1)
+        raw["federation"]["train"]["prox_mu"] = 0.01
+        path.write_text(json.dumps(raw))
+        shard_bytes, live = [], []
+        partition, train_local = cli.partition, federation.train_local
+
+        def measuring_partition(ds, plan, seed):
+            shards = partition(ds, plan, seed)
+            shard_bytes.append(sum(shard.features.nbytes for shard in shards))
+            return shards
+
+        def measuring_train_local(*args, **kwargs):
+            if not live:
+                live.append(tracemalloc.get_traced_memory()[0] - before)
+                tracemalloc.stop()
+            return train_local(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "partition", measuring_partition)
+        monkeypatch.setattr(federation, "train_local", measuring_train_local)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        finally:
+            tracemalloc.stop()
+        # the splits are one copy of the shards; the shards themselves are gone
+        assert live[0] <= 1.5 * shard_bytes[0]
 
     def test_seed_override(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -409,3 +451,12 @@ class TestRunSpecValidation:
         data = pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=0)
         with pytest.raises(ValueError, match="at least one"):
             RunSpec(data, "iid", 2, (), "out", 0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1), ("scale_mode", "global"), ("train_fraction", 0.5),
+    ])
+    def test_strategies_share_the_split_settings(self, key, value):
+        data = pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=0)
+        configs = (pf.FederationConfig("fedavg"), pf.FederationConfig("fedp3e", **{key: value}))
+        with pytest.raises(ValueError, match="must share seed, scale_mode and train_fraction"):
+            RunSpec(data, "iid", 2, configs, "out", 0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 import protofed.federation as federation
-from protofed.federation import FederationError, _combine_reports, _scale_clients
+from protofed.federation import FederationError, _combine_reports
 from helpers import randomized_params, traced_peak_bytes
 
 
@@ -26,6 +26,11 @@ def severe_shards(n_per_class=60, dims=6, seed=0):
     data = pf.synthesize(pf.SyntheticSpec(3, dims, 1, 0.05, n_per_class, seed=seed))
     plan = pf.build_partition_plan("severe", data.class_counts(), 3)
     return pf.partition(data, plan, seed=seed)
+
+
+def severe_clients():
+    """The severe shards split as every ``small_config`` splits them."""
+    return pf.split_clients(small_config(), severe_shards())
 
 
 def small_config(strategy="fedavg", **overrides):
@@ -106,14 +111,22 @@ class TestFedavgAggregate:
 
 
 class TestScaleClients:
-    def test_global_mode_scales_by_pooled_min_and_max(self):
+    def test_global_mode_scales_by_pooled_min_and_max(self, monkeypatch):
         rng = np.random.default_rng(3)
         clients = []
         for k, n in enumerate((5, 8, 4)):
             features = np.column_stack([rng.normal(k, 1.0 + k, (n, 3)), np.full(n, 7.0)])
             clients.append(pf.Dataset(features, np.arange(n) % 2, ("a", "b")))
-        scaled = _scale_clients(clients, "global")
-        assert [ds.n_samples for ds in scaled] == [5, 8, 4]
+        scaled = []
+        stratified_split = federation.stratified_split
+
+        def recording_split(ds, train_fraction, seed):
+            scaled.append(ds)
+            return stratified_split(ds, train_fraction, seed)
+
+        monkeypatch.setattr(federation, "stratified_split", recording_split)
+        splits = pf.split_clients(small_config(scale_mode="global"), clients)
+        assert [train.n_samples + test.n_samples for train, test in splits] == [5, 8, 4]
         for before, after in zip(clients, scaled):
             assert np.array_equal(before.labels, after.labels)
         pooled = np.vstack([ds.features for ds in scaled])
@@ -127,9 +140,33 @@ class TestScaleClients:
         rng = np.random.default_rng(0)
         clients = [pf.Dataset(rng.random((1000, 115)), rng.integers(0, 3, 1000), ("a", "b", "c"))
                    for _ in range(9)]
-        scaled, peak = traced_peak_bytes(lambda: _scale_clients(clients, "global"))
-        assert len(scaled) == 9
+        cfg = small_config(scale_mode="global")
+        # the whole split stage: pooled bounds, one scaled copy, the splits
+        splits, peak = traced_peak_bytes(lambda: pf.split_clients(cfg, clients))
+        assert len(splits) == 9
         assert peak <= 1.2 * sum(ds.features.nbytes for ds in clients)
+
+    def test_one_scaled_copy_alive_at_a_time(self, monkeypatch):
+        scaled, alive = [], []
+        min_max_scale = federation.min_max_scale
+
+        def recording_scale(ds, bounds=None):
+            # every copy scaled so far must be gone before the next is made
+            alive.append(sum(ref() is not None for ref in scaled))
+            result = min_max_scale(ds, bounds)
+            scaled.extend([weakref.ref(result), weakref.ref(result.features)])
+            return result
+
+        monkeypatch.setattr(federation, "min_max_scale", recording_scale)
+        splits = pf.split_clients(small_config(scale_mode="local"), severe_shards())
+        assert len(splits) == 3
+        assert alive == [0, 0, 0]
+
+    def test_unsplittable_class_names_the_client(self):
+        shards = severe_shards()
+        one_row = shards[1].select(np.array([0]))
+        with pytest.raises(FederationError, match="client 1: class 'class_1' has 1 sample"):
+            pf.split_clients(small_config("fedavg"), [shards[0], one_row, shards[2]])
 
 
 def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
@@ -202,9 +239,9 @@ class TestClientPrototypes:
 
 class TestRunFederation:
     def test_fedavg_float_accounting_is_model_only(self):
-        shards = severe_shards()
+        clients = severe_clients()
         cfg = small_config("fedavg")
-        history = pf.run_federation(cfg, shards)
+        history = pf.run_federation(cfg, clients)
         d_w = pf.build_model(cfg.model, 0).trainable_count
         for metrics in history:
             assert metrics.uploaded_floats == 3 * d_w
@@ -213,16 +250,16 @@ class TestRunFederation:
             assert not metrics.exchange_triggered
 
     def test_exchange_only_at_trigger_round(self):
-        shards = severe_shards()
-        history = pf.run_federation(small_config("fedp3e"), shards)
+        clients = severe_clients()
+        history = pf.run_federation(small_config("fedp3e"), clients)
         flags = [m.exchange_triggered for m in history]
         assert flags == [False, True, False, False]
         assert sum(flags) <= 1
         assert pf.exchange_round(history) == 2
 
     def test_exchange_round_carries_prototype_floats(self):
-        shards = severe_shards()
-        history = pf.run_federation(small_config("fedp3e"), shards)
+        clients = severe_clients()
+        history = pf.run_federation(small_config("fedp3e"), clients)
         exchange = history[1]
         assert all(count > 0 for count in exchange.proto_upload_floats)
         assert exchange.proto_download_floats > 0
@@ -233,18 +270,22 @@ class TestRunFederation:
             assert metrics.uploaded_floats + metrics.downloaded_floats >= 2 * d_w
 
     def test_bit_identical_reruns(self):
-        shards = severe_shards()
+        clients = severe_clients()
         cfg = small_config("fedp3e")
-        a = pf.run_federation(cfg, shards)
-        b = pf.run_federation(cfg, shards)
+        a = pf.run_federation(cfg, clients)
+        b = pf.run_federation(cfg, clients)
         for ma, mb in zip(a, b):
             assert ma == mb
 
-    def test_client_error_carries_context(self):
-        shards = severe_shards()
-        bad = [shards[0], shards[1], pf.Dataset(np.empty((0, 6)), [], ("a", "b", "c"))]
-        with pytest.raises(FederationError, match="client 2"):
-            pf.run_federation(small_config("fedavg"), bad)
+    def test_strategies_share_the_splits(self):
+        # the exchange augments the train sets; the caller's splits stay as they were
+        clients = severe_clients()
+        before = list(clients)
+        history = pf.run_federation(small_config("fedp3e"), clients)
+        assert pf.exchange_round(history) == 2
+        assert all(a is b for pair, kept in zip(clients, before) for a, b in zip(pair, kept))
+        after_p3e = pf.run_federation(small_config("fedavg"), clients)
+        assert after_p3e == pf.run_federation(small_config("fedavg"), severe_clients())
 
     def test_nan_feature_fails_before_training(self):
         # one NaN cell used to train through and fail in round 1 on a NaN loss
@@ -253,28 +294,34 @@ class TestRunFederation:
         features[4, 2] = np.nan
         with pytest.raises(ValueError, match="row 4, column 2 is nan"):
             shards[0] = pf.Dataset(features, shards[0].labels, shards[0].class_names)
-            pf.run_federation(small_config("fedavg", rounds=2, trigger_round=1), shards)
+            pf.split_clients(small_config("fedavg", rounds=2, trigger_round=1), shards)
+
+    def test_client_error_carries_context(self):
+        shards = severe_shards()
+        bad = [shards[0], shards[1], pf.Dataset(np.empty((0, 6)), [], ("a", "b", "c"))]
+        with pytest.raises(FederationError, match="client 2"):
+            pf.split_clients(small_config("fedavg"), bad)
 
     def test_class_names_must_agree(self):
         shards = severe_shards()
         shards[1] = pf.Dataset(shards[1].features, shards[1].labels, ("x", "y", "z"))
         with pytest.raises(FederationError, match=r"client 1: classes \('x', 'y', 'z'\)"):
-            pf.run_federation(small_config("fedavg"), shards)
+            pf.split_clients(small_config("fedavg"), shards)
 
     def test_feature_count_must_agree(self):
         shards = severe_shards()
         wide = np.hstack([shards[1].features, np.zeros((shards[1].n_samples, 1))])
         shards[1] = pf.Dataset(wide, shards[1].labels, shards[1].class_names)
         with pytest.raises(FederationError, match="client 1: 7 features, client 0 has 6"):
-            pf.run_federation(small_config("fedavg"), shards)
+            pf.split_clients(small_config("fedavg"), shards)
 
     def test_no_clients_rejected(self):
         with pytest.raises(ValueError, match="at least one client"):
-            pf.run_federation(small_config("fedavg"), [])
+            pf.split_clients(small_config("fedavg"), [])
 
     def test_client_count_comes_from_the_data(self):
-        shards = severe_shards()
-        history = pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1), shards[:2])
+        clients = severe_clients()
+        history = pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1), clients[:2])
         assert history[0].n_clients == 2
         assert len(history[0].proto_upload_floats) == 2
 
@@ -283,12 +330,12 @@ class TestRunFederation:
         train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e300)
         cfg = small_config("fedavg", train=train)
         with pytest.raises(FederationError, match=r"round 1, client 0: non-finite loss"):
-            pf.run_federation(cfg, severe_shards())
+            pf.run_federation(cfg, severe_clients())
 
     def test_huge_finite_loss_is_not_divergence(self):
         train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e8)
         cfg = small_config("fedavg", train=train)
-        history = pf.run_federation(cfg, severe_shards())
+        history = pf.run_federation(cfg, severe_clients())
         assert len(history) == cfg.rounds
         assert history[-1].global_report.mean_loss > 1e3
         assert all(math.isfinite(m.global_report.mean_loss) for m in history)
@@ -299,7 +346,7 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "evaluate", failing)
         with pytest.raises(FederationError, match="round 1, client 0: evaluation failed"):
-            pf.run_federation(small_config("fedavg"), severe_shards())
+            pf.run_federation(small_config("fedavg"), severe_clients())
 
     def test_scaled_copies_released_before_training(self, monkeypatch):
         scaled, alive = [], []
@@ -317,25 +364,25 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "min_max_scale", recording_scale)
         monkeypatch.setattr(federation, "train_local", checking_train_local)
-        pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1, scale_mode="local"),
-                          severe_shards())
+        cfg = small_config("fedavg", rounds=1, trigger_round=1, scale_mode="local")
+        pf.run_federation(cfg, pf.split_clients(cfg, severe_shards()))
         assert alive == [[False] * 6]
 
     def test_uniform_eval_weighting(self):
-        shards = severe_shards()
+        clients = severe_clients()
         cfg = small_config("fedavg", eval_weighting="uniform", rounds=1, trigger_round=1)
-        history = pf.run_federation(cfg, shards)
+        history = pf.run_federation(cfg, clients)
         reports = history[0].client_reports
         expected = float(np.mean([r.accuracy for r in reports]))
         assert history[0].global_report.accuracy == pytest.approx(expected)
 
     def test_running_stats_can_be_excluded_from_aggregation(self):
-        shards = severe_shards()
+        clients = severe_clients()
         cfg = small_config("fedavg", rounds=1, trigger_round=1, aggregate_running_stats=False)
-        history = pf.run_federation(cfg, shards)
+        history = pf.run_federation(cfg, clients)
         assert history  # run completes; per-round stats equal the initial model's
         cfg2 = small_config("fedavg", rounds=1, trigger_round=1)
-        history2 = pf.run_federation(cfg2, shards)
+        history2 = pf.run_federation(cfg2, clients)
         assert history2[0].global_report != history[0].global_report
 
     def test_config_invariants(self):
