@@ -11,21 +11,17 @@ plan = pf.build_partition_plan("severe", data.class_counts(), n_clients=3)
 shards = pf.partition(data, plan, seed=0)
 print("severe non-IID silos:", [s.class_counts().tolist() for s in shards])
 
-model = pf.ModelSpec(12, ((32, 1e-3), (16, 1e-3)), 0.5, 3)
-configs = [
-    pf.FederationConfig(
-        strategy=strategy, rounds=10, trigger_round=4,
-        accuracy_threshold=0.97, noise_sigma=0.01,
-        train=pf.TrainConfig(epochs=10, batch_size=32, learning_rate=0.005, prox_mu=mu),
-        model=model, scale_mode="none", seed=1,
-    )
-    for strategy, mu in (("fedavg", 0.0), ("fedprox", 0.1), ("fedp3e", 0.0))
-]
+# One config serves all three strategies; only fedprox applies prox_mu.
+cfg = pf.FederationConfig(
+    rounds=10, trigger_round=4, threshold=0.97, noise_sigma=0.01,
+    train=pf.TrainConfig(epochs=10, batch_size=32, learning_rate=0.005, prox_mu=0.1),
+    model=pf.ModelSpec(12, ((32, 1e-3), (16, 1e-3)), 0.5, 3), scale_mode="none", seed=1,
+)
 # Each silo splits its data into train and test once; every strategy trains
 # on the same splits, and the shards are no longer needed.
-clients = pf.split_clients(configs[0], shards)
+clients = pf.split_clients(cfg, shards)
 del shards
-histories = {cfg.strategy: pf.run_federation(cfg, clients) for cfg in configs}
+histories = {s: pf.run_federation(cfg, clients, s) for s in ("fedavg", "fedprox", "fedp3e")}
 
 print("\nglobal accuracy by round")
 print("round  " + "  ".join(f"{s:>8}" for s in histories))

@@ -6,7 +6,7 @@ Library layout:
     mixtures    per-class GMM prototypes with noise perturbation
     clustering  server-side prototype consolidation (mini-batch k-means)
     augment     SMOTE-style interpolation of global prototypes
-    federation  client splits, the round loop, aggregation and exchange-cost ratios
+    federation  run config, client splits, the round loop per strategy, aggregation, exchange costs
     cli         JSON-config experiment runner
 """
 

@@ -26,12 +26,13 @@ from .datasets import (
 from .federation import (
     FederationConfig,
     RoundMetrics,
+    check_strategy,
     exchange_cost_ratios,
     exchange_round,
     run_federation,
     split_clients,
 )
-from .network import EvalReport, ModelSpec, TrainConfig
+from .network import DEFAULT_DROPOUT_P, EvalReport, ModelSpec, TrainConfig
 
 # Output column name of each EvalReport score, in column order.
 _SCORES = {"accuracy": "accuracy", "precision": "macro_precision", "recall": "macro_recall",
@@ -48,8 +49,9 @@ class CsvSource:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A parsed run configuration: one dataset, one or more strategies.
+    """A parsed run configuration: one dataset, one federation, its strategies.
 
+    ``federation.seed`` seeds the partition as well as every strategy.
     ``quotas`` optionally pins the per-client, per-class sample counts;
     when absent the scenario's built-in quota table is derived from the data.
     """
@@ -57,43 +59,39 @@ class RunSpec:
     data: SyntheticSpec | CsvSource
     scenario: str
     n_clients: int
-    configs: tuple[FederationConfig, ...]
+    federation: FederationConfig
+    strategies: tuple[str, ...]
     output_dir: str
-    seed: int
     quotas: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.configs:
-            raise ValueError("run spec needs at least one federation config")
+        if not self.strategies:
+            raise ValueError("run spec needs at least one strategy")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
-        strategies = [cfg.strategy for cfg in self.configs]
-        if len(set(strategies)) != len(strategies):
+        if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("each strategy may appear only once per run spec")
-        if len({(cfg.seed, cfg.scale_mode, cfg.train_fraction) for cfg in self.configs}) > 1:
-            raise ValueError("strategies split the clients once, so they must share "
-                             "seed, scale_mode and train_fraction")
+        for strategy in self.strategies:
+            check_strategy(strategy, self.federation)
         if self.quotas is not None and len(self.quotas) != self.n_clients:
             raise ValueError(
                 f"quotas cover {len(self.quotas)} clients but partition declares {self.n_clients}"
             )
 
 
-# The one JSON key that is not the name of its field.
-_KEYS = {"accuracy_threshold": "threshold"}
 # Defaults of optional keys whose dataclass field has none.
 _DEFAULTS = {
     SyntheticSpec: {"clusters_per_class": 1, "seed": 0},
     CsvSchema: vars(nbaiot_schema()),
-    ModelSpec: {"dropout_p": 0.5},
+    ModelSpec: {"dropout_p": DEFAULT_DROPOUT_P},
 }
 # Fields the CLI fills itself instead of reading them from their own section.
 _FILLED = {
-    RunSpec: ("data", "configs", "output_dir", "seed"),
+    RunSpec: ("data", "federation", "strategies", "output_dir"),
     CsvSource: ("schema",),
-    FederationConfig: ("strategy", "seed", "train", "aug", "model"),
+    FederationConfig: ("seed", "train", "aug", "model"),
     ModelSpec: ("input_dim", "output_classes"),
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
@@ -103,7 +101,7 @@ _SCALARS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)
 @lru_cache(maxsize=None)
 def _own_fields(cls: type) -> dict[str, Field]:
     """JSON key -> field, for each field ``cls`` reads from its own section."""
-    return {_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
+    return {f.name: f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
 
 
 def _check_keys(obj, section: str, *classes: type, extra: tuple[str, ...] = ()) -> None:
@@ -200,11 +198,8 @@ def parse_config(path: str | Path) -> RunSpec:
         input_dim, n_classes = _data_dims(data)
         model = ModelSpec(input_dim=input_dim, output_classes=n_classes,
                           **_read(model, "federation.model", ModelSpec))
-    configs = tuple(
-        FederationConfig(strategy=name, seed=seed, train=train, aug=aug, model=model, **base)
-        for name in strategies
-    )
-    return RunSpec(data=data, configs=configs, output_dir=output_dir, seed=seed, **part)
+    federation = FederationConfig(seed=seed, train=train, aug=aug, model=model, **base)
+    return RunSpec(data=data, federation=federation, strategies=strategies, output_dir=output_dir, **part)
 
 
 def _parse_data(section) -> SyntheticSpec | CsvSource:
@@ -230,16 +225,16 @@ def spec_to_config(spec: RunSpec) -> dict:
         data = {"synthetic": _write(spec.data)}
     else:
         data = {"csv_dir": {**_write(spec.data), **_write(spec.data.schema)}}
-    cfg = spec.configs[0]
+    cfg = spec.federation
     federation = {
         **_write(cfg),
-        "strategies": [c.strategy for c in spec.configs],
+        "strategies": list(spec.strategies),
         "train": _write(cfg.train),
         "aug": _write(cfg.aug),
         "model": None if cfg.model is None else _write(cfg.model),
     }
     return {
-        "seed": spec.seed,
+        "seed": cfg.seed,
         "output_dir": spec.output_dir,
         "data": data,
         "partition": _write(spec),
@@ -266,7 +261,7 @@ def _score_cells(report: EvalReport) -> list[str]:
     return [repr(getattr(report, name)) for name in _SCORES.values()]
 
 
-def _strategy_summary(cfg: FederationConfig, history: list[RoundMetrics]) -> dict:
+def _strategy_summary(history: list[RoundMetrics]) -> dict:
     final = history[-1].global_report
     ex_round = exchange_round(history)
     comm = None
@@ -285,7 +280,7 @@ def _strategy_summary(cfg: FederationConfig, history: list[RoundMetrics]) -> dic
             "total_exchange_ratio": total,
         }
     return {
-        "rounds": cfg.rounds,
+        "rounds": len(history),
         **{f"final_{column}": getattr(final, name) for column, name in _SCORES.items()},
         "uploaded_floats_total": sum(m.uploaded_floats for m in history),
         "downloaded_floats_total": sum(m.downloaded_floats for m in history),
@@ -316,29 +311,28 @@ def _execute(spec: RunSpec) -> None:
         plan = PartitionPlan(spec.scenario, spec.quotas)
     else:
         plan = build_partition_plan(spec.scenario, ds.class_counts(), spec.n_clients)
-    shards = partition(ds, plan, spec.seed)
+    shards = partition(ds, plan, spec.federation.seed)
     # The shards hold every row the run needs, so the loaded matrix goes.
     del ds
-    # The configs share every split setting (RunSpec checks), so one split serves all.
-    clients = split_clients(spec.configs[0], shards)
+    clients = split_clients(spec.federation, shards)
     del shards
     # Every strategy runs before the first write, so a failed run writes nothing.
-    runs = [(cfg, run_federation(cfg, clients)) for cfg in spec.configs]
+    runs = [(s, run_federation(spec.federation, clients, s)) for s in spec.strategies]
 
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
-        "seed": spec.seed,
+        "seed": spec.federation.seed,
         "scenario": spec.scenario,
         "n_clients": spec.n_clients,
         "strategies": {},
     }
     rows = []
-    for cfg, history in runs:
-        _write_metrics_csv(out / f"metrics_{cfg.strategy}.csv", history)
-        entry = summary["strategies"][cfg.strategy] = _strategy_summary(cfg, history)
+    for strategy, history in runs:
+        _write_metrics_csv(out / f"metrics_{strategy}.csv", history)
+        entry = summary["strategies"][strategy] = _strategy_summary(history)
         ex_round = entry["exchange_round"]
-        rows.append([cfg.strategy, *_score_cells(history[-1].global_report),
+        rows.append([strategy, *_score_cells(history[-1].global_report),
                      entry["uploaded_floats_total"], entry["downloaded_floats_total"],
                      "" if ex_round is None else ex_round])
 
@@ -370,20 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_config(args.config)
         if args.seed is not None:
-            spec = replace(
-                spec,
-                seed=args.seed,
-                configs=tuple(replace(c, seed=args.seed) for c in spec.configs),
-            )
+            spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
         if args.out is not None:
             spec = replace(spec, output_dir=args.out)
         if args.strategies is not None:
-            wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-            available = {c.strategy: c for c in spec.configs}
-            missing = [s for s in wanted if s not in available]
+            wanted = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+            missing = [s for s in wanted if s not in spec.strategies]
             if missing:
                 raise ValueError(f"strategy {missing[0]!r} is not part of this config")
-            spec = replace(spec, configs=tuple(available[s] for s in wanted))
+            spec = replace(spec, strategies=wanted)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

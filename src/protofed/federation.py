@@ -50,13 +50,12 @@ def _failing_at(where: str) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """All protocol knobs for one federated run."""
+    """The protocol knobs of a run, shared by every strategy it compares."""
 
-    strategy: str
     rounds: int = 20
     train: TrainConfig = TrainConfig()
     aug: AugmentationPolicy = AugmentationPolicy()
-    accuracy_threshold: float = 0.97
+    threshold: float = 0.97
     trigger_round: int = 6
     noise_sigma: float = 0.01
     model: ModelSpec | None = None
@@ -70,18 +69,14 @@ class FederationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not 0.0 < self.accuracy_threshold <= 1.0:
+        if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0,1]")
         if not 1 <= self.trigger_round <= self.rounds:
             raise ValueError("trigger_round must satisfy 1 <= trigger_round <= rounds")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.strategy == "fedprox" and self.train.prox_mu <= 0:
-            raise ValueError("fedprox requires train.prox_mu > 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.scale_mode not in ("local", "global", "none"):
@@ -94,6 +89,14 @@ class FederationConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+def check_strategy(strategy: str, cfg: FederationConfig) -> None:
+    """Reject a strategy name that is unknown or that ``cfg`` cannot run."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "fedprox" and cfg.train.prox_mu <= 0:
+        raise ValueError("fedprox requires train.prox_mu > 0")
 
 
 @dataclass(frozen=True)
@@ -151,21 +154,16 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
 def should_trigger_exchange(history: list[RoundMetrics], cfg: FederationConfig) -> bool:
     """Decide, at the start of round len(history)+1, whether to exchange.
 
-    True only for the fedp3e strategy, exactly at the trigger round, with no
-    prior exchange, and with the mean global accuracy of all earlier rounds
-    below the threshold (an empty history counts as accuracy 0).
+    True exactly at the trigger round, with no prior exchange, and with the
+    mean global accuracy of all earlier rounds below the threshold (an empty
+    history counts as accuracy 0). Only the fedp3e strategy asks.
     """
-    round_index = len(history) + 1
-    if cfg.strategy != "fedp3e":
-        return False
-    if round_index != cfg.trigger_round:
-        return False
-    if any(m.exchange_triggered for m in history):
+    if len(history) + 1 != cfg.trigger_round or any(m.exchange_triggered for m in history):
         return False
     if not history:
         return True
     mean_acc = float(np.mean([m.global_report.accuracy for m in history]))
-    return mean_acc < cfg.accuracy_threshold
+    return mean_acc < cfg.threshold
 
 
 def _int_seed(master: int, *fields: int) -> int:
@@ -241,19 +239,22 @@ def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tup
     return clients
 
 
-def run_federation(cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]]) -> list[RoundMetrics]:
-    """Execute the configured protocol over the ``(train, test)`` pairs of ``split_clients``.
+def run_federation(
+    cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]], strategy: str
+) -> list[RoundMetrics]:
+    """Run ``strategy`` over the ``(train, test)`` pairs of ``split_clients``.
 
     Every client trains for the configured epochs each round on its train
     set, uploads its model for weighted averaging, and evaluates the global
-    model on its test set. Under the fedp3e strategy a one-shot prototype
-    exchange can fire at the trigger round, after which clients train on
-    augmented data; ``clients`` itself is left as it was, so several
-    strategies can run on the same splits. All randomness is derived from
-    per-(round, client) sub-seeds, so results are bit-identical across
-    reruns. A failure in a round raises FederationError naming the round,
+    model on its test set. Only fedprox applies ``cfg.train.prox_mu``. Under
+    fedp3e a one-shot prototype exchange can fire at the trigger round, after
+    which clients train on augmented data; ``clients`` itself is left as it
+    was, so several strategies can run on the same splits. All randomness
+    is derived from per-(round, client) sub-seeds, so results are
+    bit-identical across reruns. A failure in a round raises FederationError naming the round,
     and the client where there is one.
     """
+    check_strategy(strategy, cfg)
     n_clients = len(clients)
     train_sets = [train for train, _ in clients]
     test_sets = [test for _, test in clients]
@@ -267,11 +268,11 @@ def run_federation(cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]]
     global_params = build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
     d_w = global_params.trainable_count
 
-    train_cfg = cfg.train if cfg.strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
+    train_cfg = cfg.train if strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
 
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
-        exchange = should_trigger_exchange(history, cfg)
+        exchange = strategy == "fedp3e" and should_trigger_exchange(history, cfg)
         proto_upload = [0] * n_clients
         proto_download = 0
         if exchange:

@@ -19,6 +19,8 @@ from .datasets import Dataset
 
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99
+# Dropout rate of the default architecture and of a config that omits it.
+DEFAULT_DROPOUT_P = 0.5
 
 _Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -60,9 +62,9 @@ def mlp_spec(
     input_dim: int,
     output_classes: int,
     hidden: tuple[tuple[int, float], ...] = ((128, 1e-3), (64, 1e-3)),
-    dropout_p: float = 0.5,
+    dropout_p: float = DEFAULT_DROPOUT_P,
 ) -> ModelSpec:
-    """Default architecture: 128- and 64-unit hidden layers, dropout 0.5."""
+    """Default architecture: 128- and 64-unit hidden layers, dropout ``DEFAULT_DROPOUT_P``."""
     return ModelSpec(input_dim, hidden, dropout_p, output_classes)
 
 
@@ -422,6 +424,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_epsilon <= 0:
+            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         if self.prox_mu < 0:
             raise ValueError("prox_mu must be >= 0")
 

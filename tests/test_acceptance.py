@@ -40,14 +40,10 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def trend_config(strategy: str, **overrides) -> pf.FederationConfig:
-    base = dict(
-        strategy=strategy, rounds=20, trigger_round=6,
-        accuracy_threshold=0.97, noise_sigma=0.01, train=TREND_TRAIN,
-        model=TREND_MODEL, scale_mode="none", seed=RUN_SEED,
-    )
-    base.update(overrides)
-    return pf.FederationConfig(**base)
+TREND_CONFIG = pf.FederationConfig(
+    rounds=20, trigger_round=6, threshold=0.97, noise_sigma=0.01, train=TREND_TRAIN,
+    model=TREND_MODEL, scale_mode="none", seed=RUN_SEED,
+)
 
 
 def partitioned(data_spec: pf.SyntheticSpec, scenario: str) -> list[pf.Dataset]:
@@ -68,13 +64,12 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
     plan = pf.build_partition_plan("iid", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=4)
     cfg = pf.FederationConfig(
-        strategy="fedp3e", rounds=2, trigger_round=2,
-        accuracy_threshold=0.97, noise_sigma=0.01,
+        rounds=2, trigger_round=2, threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=1, batch_size=32, learning_rate=1e-4),
         model=pf.ModelSpec(FULL_SCALE_D_X, ((128, 1e-3), (64, 1e-3)), 0.5, 3),
         scale_mode="none", gmm_components=3, seed=4,
     )
-    return pf.run_federation(cfg, pf.split_clients(cfg, shards))
+    return pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedp3e")
 
 
 def _exchange_cost(history: list[pf.RoundMetrics]):
@@ -140,9 +135,9 @@ def test_criterion_2_total_ratio_reference_value():
 
 
 def test_criterion_3_severe_noniid_trend():
-    clients = pf.split_clients(trend_config("fedavg"), partitioned(TREND_DATA, "severe"))
-    p3e = pf.run_federation(trend_config("fedp3e"), clients)
-    avg = pf.run_federation(trend_config("fedavg"), clients)
+    clients = pf.split_clients(TREND_CONFIG, partitioned(TREND_DATA, "severe"))
+    p3e = pf.run_federation(TREND_CONFIG, clients, "fedp3e")
+    avg = pf.run_federation(TREND_CONFIG, clients, "fedavg")
     acc_p3e = p3e[-1].global_report.accuracy
     acc_avg = avg[-1].global_report.accuracy
     ok = acc_avg <= 0.60 and acc_p3e >= acc_avg + 0.25 and pf.exchange_round(p3e) == 6
@@ -154,9 +149,9 @@ def test_criterion_3_severe_noniid_trend():
 
 
 def test_criterion_4_iid_parity_trend():
-    clients = pf.split_clients(trend_config("fedavg"), partitioned(TREND_DATA, "iid"))
-    p3e = pf.run_federation(trend_config("fedp3e"), clients)
-    avg = pf.run_federation(trend_config("fedavg"), clients)
+    clients = pf.split_clients(TREND_CONFIG, partitioned(TREND_DATA, "iid"))
+    p3e = pf.run_federation(TREND_CONFIG, clients, "fedp3e")
+    avg = pf.run_federation(TREND_CONFIG, clients, "fedavg")
     early_mean = float(np.mean([m.global_report.accuracy for m in p3e[:5]]))
     diff = abs(p3e[-1].global_report.accuracy - avg[-1].global_report.accuracy)
     ok = early_mean >= 0.97 and pf.exchange_round(p3e) is None and diff <= 0.02
@@ -313,8 +308,7 @@ def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
     plan = pf.build_partition_plan("severe", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=81)
     cfg = pf.FederationConfig(
-        strategy="fedp3e", rounds=6, trigger_round=3,
-        accuracy_threshold=0.97, noise_sigma=0.01,
+        rounds=6, trigger_round=3, threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.005),
         model=pf.ModelSpec(8, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
         scale_mode="none", seed=82,
@@ -322,7 +316,7 @@ def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
     clients = pf.split_clients(cfg, shards)
     digests = []
     for attempt in range(2):
-        history = pf.run_federation(cfg, clients)
+        history = pf.run_federation(cfg, clients, "fedp3e")
         path = tmp_path / f"metrics_{attempt}.csv"
         _write_metrics_csv(path, history)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
@@ -339,12 +333,11 @@ def test_criterion_9_fedprox_sensitivity():
     finals = {}
     for mu in (0.1, 1.0):
         cfg = pf.FederationConfig(
-            strategy="fedprox", rounds=20, trigger_round=6,
-            accuracy_threshold=0.97, noise_sigma=0.01,
+            rounds=20, trigger_round=6, threshold=0.97, noise_sigma=0.01,
             train=pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005, prox_mu=mu),
             model=PROX_MODEL, scale_mode="none", seed=RUN_SEED,
         )
-        history = pf.run_federation(cfg, pf.split_clients(cfg, shards))
+        history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedprox")
         finals[mu] = history[-1].global_report.accuracy
     gap = finals[0.1] - finals[1.0]
     ok = gap >= 0.10

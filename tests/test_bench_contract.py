@@ -6,19 +6,38 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 import protofed as pf
 import protofed.cli as cli
 import protofed.network as network
 from helpers import two_blob_dataset
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_child():
+    return load_perfbench("child")
+
+
+@pytest.mark.parametrize("workload", ["severe3", "light12", "nbaiot9"])
+def test_workload_configs_parse_at_the_default_seed(tmp_path, monkeypatch, workload):
+    # A schema change that rejects these configs would fail every benchmark run.
+    workloads = load_perfbench("workloads")
+    # writing nbaiot9's CSV files takes about a second; parsing never reads them
+    monkeypatch.setattr(workloads, "write_nbaiot_dir", lambda seed, root, separation: None)
+    path = workloads.write_config(workload, 11, tmp_path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    spec = cli.parse_config(path)
+    assert spec.strategies == tuple(raw["federation"]["strategies"])
+    assert spec.federation.seed == raw["seed"] == 11
 
 
 def test_every_traced_target_resolves_to_a_callable():

@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import re
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protofed as pf
 import protofed.cli as cli
@@ -53,8 +60,8 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         spec = parse_config(minimal_config(tmp_path))
         assert spec.n_clients == 3
-        cfg = spec.configs[0]
-        assert cfg.accuracy_threshold == 0.97
+        cfg = spec.federation
+        assert cfg.threshold == 0.97
         assert cfg.trigger_round == 2
         assert cfg.train.adam_beta1 == 0.9
         assert cfg.aug.target_fraction == 0.10
@@ -92,10 +99,11 @@ class TestParseConfig:
 
     def test_committed_severe_fixture_parses_to_three_strategies(self):
         spec = parse_config(FIXTURES / "severe_nonidd.json")
-        assert [c.strategy for c in spec.configs] == ["fedavg", "fedprox", "fedp3e"]
+        assert spec.strategies == ("fedavg", "fedprox", "fedp3e")
         assert spec.scenario == "severe"
-        assert spec.configs[0].rounds == 20
-        assert spec.configs[1].train.prox_mu == 0.1
+        assert spec.federation.rounds == 20
+        assert spec.federation.train.prox_mu == 0.1
+        assert spec.federation.seed == 11
 
     def test_fixture_round_trips_through_serialize_and_parse(self, tmp_path):
         spec = parse_config(FIXTURES / "severe_nonidd.json")
@@ -111,20 +119,17 @@ class TestParseConfig:
         input_dim = data.dims if isinstance(data, pf.SyntheticSpec) else data.schema.n_features
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
                                adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
-        configs = tuple(
-            pf.FederationConfig(
-                strategy=strategy, rounds=7, train=train,
-                aug=pf.AugmentationPolicy(0.2, "missing_only"), accuracy_threshold=0.9,
-                trigger_round=3, noise_sigma=0.02,
-                model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
-                train_fraction=0.7, scale_mode="global", eval_weighting="uniform",
-                gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
-                aggregate_running_stats=False, seed=8,
-            )
-            for strategy in ("fedprox", "fedp3e")
+        federation = pf.FederationConfig(
+            rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
+            trigger_round=3, noise_sigma=0.02,
+            model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
+            train_fraction=0.7, scale_mode="global", eval_weighting="uniform",
+            gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
+            aggregate_running_stats=False, seed=8,
         )
-        spec = RunSpec(data, "light", 2, configs, "elsewhere", 8, ((5, 6), (7, 8)))
-        for obj in (spec, configs[0], train, configs[0].aug):
+        spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere",
+                       ((5, 6), (7, 8)))
+        for obj in (spec, federation, train, federation.aug):
             for f in fields(obj):
                 assert getattr(obj, f.name) != f.default, f.name
         path = tmp_path / "every_field.json"
@@ -336,10 +341,10 @@ class TestMain:
             loaded.extend(weakref.ref(shard.features) for shard in shards)
             return shards
 
-        def checking_run_federation(cfg, clients):
+        def checking_run_federation(cfg, clients, strategy):
             if not alive:
                 alive.append([ref() is not None for ref in loaded])
-            return run_federation(cfg, clients)
+            return run_federation(cfg, clients, strategy)
 
         monkeypatch.setattr(cli, "synthesize", recording_synthesize)
         monkeypatch.setattr(cli, "partition", recording_partition)
@@ -411,14 +416,23 @@ class TestMain:
         ("federation", "aggregate_running_stats", "false",
          'federation.aggregate_running_stats: expected bool, got "false"'),
         ("partition", "quotas", 5, "partition.quotas: expected"),
-    ], ids=["rounds-null", "train-number", "bool-string", "quotas-number"])
+        # Adam's step is 0/0 at these values, so training would only fail later
+        ("federation.train", "adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
+        ("federation.train", "adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
+        ("federation.train", "adam_epsilon", 0, "adam_epsilon must be > 0, got 0.0"),
+    ], ids=["rounds-null", "train-number", "bool-string", "quotas-number",
+            "beta1-one", "beta2-one", "epsilon-zero"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
-        raw[section][key] = value
+        target = raw
+        for name in section.split("."):
+            target = target[name]
+        target[key] = value
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("gmm_components", 0), ("global_prototypes_per_class", 0), ("global_prototypes_per_class", -1),
@@ -446,17 +460,102 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
 
+@st.composite
+def small_configs(draw):
+    """A tiny run config over every scenario, scale mode and strategy.
+
+    Adam's values fall on both sides of their bounds, and fedprox may come
+    without a proximal weight, so some configs are usage errors.
+    """
+    rounds = draw(st.integers(1, 2))
+    adam = {"adam_beta1": draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
+            "adam_beta2": draw(st.sampled_from([0.0, 0.9, 0.999, 0.999999])),
+            "adam_epsilon": draw(st.sampled_from([1e-300, 1e-7, 1.0]))}
+    beyond = {"adam_beta1": [1.0, 1.5, -0.1], "adam_beta2": [1.0, -0.1], "adam_epsilon": [0.0, -1e-7]}
+    key = draw(st.sampled_from([None, None, None, *beyond]))
+    if key is not None:
+        adam[key] = draw(st.sampled_from(beyond[key]))
+    return {
+        "seed": draw(st.integers(0, 1000)),
+        "data": {"synthetic": {"n_classes": draw(st.integers(2, 4)), "dims": 3,
+                               "cluster_spread": draw(st.sampled_from([0.05, 1.0])),
+                               "samples_per_class": draw(st.integers(4, 30)),
+                               "seed": draw(st.integers(0, 1000))}},
+        "partition": {"scenario": draw(st.sampled_from(pf.datasets.SCENARIOS)),
+                      "n_clients": draw(st.integers(1, 7))},
+        "federation": {
+            "strategies": draw(st.lists(st.sampled_from(federation.STRATEGIES),
+                                        min_size=1, max_size=3, unique=True)),
+            "rounds": rounds,
+            "trigger_round": draw(st.integers(1, rounds)),
+            "train": {
+                "epochs": 1,
+                "batch_size": draw(st.sampled_from([4, 32])),
+                "learning_rate": draw(st.sampled_from([0.005, 0.5, 10.0])),
+                **adam,
+                "prox_mu": draw(st.sampled_from([0.0, 0.1, 0.1])),
+            },
+            "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count", "all"]))},
+            "model": {"hidden": [[4, 0.001]], "dropout_p": draw(st.sampled_from([0.0, 0.5]))},
+            "scale_mode": draw(st.sampled_from(["local", "global", "none"])),
+        },
+    }
+
+
+def _run_main(config: Path, out: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", str(config), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def _finite_cells(path: Path) -> bool:
+    """Every cell of a CSV is a finite number, a strategy name or empty."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    for cell in (cell for row in rows for cell in row):
+        if cell in federation.STRATEGIES or cell == "":
+            continue
+        if not math.isfinite(float(cell)):
+            return False
+    return True
+
+
+class TestExitContract:
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_generated_configs_keep_the_exit_contract(self, config):
+        train = config["federation"]["train"]
+        usage_error = (
+            not (0.0 <= train["adam_beta1"] < 1.0 and 0.0 <= train["adam_beta2"] < 1.0)
+            or train["adam_epsilon"] <= 0
+            or ("fedprox" in config["federation"]["strategies"] and train["prox_mu"] == 0)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            code, err = _run_main(path, out)
+            assert "Traceback" not in err
+            if usage_error or code == 2:
+                assert code == 2, err
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+                assert not out.exists()
+            elif code == 1:
+                assert re.search(r"\b(client|round) \d+", err), err
+                assert not out.exists()
+            else:
+                assert code == 0, err
+                strategies = config["federation"]["strategies"]
+                names = {f"metrics_{s}.csv" for s in strategies} | {"comparison.csv", "summary.json"}
+                assert {p.name for p in out.iterdir()} == names
+                assert all(_finite_cells(out / name) for name in names if name.endswith(".csv"))
+                again = Path(tmp) / "again"
+                assert _run_main(path, again) == (0, "")
+                assert all((out / n).read_bytes() == (again / n).read_bytes() for n in names)
+
+
 class TestRunSpecValidation:
     def test_needs_at_least_one_config(self):
         data = pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=0)
-        with pytest.raises(ValueError, match="at least one"):
-            RunSpec(data, "iid", 2, (), "out", 0)
-
-    @pytest.mark.parametrize("key, value", [
-        ("seed", 1), ("scale_mode", "global"), ("train_fraction", 0.5),
-    ])
-    def test_strategies_share_the_split_settings(self, key, value):
-        data = pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=0)
-        configs = (pf.FederationConfig("fedavg"), pf.FederationConfig("fedp3e", **{key: value}))
-        with pytest.raises(ValueError, match="must share seed, scale_mode and train_fraction"):
-            RunSpec(data, "iid", 2, configs, "out", 0)
+        with pytest.raises(ValueError, match="at least one strategy"):
+            RunSpec(data, "iid", 2, pf.FederationConfig(), (), "out")

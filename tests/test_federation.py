@@ -33,12 +33,11 @@ def severe_clients():
     return pf.split_clients(small_config(), severe_shards())
 
 
-def small_config(strategy="fedavg", **overrides):
+def small_config(**overrides):
     base = dict(
-        strategy=strategy,
         rounds=4,
         trigger_round=2,
-        accuracy_threshold=0.97,
+        threshold=0.97,
         noise_sigma=0.01,
         train=pf.TrainConfig(epochs=2, batch_size=16, learning_rate=0.005),
         model=pf.ModelSpec(6, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
@@ -166,7 +165,7 @@ class TestScaleClients:
         shards = severe_shards()
         one_row = shards[1].select(np.array([0]))
         with pytest.raises(FederationError, match="client 1: class 'class_1' has 1 sample"):
-            pf.split_clients(small_config("fedavg"), [shards[0], one_row, shards[2]])
+            pf.split_clients(small_config(), [shards[0], one_row, shards[2]])
 
 
 def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
@@ -197,8 +196,8 @@ class TestCombineReports:
 
 
 class TestShouldTriggerExchange:
-    def config(self, strategy="fedp3e"):
-        return small_config(strategy=strategy, rounds=10, trigger_round=6)
+    def config(self):
+        return small_config(rounds=10, trigger_round=6)
 
     def test_low_mean_accuracy_triggers(self):
         history = [fake_metrics(t, 0.96) for t in range(1, 6)]
@@ -216,9 +215,18 @@ class TestShouldTriggerExchange:
         history = [fake_metrics(t, 0.5, exchanged=(t == 3)) for t in range(1, 6)]
         assert pf.should_trigger_exchange(history, self.config()) is False
 
-    def test_other_strategies_never_fire(self):
-        history = [fake_metrics(t, 0.5) for t in range(1, 6)]
-        assert pf.should_trigger_exchange(history, self.config("fedavg")) is False
+    def test_other_strategies_never_fire(self, monkeypatch):
+        # run_federation asks the rule only under fedp3e
+        asked = []
+        monkeypatch.setattr(federation, "should_trigger_exchange", lambda *args: asked.append(1) or True)
+        train = pf.TrainConfig(epochs=1, batch_size=16, learning_rate=0.005, prox_mu=0.1)
+        cfg = small_config(rounds=2, trigger_round=2, train=train)
+        for strategy in ("fedavg", "fedprox"):
+            history = pf.run_federation(cfg, severe_clients(), strategy)
+            assert not any(m.exchange_triggered for m in history)
+        assert asked == []
+        history = pf.run_federation(cfg, severe_clients(), "fedp3e")
+        assert [m.exchange_triggered for m in history] == [True, True] and len(asked) == 2
 
 
 class TestClientPrototypes:
@@ -226,7 +234,7 @@ class TestClientPrototypes:
         rng = np.random.default_rng(12)
         labels = np.array([0] * 30 + [1] * 20 + [3] * 1)
         train = pf.Dataset(rng.random((labels.size, 4)), labels, ("a", "b", "c", "d"))
-        cfg = small_config("fedp3e", gmm_components=2)
+        cfg = small_config(gmm_components=2)
         protos = federation._client_prototypes(train, cfg, round_index=2, client=1)
         assert tuple(sorted(protos.by_class)) == (0, 1, 3)
         assert protos.noise_sigma == 0.0
@@ -240,8 +248,8 @@ class TestClientPrototypes:
 class TestRunFederation:
     def test_fedavg_float_accounting_is_model_only(self):
         clients = severe_clients()
-        cfg = small_config("fedavg")
-        history = pf.run_federation(cfg, clients)
+        cfg = small_config()
+        history = pf.run_federation(cfg, clients, "fedavg")
         d_w = pf.build_model(cfg.model, 0).trainable_count
         for metrics in history:
             assert metrics.uploaded_floats == 3 * d_w
@@ -251,7 +259,7 @@ class TestRunFederation:
 
     def test_exchange_only_at_trigger_round(self):
         clients = severe_clients()
-        history = pf.run_federation(small_config("fedp3e"), clients)
+        history = pf.run_federation(small_config(), clients, "fedp3e")
         flags = [m.exchange_triggered for m in history]
         assert flags == [False, True, False, False]
         assert sum(flags) <= 1
@@ -259,11 +267,11 @@ class TestRunFederation:
 
     def test_exchange_round_carries_prototype_floats(self):
         clients = severe_clients()
-        history = pf.run_federation(small_config("fedp3e"), clients)
+        history = pf.run_federation(small_config(), clients, "fedp3e")
         exchange = history[1]
         assert all(count > 0 for count in exchange.proto_upload_floats)
         assert exchange.proto_download_floats > 0
-        d_w = pf.build_model(small_config("fedp3e").model, 0).trainable_count
+        d_w = pf.build_model(small_config().model, 0).trainable_count
         assert exchange.uploaded_floats > 3 * d_w
         # every round still moves at least two model payloads per client
         for metrics in history:
@@ -271,9 +279,9 @@ class TestRunFederation:
 
     def test_bit_identical_reruns(self):
         clients = severe_clients()
-        cfg = small_config("fedp3e")
-        a = pf.run_federation(cfg, clients)
-        b = pf.run_federation(cfg, clients)
+        cfg = small_config()
+        a = pf.run_federation(cfg, clients, "fedp3e")
+        b = pf.run_federation(cfg, clients, "fedp3e")
         for ma, mb in zip(a, b):
             assert ma == mb
 
@@ -281,11 +289,11 @@ class TestRunFederation:
         # the exchange augments the train sets; the caller's splits stay as they were
         clients = severe_clients()
         before = list(clients)
-        history = pf.run_federation(small_config("fedp3e"), clients)
+        history = pf.run_federation(small_config(), clients, "fedp3e")
         assert pf.exchange_round(history) == 2
         assert all(a is b for pair, kept in zip(clients, before) for a, b in zip(pair, kept))
-        after_p3e = pf.run_federation(small_config("fedavg"), clients)
-        assert after_p3e == pf.run_federation(small_config("fedavg"), severe_clients())
+        after_p3e = pf.run_federation(small_config(), clients, "fedavg")
+        assert after_p3e == pf.run_federation(small_config(), severe_clients(), "fedavg")
 
     def test_nan_feature_fails_before_training(self):
         # one NaN cell used to train through and fail in round 1 on a NaN loss
@@ -294,48 +302,48 @@ class TestRunFederation:
         features[4, 2] = np.nan
         with pytest.raises(ValueError, match="row 4, column 2 is nan"):
             shards[0] = pf.Dataset(features, shards[0].labels, shards[0].class_names)
-            pf.split_clients(small_config("fedavg", rounds=2, trigger_round=1), shards)
+            pf.split_clients(small_config(rounds=2, trigger_round=1), shards)
 
     def test_client_error_carries_context(self):
         shards = severe_shards()
         bad = [shards[0], shards[1], pf.Dataset(np.empty((0, 6)), [], ("a", "b", "c"))]
         with pytest.raises(FederationError, match="client 2"):
-            pf.split_clients(small_config("fedavg"), bad)
+            pf.split_clients(small_config(), bad)
 
     def test_class_names_must_agree(self):
         shards = severe_shards()
         shards[1] = pf.Dataset(shards[1].features, shards[1].labels, ("x", "y", "z"))
         with pytest.raises(FederationError, match=r"client 1: classes \('x', 'y', 'z'\)"):
-            pf.split_clients(small_config("fedavg"), shards)
+            pf.split_clients(small_config(), shards)
 
     def test_feature_count_must_agree(self):
         shards = severe_shards()
         wide = np.hstack([shards[1].features, np.zeros((shards[1].n_samples, 1))])
         shards[1] = pf.Dataset(wide, shards[1].labels, shards[1].class_names)
         with pytest.raises(FederationError, match="client 1: 7 features, client 0 has 6"):
-            pf.split_clients(small_config("fedavg"), shards)
+            pf.split_clients(small_config(), shards)
 
     def test_no_clients_rejected(self):
         with pytest.raises(ValueError, match="at least one client"):
-            pf.split_clients(small_config("fedavg"), [])
+            pf.split_clients(small_config(), [])
 
     def test_client_count_comes_from_the_data(self):
         clients = severe_clients()
-        history = pf.run_federation(small_config("fedavg", rounds=1, trigger_round=1), clients[:2])
+        history = pf.run_federation(small_config(rounds=1, trigger_round=1), clients[:2], "fedavg")
         assert history[0].n_clients == 2
         assert len(history[0].proto_upload_floats) == 2
 
     def test_divergence_names_round_and_client(self):
         # used to stop with a bare "mean_loss must be >= 0, got nan" from evaluate
         train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e300)
-        cfg = small_config("fedavg", train=train)
+        cfg = small_config(train=train)
         with pytest.raises(FederationError, match=r"round 1, client 0: non-finite loss"):
-            pf.run_federation(cfg, severe_clients())
+            pf.run_federation(cfg, severe_clients(), "fedavg")
 
     def test_huge_finite_loss_is_not_divergence(self):
         train = pf.TrainConfig(epochs=2, batch_size=16, learning_rate=1e8)
-        cfg = small_config("fedavg", train=train)
-        history = pf.run_federation(cfg, severe_clients())
+        cfg = small_config(train=train)
+        history = pf.run_federation(cfg, severe_clients(), "fedavg")
         assert len(history) == cfg.rounds
         assert history[-1].global_report.mean_loss > 1e3
         assert all(math.isfinite(m.global_report.mean_loss) for m in history)
@@ -346,7 +354,7 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "evaluate", failing)
         with pytest.raises(FederationError, match="round 1, client 0: evaluation failed"):
-            pf.run_federation(small_config("fedavg"), severe_clients())
+            pf.run_federation(small_config(), severe_clients(), "fedavg")
 
     def test_scaled_copies_released_before_training(self, monkeypatch):
         scaled, alive = [], []
@@ -364,36 +372,44 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "min_max_scale", recording_scale)
         monkeypatch.setattr(federation, "train_local", checking_train_local)
-        cfg = small_config("fedavg", rounds=1, trigger_round=1, scale_mode="local")
-        pf.run_federation(cfg, pf.split_clients(cfg, severe_shards()))
+        cfg = small_config(rounds=1, trigger_round=1, scale_mode="local")
+        pf.run_federation(cfg, pf.split_clients(cfg, severe_shards()), "fedavg")
         assert alive == [[False] * 6]
 
     def test_uniform_eval_weighting(self):
         clients = severe_clients()
-        cfg = small_config("fedavg", eval_weighting="uniform", rounds=1, trigger_round=1)
-        history = pf.run_federation(cfg, clients)
+        cfg = small_config(eval_weighting="uniform", rounds=1, trigger_round=1)
+        history = pf.run_federation(cfg, clients, "fedavg")
         reports = history[0].client_reports
         expected = float(np.mean([r.accuracy for r in reports]))
         assert history[0].global_report.accuracy == pytest.approx(expected)
 
     def test_running_stats_can_be_excluded_from_aggregation(self):
         clients = severe_clients()
-        cfg = small_config("fedavg", rounds=1, trigger_round=1, aggregate_running_stats=False)
-        history = pf.run_federation(cfg, clients)
+        cfg = small_config(rounds=1, trigger_round=1, aggregate_running_stats=False)
+        history = pf.run_federation(cfg, clients, "fedavg")
         assert history  # run completes; per-round stats equal the initial model's
-        cfg2 = small_config("fedavg", rounds=1, trigger_round=1)
-        history2 = pf.run_federation(cfg2, clients)
+        cfg2 = small_config(rounds=1, trigger_round=1)
+        history2 = pf.run_federation(cfg2, clients, "fedavg")
         assert history2[0].global_report != history[0].global_report
 
     def test_config_invariants(self):
         with pytest.raises(ValueError, match="threshold must be in"):
-            small_config("fedavg", accuracy_threshold=1.5)
+            small_config(threshold=1.5)
         with pytest.raises(ValueError, match="trigger_round"):
-            small_config("fedavg", trigger_round=9, rounds=4)
+            small_config(trigger_round=9, rounds=4)
         with pytest.raises(ValueError, match="prox_mu"):
-            small_config("fedprox")
+            federation.check_strategy("fedprox", small_config())
         with pytest.raises(ValueError, match="strategy"):
-            small_config("fedsgd")
+            federation.check_strategy("fedsgd", small_config())
+
+    @pytest.mark.parametrize("strategy, message", [
+        ("fedsgd", "unknown strategy 'fedsgd'"), ("fedprox", "fedprox requires train.prox_mu > 0"),
+    ])
+    def test_strategy_rejected_before_training(self, monkeypatch, strategy, message):
+        monkeypatch.setattr(federation, "train_local", None)
+        with pytest.raises(ValueError, match=message):
+            pf.run_federation(small_config(), severe_clients(), strategy)
 
     @pytest.mark.parametrize("key, value", [
         ("gmm_components", 0), ("gmm_max_components", 0),
@@ -401,7 +417,7 @@ class TestRunFederation:
     ])
     def test_non_positive_prototype_counts_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
-            small_config("fedp3e", **{key: value})
+            small_config(**{key: value})
 
 
 class TestProxDeviation:
