@@ -56,7 +56,6 @@ from .network import (
     adam_step,
     build_model,
     evaluate,
-    forward,
     loss_and_grads,
     mlp_spec,
     train_local,
@@ -89,7 +88,6 @@ __all__ = [
     "exchange_cost_ratios",
     "exchange_round",
     "fedavg_aggregate",
-    "forward",
     "load_csv_dir",
     "loss_and_grads",
     "min_max_scale",

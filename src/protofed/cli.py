@@ -26,6 +26,7 @@ from .datasets import (
 from .federation import (
     FederationConfig,
     RoundMetrics,
+    check_round_one_exchange,
     check_strategy,
     exchange_cost_ratios,
     exchange_round,
@@ -128,7 +129,11 @@ def _convert(value, hint: str, section: str, key: str):
     if hint.endswith(" | None"):
         return None if value is None else _convert(value, hint[: -len(" | None")], section, key)
     if type(value) in _SCALARS.get(hint, ()):
-        return float(value) if hint == "float" else value
+        if hint != "float":
+            return value
+        # json.loads takes NaN and Infinity, which slip through range checks.
+        if abs(value) <= sys.float_info.max:
+            return float(value)
     if hint.startswith("tuple[") and isinstance(value, list):
         head, _, tail = hint[len("tuple["):-1].rpartition(", ")
         hints = [head] * len(value) if tail == "..." else [head, tail]
@@ -153,15 +158,6 @@ def _read(obj, section: str, cls: type, *also: type, extra: tuple[str, ...] = ()
         elif f.default is MISSING:
             raise ValueError(f"missing key {key!r} in {section}")
     return values
-
-
-def _write(obj) -> dict:
-    """The JSON section that ``_read`` turns back into ``obj``'s own fields."""
-
-    def plain(value):
-        return [plain(v) for v in value] if isinstance(value, tuple) else value
-
-    return {key: plain(getattr(obj, f.name)) for key, f in _own_fields(type(obj)).items()}
 
 
 def parse_config(path: str | Path) -> RunSpec:
@@ -217,29 +213,6 @@ def _data_dims(data: SyntheticSpec | CsvSource) -> tuple[int, int]:
     if isinstance(data, SyntheticSpec):
         return data.dims, data.n_classes
     return data.schema.n_features, len(data.schema.class_names)
-
-
-def spec_to_config(spec: RunSpec) -> dict:
-    """Serialize a RunSpec back to the JSON config schema (round-trippable)."""
-    if isinstance(spec.data, SyntheticSpec):
-        data = {"synthetic": _write(spec.data)}
-    else:
-        data = {"csv_dir": {**_write(spec.data), **_write(spec.data.schema)}}
-    cfg = spec.federation
-    federation = {
-        **_write(cfg),
-        "strategies": list(spec.strategies),
-        "train": _write(cfg.train),
-        "aug": _write(cfg.aug),
-        "model": None if cfg.model is None else _write(cfg.model),
-    }
-    return {
-        "seed": cfg.seed,
-        "output_dir": spec.output_dir,
-        "data": data,
-        "partition": _write(spec),
-        "federation": federation,
-    }
 
 
 def _load_dataset(spec: RunSpec) -> Dataset:
@@ -316,6 +289,7 @@ def _execute(spec: RunSpec) -> None:
     del ds
     clients = split_clients(spec.federation, shards)
     del shards
+    check_round_one_exchange(spec.federation, clients, spec.strategies)
     # Every strategy runs before the first write, so a failed run writes nothing.
     runs = [(s, run_federation(spec.federation, clients, s)) for s in spec.strategies]
 

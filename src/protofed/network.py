@@ -323,11 +323,6 @@ def _check_batch(spec: ModelSpec, batch: np.ndarray) -> None:
         )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
 def _check_targets(
     spec: ModelSpec, labels: np.ndarray, prox_mu: float, w_global: ModelParams | None
 ) -> None:
@@ -337,34 +332,6 @@ def _check_targets(
         raise ValueError("prox_mu must be >= 0")
     if prox_mu > 0 and w_global is None:
         raise ValueError("prox_mu > 0 requires w_global")
-
-
-def forward(
-    params: ModelParams,
-    batch: np.ndarray,
-    mode: str = "eval",
-    seed: int | None = None,
-) -> tuple[np.ndarray, _Pass]:
-    """Class probabilities for a batch, plus the cached activations.
-
-    In train mode batch norm uses batch statistics and updates the running
-    statistics in place via an exponential moving average; dropout needs a
-    seed when the spec enables it. In eval mode both are frozen.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    _check_batch(params.spec, batch)
-    _check_mode(mode)
-    mask = None
-    if mode == "train" and params.spec.dropout_p > 0:
-        if seed is None:
-            raise ValueError("train-mode forward with dropout requires a seed")
-        rng = np.random.default_rng(seed)
-        mask = _dropout_mask(rng, (batch.shape[0], params.spec.hidden[0][0]), params.spec.dropout_p)
-    net = _Net(params)
-    cache = _forward(net, batch, mode == "train", mask)
-    if mode == "train":
-        _update_running_stats(net)
-    return cache.probs, cache
 
 
 def _dropout_mask(rng: np.random.Generator, shape: tuple[int, int], p: float) -> np.ndarray:
@@ -399,7 +366,8 @@ def loss_and_grads(
     labels = np.asarray(labels, dtype=np.int64)
     _check_targets(params.spec, labels, prox_mu, w_global)
     _check_batch(params.spec, batch)
-    _check_mode(mode)
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     net = _Net(params)
     loss = _loss_and_grad(net, batch, labels, prox_mu, w_global, mode == "train", dropout_mask)
     return loss, net.batch.tensors

@@ -33,8 +33,12 @@ def fd_max_relative_error(
     prox_mu: float = 0.0,
     batch_rows: int = 6,
     step: float = 1e-4,
+    dropout_mask: np.ndarray | None = None,
 ) -> float:
     """Worst relative error of analytic gradients vs central differences.
+
+    ``dropout_mask``, one row per batch row, stays fixed across every loss
+    evaluation, so the loss is a smooth function of the parameters.
 
     Relative error per coordinate is |analytic - fd| / max(1, |analytic|,
     |fd|), which behaves like absolute error for near-zero gradients.
@@ -45,10 +49,11 @@ def fd_max_relative_error(
     y = rng.integers(0, spec.output_classes, batch_rows)
     w_global = pf.build_model(spec, seed + 1) if prox_mu > 0 else None
 
-    _, grads = loss_and_grads(params, x, y, prox_mu=prox_mu, w_global=w_global, mode=mode)
+    options = dict(prox_mu=prox_mu, w_global=w_global, mode=mode, dropout_mask=dropout_mask)
+    _, grads = loss_and_grads(params, x, y, **options)
 
     def loss_at() -> float:
-        value, _ = loss_and_grads(params, x, y, prox_mu=prox_mu, w_global=w_global, mode=mode)
+        value, _ = loss_and_grads(params, x, y, **options)
         return value
 
     worst = 0.0

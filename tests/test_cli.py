@@ -8,7 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,6 @@ from protofed.cli import (
     main,
     parse_config,
     run,
-    spec_to_config,
 )
 from helpers import write_nbaiot_layout
 
@@ -105,17 +104,19 @@ class TestParseConfig:
         assert spec.federation.train.prox_mu == 0.1
         assert spec.federation.seed == 11
 
-    def test_fixture_round_trips_through_serialize_and_parse(self, tmp_path):
-        spec = parse_config(FIXTURES / "severe_nonidd.json")
-        rewritten = tmp_path / "rewritten.json"
-        rewritten.write_text(json.dumps(spec_to_config(spec)))
-        assert parse_config(rewritten) == spec
-
+    # Each case is a data section and the source it parses to.
     @pytest.mark.parametrize("data", [
-        pf.SyntheticSpec(2, 5, 2, 0.2, 30, seed=9),
-        CsvSource("captures", pf.CsvSchema(4, (("x", 0), ("y", 1)), ("x", "y"))),
+        ({"synthetic": {"n_classes": 2, "dims": 5, "clusters_per_class": 2, "cluster_spread": 0.2,
+                        "samples_per_class": 30, "seed": 9}},
+         pf.SyntheticSpec(2, 5, 2, 0.2, 30, seed=9)),
+        ({"csv_dir": {"path": "captures", "n_features": 4, "class_patterns": [["x", 0], ["y", 1]],
+                      "class_names": ["x", "y"]}},
+         CsvSource("captures", pf.CsvSchema(4, (("x", 0), ("y", 1)), ("x", "y")))),
     ])
     def test_every_field_round_trips(self, tmp_path, data):
+        # Every key is given a value other than its default, so a key the
+        # reader skipped or misnamed leaves its field unequal to the expected one.
+        section, data = data
         input_dim = data.dims if isinstance(data, pf.SyntheticSpec) else data.schema.n_features
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
                                adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
@@ -132,8 +133,25 @@ class TestParseConfig:
         for obj in (spec, federation, train, federation.aug):
             for f in fields(obj):
                 assert getattr(obj, f.name) != f.default, f.name
+        config = {
+            "seed": 8,
+            "output_dir": "elsewhere",
+            "data": section,
+            "partition": {"scenario": "light", "n_clients": 2, "quotas": [[5, 6], [7, 8]]},
+            "federation": {
+                "strategies": ["fedprox", "fedp3e"], "rounds": 7, "threshold": 0.9,
+                "trigger_round": 3, "noise_sigma": 0.02,
+                "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "adam_beta1": 0.8,
+                          "adam_beta2": 0.99, "adam_epsilon": 1e-6, "prox_mu": 0.3},
+                "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
+                "model": {"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25},
+                "train_fraction": 0.7, "scale_mode": "global", "eval_weighting": "uniform",
+                "gmm_components": 2, "gmm_max_components": 4, "global_prototypes_per_class": 3,
+                "aggregate_running_stats": False,
+            },
+        }
         path = tmp_path / "every_field.json"
-        path.write_text(json.dumps(spec_to_config(spec)))
+        path.write_text(json.dumps(config))
         assert parse_config(path) == spec
 
     @pytest.mark.parametrize("section", ["train", "aug"])
@@ -147,15 +165,13 @@ class TestParseConfig:
 
     def test_explicit_quota_table(self, tmp_path):
         path = minimal_config(tmp_path)
+        without = parse_config(path)
         raw = json.loads(path.read_text())
         raw["partition"]["quotas"] = [[40, 0, 0], [0, 40, 0], [0, 0, 40]]
         path.write_text(json.dumps(raw))
         spec = parse_config(path)
-        assert spec.quotas == ((40, 0, 0), (0, 40, 0), (0, 0, 40))
+        assert spec == replace(without, quotas=((40, 0, 0), (0, 40, 0), (0, 0, 40)))
         assert run(spec) == 0
-        rewritten = tmp_path / "again.json"
-        rewritten.write_text(json.dumps(spec_to_config(spec)))
-        assert parse_config(rewritten) == spec
 
     def test_quota_client_count_checked(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -223,22 +239,42 @@ class TestRun:
         assert run(spec) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_failed_run_leaves_output_dir_untouched(self, tmp_path, capsys):
-        # fedavg finishes; fedp3e then fails in round 1 because two severe
-        # clients over three classes leave a class without prototypes.
+    @staticmethod
+    def _class_without_rows(tmp_path, trigger_round):
+        """fedavg then fedp3e on two severe clients over three classes, so no
+        client holds a row of the third class."""
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
         raw["partition"]["n_clients"] = 2
-        raw["federation"].update({"strategies": ["fedavg", "fedp3e"], "trigger_round": 1})
+        raw["federation"].update({"strategies": ["fedavg", "fedp3e"], "trigger_round": trigger_round})
         path.write_text(json.dumps(raw))
+        return path
+
+    def test_failed_run_leaves_output_dir_untouched(self, tmp_path, capsys):
+        # fedavg finishes; fedp3e then fails in its round-2 exchange, which
+        # has no prototypes of the third class.
+        path = self._class_without_rows(tmp_path, trigger_round=2)
         out = tmp_path / "out"
         out.mkdir()
         earlier = b'{"from": "an earlier run"}\n'
         (out / "summary.json").write_bytes(earlier)
         assert main(["run", str(path), "--out", str(out)]) == 1
-        assert "round 1, client 0" in capsys.readouterr().err
+        assert "round 2, client 0" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert (out / "summary.json").read_bytes() == earlier
+
+    def test_round_one_exchange_without_a_class_fails_before_training(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # A round-1 exchange always fires, so its failure is certain.
+        calls = []
+        monkeypatch.setattr(federation, "train_local", lambda *args, **kwargs: calls.append(args))
+        path = self._class_without_rows(tmp_path, trigger_round=1)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: round 1: no client holds a training row of class 'class_2', "
+                       "so fedp3e's exchange has no prototypes of it\n")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestMain:
@@ -420,18 +456,29 @@ class TestMain:
         ("federation.train", "adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
         ("federation.train", "adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
         ("federation.train", "adam_epsilon", 0, "adam_epsilon must be > 0, got 0.0"),
+        # json.loads takes these literals, and each passes its key's range check
+        ("federation.train", "prox_mu", math.nan, "federation.train.prox_mu: expected float, got NaN"),
+        ("federation.train", "learning_rate", math.nan,
+         "federation.train.learning_rate: expected float, got NaN"),
+        ("federation", "noise_sigma", math.nan, "federation.noise_sigma: expected float, got NaN"),
+        ("federation", "noise_sigma", math.inf, "federation.noise_sigma: expected float, got Infinity"),
+        ("federation.model", "hidden", [[8, math.nan]], "federation.model.hidden: expected float, got NaN"),
     ], ids=["rounds-null", "train-number", "bool-string", "quotas-number",
-            "beta1-one", "beta2-one", "epsilon-zero"])
+            "beta1-one", "beta2-one", "epsilon-zero",
+            "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
+        raw["federation"]["strategies"] = ["fedavg", "fedprox"]
+        raw["federation"]["train"]["prox_mu"] = 0.1
         target = raw
         for name in section.split("."):
             target = target[name]
         target[key] = value
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"error: {expected}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {expected}" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -464,8 +511,9 @@ class TestMain:
 def small_configs(draw):
     """A tiny run config over every scenario, scale mode and strategy.
 
-    Adam's values fall on both sides of their bounds, and fedprox may come
-    without a proximal weight, so some configs are usage errors.
+    Adam's values fall on both sides of their bounds, a training value may
+    be NaN, and fedprox may come without a proximal weight, so some configs
+    are usage errors.
     """
     rounds = draw(st.integers(1, 2))
     adam = {"adam_beta1": draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
@@ -475,6 +523,16 @@ def small_configs(draw):
     key = draw(st.sampled_from([None, None, None, *beyond]))
     if key is not None:
         adam[key] = draw(st.sampled_from(beyond[key]))
+    train = {
+        "epochs": 1,
+        "batch_size": draw(st.sampled_from([4, 32])),
+        "learning_rate": draw(st.sampled_from([0.005, 0.5, 10.0])),
+        **adam,
+        "prox_mu": draw(st.sampled_from([0.0, 0.1, 0.1])),
+    }
+    key = draw(st.sampled_from([None, None, None, None, "learning_rate", "prox_mu", *adam]))
+    if key is not None:
+        train[key] = math.nan
     return {
         "seed": draw(st.integers(0, 1000)),
         "data": {"synthetic": {"n_classes": draw(st.integers(2, 4)), "dims": 3,
@@ -488,13 +546,7 @@ def small_configs(draw):
                                         min_size=1, max_size=3, unique=True)),
             "rounds": rounds,
             "trigger_round": draw(st.integers(1, rounds)),
-            "train": {
-                "epochs": 1,
-                "batch_size": draw(st.sampled_from([4, 32])),
-                "learning_rate": draw(st.sampled_from([0.005, 0.5, 10.0])),
-                **adam,
-                "prox_mu": draw(st.sampled_from([0.0, 0.1, 0.1])),
-            },
+            "train": train,
             "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count", "all"]))},
             "model": {"hidden": [[4, 0.001]], "dropout_p": draw(st.sampled_from([0.0, 0.5]))},
             "scale_mode": draw(st.sampled_from(["local", "global", "none"])),
@@ -529,6 +581,7 @@ class TestExitContract:
         usage_error = (
             not (0.0 <= train["adam_beta1"] < 1.0 and 0.0 <= train["adam_beta2"] < 1.0)
             or train["adam_epsilon"] <= 0
+            or any(map(math.isnan, train.values()))
             or ("fedprox" in config["federation"]["strategies"] and train["prox_mu"] == 0)
         )
         with tempfile.TemporaryDirectory() as tmp:

@@ -56,48 +56,59 @@ class TestBuildModel:
 
 
 class TestForward:
+    """The forward pass, seen through the losses and statistics it produces."""
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_probability_rows_sum_to_one(self, seed):
+        # At L2 0 the eval loss of one row labelled c is -log p_c.
         rng = np.random.default_rng(seed)
         params = randomized_params(pf.ModelSpec(4, ((6, 0.0), (5, 0.0)), 0.0, 3), seed)
-        probs, _ = pf.forward(params, rng.standard_normal((7, 4)), mode="eval")
-        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
+        for row in rng.standard_normal((7, 1, 4)):
+            total = sum(math.exp(-loss_and_grads(params, row, [c], mode="eval")[0]) for c in range(3))
+            assert abs(total - 1.0) < 1e-6
 
     def test_train_eval_differ_only_via_batch_norm_stats(self):
         rng = np.random.default_rng(0)
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
         params = randomized_params(spec, 0)
         x = rng.standard_normal((8, 3))
+        y = rng.integers(0, 2, 8)
         # Align the running statistics with this batch's statistics.
         z = x @ params.tensors["w1"] + params.tensors["b1"]
         h = np.maximum(z, 0.0)
         params.running["mean1"][...] = h.mean(axis=0)
         params.running["var1"][...] = h.var(axis=0)
-        eval_probs, _ = pf.forward(params, x, mode="eval")
-        train_probs, _ = pf.forward(params.copy(), x, mode="train")
-        assert np.allclose(eval_probs, train_probs, atol=1e-12)
+        eval_loss, _ = loss_and_grads(params, x, y, mode="eval")
+        train_loss, _ = loss_and_grads(params, x, y, mode="train")
+        assert train_loss == pytest.approx(eval_loss, abs=1e-12)
 
     def test_hand_computed_linear_softmax(self):
         spec = pf.ModelSpec(2, (), 0.0, 2)
         params = pf.build_model(spec, seed=0)
         params.tensors["w_out"][...] = np.array([[1.0, 2.0], [3.0, 4.0]])
         params.tensors["b_out"][...] = np.array([0.5, -0.5])
-        probs, _ = pf.forward(params, np.array([[1.0, 2.0]]), mode="eval")
         logits = np.array([1.0 + 6.0 + 0.5, 2.0 + 8.0 - 0.5])
         expected = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(probs[0], expected, atol=1e-12)
+        for c in range(2):
+            loss, _ = loss_and_grads(params, np.array([[1.0, 2.0]]), [c], mode="eval")
+            assert loss == pytest.approx(-math.log(expected[c]), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            pf.forward(params, np.zeros((2, 5)), mode="eval")
+            loss_and_grads(params, np.zeros((2, 5)), np.zeros(2, dtype=int), mode="eval")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pf.train_local(params, two_blob_dataset(2, 5, 0.05, seed=0), pf.TrainConfig(epochs=1), 0)
 
     def test_train_mode_updates_running_stats(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         before = params.running["mean1"].copy()
-        pf.forward(params, np.random.default_rng(0).random((16, 3)) + 5.0, mode="train")
-        assert not np.allclose(before, params.running["mean1"])
+        ds = two_blob_dataset(8, 3, 0.05, seed=0)
+        shifted = pf.Dataset(ds.features + 5.0, ds.labels, ds.class_names)
+        trained, _ = pf.train_local(params, shifted, pf.TrainConfig(epochs=1), seed=0)
+        assert not np.allclose(before, trained.running["mean1"])
+        assert np.array_equal(before, params.running["mean1"])
 
 
 class TestLossAndGrads:
@@ -134,6 +145,10 @@ class TestLossAndGrads:
         assert fd_max_relative_error(spec, seed=1, mode="train") <= 1e-4
         spec_l2 = pf.ModelSpec(2, ((3, 0.01), (3, 0.002)), 0.0, 3)
         assert fd_max_relative_error(spec_l2, seed=2, mode="train", prox_mu=0.7) <= 1e-4
+        # dropout scales the first block's output and its upstream gradient alike
+        spec_dropout = pf.ModelSpec(2, ((3, 0.01), (3, 0.002)), 0.5, 3)
+        mask = (np.random.default_rng(3).random((6, 3)) >= 0.5) / 0.5
+        assert fd_max_relative_error(spec_dropout, seed=3, mode="train", dropout_mask=mask) <= 1e-4
 
 
 class TestAdamStep:
