@@ -160,16 +160,27 @@ def _read(obj, section: str, cls: type, *also: type, extra: tuple[str, ...] = ()
     return values
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's members as a dict; a key given twice is an error,
+    where ``json.loads`` would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(path: str | Path) -> RunSpec:
     """Load and validate a JSON run configuration.
 
-    Unknown keys are rejected at every level, every value is checked against
-    its field's type, and every invariant violation is reported with the
-    offending key named.
+    Unknown and duplicated keys are rejected at every level, every value is
+    checked against its field's type, and every invariant violation is
+    reported with the offending key named.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: parse error at line {err.lineno}: {err.msg}") from None
     if not isinstance(raw, dict):

@@ -374,14 +374,13 @@ def build_partition_plan(
     elif scenario in ("light", "moderate"):
         decay = _LIGHT_SHARES if scenario == "light" else _MODERATE_SHARES
         weights = decay ** np.arange(n_classes, dtype=np.float64)
-        quotas = []
-        for k in range(n_clients):
-            row = []
-            for c in range(n_classes):
-                w = weights[(c - k) % n_classes]
-                total_w = sum(weights[(c - j) % n_classes] for j in range(n_clients))
-                row.append(math.floor(counts[c] * w / total_w))
-            quotas.append(row)
+        total_w = [sum(weights[(c - j) % n_classes] for j in range(n_clients))
+                   for c in range(n_classes)]
+        quotas = [
+            [math.floor(counts[c] * weights[(c - k) % n_classes] / total_w[c])
+             for c in range(n_classes)]
+            for k in range(n_clients)
+        ]
     elif scenario == "severe":
         owners = [[] for _ in range(n_classes)]
         for k in range(n_clients):

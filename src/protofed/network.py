@@ -134,6 +134,17 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.spec, self.flat.copy(), self.stats.copy())
 
+    @cached_property
+    def _blocks(self) -> list[_Block]:
+        """One ``_Block`` per hidden layer, bound on first use and valid for
+        the model's life, since ``flat`` and ``stats`` are never rebound."""
+        t, r = self.tensors, self.running
+        return [
+            _Block(t[f"w{i}"], t[f"b{i}"], t[f"gamma{i}"], t[f"beta{i}"],
+                   r[f"mean{i}"], r[f"var{i}"], l2)
+            for i, (_, l2) in enumerate(self.spec.hidden, start=1)
+        ]
+
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """Seeded Glorot-uniform weights, zero biases, identity batch norm."""
@@ -150,7 +161,8 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
 
 @dataclass(frozen=True, slots=True)
 class _Block:
-    """Views of one dense+relu+batch-norm block's tensors and statistics."""
+    """Views of one dense+relu+batch-norm block's tensors and statistics, and
+    the block's L2 coefficient."""
 
     w: np.ndarray
     b: np.ndarray
@@ -158,36 +170,7 @@ class _Block:
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-
-
-def _blocks(params: ModelParams) -> list[_Block]:
-    t, r = params.tensors, params.running
-    return [
-        _Block(t[f"w{i}"], t[f"b{i}"], t[f"gamma{i}"], t[f"beta{i}"], r[f"mean{i}"], r[f"var{i}"])
-        for i in range(1, len(params.spec.hidden) + 1)
-    ]
-
-
-class _Net:
-    """A model's per-layer views, bound once and reused by every pass."""
-
-    def __init__(self, params: ModelParams) -> None:
-        self.params = params
-        self.blocks = _blocks(params)
-        self.l2 = [l2 for _, l2 in params.spec.hidden]
-        self.w_out, self.b_out = params.tensors["w_out"], params.tensors["b_out"]
-
-    @cached_property
-    def batch(self) -> ModelParams:
-        """What the last batch produced, laid out like ``params``: the
-        backward pass writes the gradient into ``flat`` and a train-mode
-        forward pass the batch statistics into ``stats``. Bound on first use,
-        so evaluation does not pay for it."""
-        return ModelParams(self.params.spec)
-
-    @cached_property
-    def batch_blocks(self) -> list[_Block]:
-        return _blocks(self.batch)
+    l2: float
 
 
 class _Pass(NamedTuple):
@@ -201,21 +184,22 @@ class _Pass(NamedTuple):
     log_probs: np.ndarray
 
 
-def _forward(net: _Net, batch: np.ndarray, train: bool, dropout_mask: np.ndarray | None) -> _Pass:
-    """The forward pass. In train mode batch norm normalizes with this batch's
-    statistics and writes them to ``net.batch.stats``; in eval mode it uses
-    the running statistics."""
+def _forward(params: ModelParams, batch: np.ndarray, grad: ModelParams | None,
+             dropout_mask: np.ndarray | None) -> _Pass:
+    """The forward pass. In train mode (``grad`` given) batch norm normalizes
+    with this batch's statistics and writes them to ``grad.stats``; in eval
+    mode it uses the running statistics."""
     n = batch.shape[0]
     activation = batch
     saved = []
-    for i, block in enumerate(net.blocks):
+    for i, block in enumerate(params._blocks):
         z = activation @ block.w
         z += block.b
         # xhat = (h - mean) * inv_std, built in place from h = relu(z); in
         # train mode the variance reads the same h - mean.
         xhat = np.maximum(z, 0.0)
-        if train:
-            stats = net.batch_blocks[i]
+        if grad is not None:
+            stats = grad._blocks[i]
             mean = np.add.reduce(xhat, axis=0, out=stats.mean)
             mean /= n
             xhat -= mean
@@ -232,8 +216,8 @@ def _forward(net: _Net, batch: np.ndarray, train: bool, dropout_mask: np.ndarray
             out *= dropout_mask
         saved.append((activation, z, inv_std, xhat))
         activation = out
-    shifted = activation @ net.w_out
-    shifted += net.b_out
+    shifted = activation @ params.tensors["w_out"]
+    shifted += params.tensors["b_out"]
     shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
     probs = np.exp(shifted)
     total = np.add.reduce(probs, axis=1, keepdims=True)
@@ -247,25 +231,25 @@ def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> float:
     return -float(np.add.reduce(log_probs[np.arange(n), labels])) / n
 
 
-def _backward(net: _Net, cache: _Pass, labels: np.ndarray, train: bool,
-              dropout_mask: np.ndarray | None) -> None:
-    """Write the gradient of mean cross-entropy plus L2 into ``net.batch.flat``."""
+def _backward(params: ModelParams, grad: ModelParams, cache: _Pass, labels: np.ndarray,
+              train: bool, dropout_mask: np.ndarray | None) -> None:
+    """Write the gradient of mean cross-entropy plus L2 into ``grad.flat``."""
     n = labels.shape[0]
-    grads = net.batch.tensors
+    grads = grad.tensors
     dlogits = cache.probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     np.matmul(cache.last_hidden.T, dlogits, out=grads["w_out"])
     np.add.reduce(dlogits, axis=0, out=grads["b_out"])
-    upstream = dlogits @ net.w_out.T
-    for i in range(len(net.blocks) - 1, -1, -1):
-        block, grad = net.blocks[i], net.batch_blocks[i]
+    upstream = dlogits @ params.tensors["w_out"].T
+    for i in range(len(params._blocks) - 1, -1, -1):
+        block, block_grad = params._blocks[i], grad._blocks[i]
         x_in, z, inv_std, xhat = cache.blocks[i]
         dy = upstream
         if i == 0 and dropout_mask is not None:
             dy *= dropout_mask
-        np.add.reduce(dy * xhat, axis=0, out=grad.gamma)
-        np.add.reduce(dy, axis=0, out=grad.beta)
+        np.add.reduce(dy * xhat, axis=0, out=block_grad.gamma)
+        np.add.reduce(dy, axis=0, out=block_grad.beta)
         # One buffer turns from dy into dxhat, dh and dz in place.
         dz = dy
         dz *= block.gamma
@@ -283,15 +267,16 @@ def _backward(net: _Net, cache: _Pass, labels: np.ndarray, train: bool,
         else:
             dz *= inv_std
         dz *= z > 0
-        dw = np.matmul(x_in.T, dz, out=grad.w)
-        dw += 2.0 * net.l2[i] * block.w
-        np.add.reduce(dz, axis=0, out=grad.b)
+        dw = np.matmul(x_in.T, dz, out=block_grad.w)
+        dw += 2.0 * block.l2 * block.w
+        np.add.reduce(dz, axis=0, out=block_grad.b)
         if i:
             upstream = dz @ block.w.T
 
 
 def _loss_and_grad(
-    net: _Net,
+    params: ModelParams,
+    grad: ModelParams,
     batch: np.ndarray,
     labels: np.ndarray,
     prox_mu: float,
@@ -299,19 +284,19 @@ def _loss_and_grad(
     train: bool,
     dropout_mask: np.ndarray | None,
 ) -> float:
-    """Regularized loss of one batch; its gradient goes to ``net.batch.flat``."""
-    cache = _forward(net, batch, train, dropout_mask)
+    """Regularized loss of one batch; its gradient goes to ``grad.flat`` and,
+    in train mode, its batch statistics to ``grad.stats``."""
+    cache = _forward(params, batch, grad if train else None, dropout_mask)
     loss = _cross_entropy(cache.log_probs, labels)
-    for block, l2 in zip(net.blocks, net.l2):
-        if l2 > 0:
-            loss += l2 * float(np.add.reduce(block.w * block.w, axis=None))
-    _backward(net, cache, labels, train, dropout_mask)
+    for block in params._blocks:
+        if block.l2 > 0:
+            loss += block.l2 * float(np.add.reduce(block.w * block.w, axis=None))
+    _backward(params, grad, cache, labels, train, dropout_mask)
     if prox_mu > 0:
-        pull = net.params.flat - w_global.flat
+        pull = params.flat - w_global.flat
         loss += 0.5 * prox_mu * float(np.add.reduce(pull * pull))
         pull *= prox_mu
-        grad = net.batch.flat
-        grad += pull
+        np.add(grad.flat, pull, out=grad.flat)
     return loss
 
 
@@ -332,19 +317,6 @@ def _check_targets(
         raise ValueError("prox_mu must be >= 0")
     if prox_mu > 0 and w_global is None:
         raise ValueError("prox_mu > 0 requires w_global")
-
-
-def _dropout_mask(rng: np.random.Generator, shape: tuple[int, int], p: float) -> np.ndarray:
-    return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def _update_running_stats(net: _Net) -> None:
-    """Move the running statistics toward the last train-mode pass's batch
-    statistics, in place: stats = m * stats + (1 - m) * batch_stats."""
-    stats, batch_stats = net.params.stats, net.batch.stats
-    stats *= BN_MOMENTUM
-    batch_stats *= 1.0 - BN_MOMENTUM
-    stats += batch_stats
 
 
 def loss_and_grads(
@@ -368,9 +340,10 @@ def loss_and_grads(
     _check_batch(params.spec, batch)
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    net = _Net(params)
-    loss = _loss_and_grad(net, batch, labels, prox_mu, w_global, mode == "train", dropout_mask)
-    return loss, net.batch.tensors
+    grad = ModelParams(params.spec)
+    loss = _loss_and_grad(params, grad, batch, labels, prox_mu, w_global, mode == "train",
+                          dropout_mask)
+    return loss, grad.tensors
 
 
 @dataclass(frozen=True)
@@ -473,7 +446,8 @@ def train_local(
     _check_targets(spec, ds.labels, config.prox_mu, w_global)
     _check_batch(spec, ds.features)
     work = params.copy()
-    net = _Net(work)
+    grad = ModelParams(spec)
+    stats, batch_stats = work.stats, grad.stats
     state = init_adam(work)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = ds.n_samples
@@ -487,16 +461,20 @@ def train_local(
                 idx = order[start : start + config.batch_size]
                 mask = None
                 if spec.dropout_p > 0:
-                    mask = _dropout_mask(rng, (idx.size, spec.hidden[0][0]), spec.dropout_p)
-                loss = _loss_and_grad(
-                    net, ds.features[idx], ds.labels[idx], config.prox_mu, w_global, True, mask
-                )
+                    p = spec.dropout_p
+                    mask = (rng.random((idx.size, spec.hidden[0][0])) >= p) / (1.0 - p)
+                loss = _loss_and_grad(work, grad, ds.features[idx], ds.labels[idx],
+                                      config.prox_mu, w_global, True, mask)
                 if not math.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss {loss} in epoch {epoch}, batch {batch_index}"
                     )
-                _update_running_stats(net)
-                adam_step(work, net.batch.flat, state, config)  # steps work.flat, which net views
+                # Running statistics move toward this batch's, in place:
+                # stats = m * stats + (1 - m) * batch_stats.
+                stats *= BN_MOMENTUM
+                batch_stats *= 1.0 - BN_MOMENTUM
+                stats += batch_stats
+                adam_step(work, grad.flat, state, config)
                 total += loss * idx.size
             history.append(total / n)
     return work, history
@@ -534,7 +512,7 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_batch(params.spec, ds.features)
-    cache = _forward(_Net(params), ds.features, False, None)
+    cache = _forward(params, ds.features, None, None)
     preds = cache.probs.argmax(axis=1)
     n = ds.n_samples
     mean_loss = _cross_entropy(cache.log_probs, ds.labels)

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -30,6 +33,7 @@ from protofed.cli import (
 from helpers import write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
@@ -505,6 +509,34 @@ class TestMain:
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member, doubled", [
+        ('"seed": 3', '"seed": 3, "seed": 4'),
+        ('"rounds": 2', '"rounds": 30, "rounds": 2'),
+        ('"epochs": 1', '"epochs": 1, "epochs": 1'),
+    ], ids=["config", "federation", "federation.train"])
+    def test_duplicate_key_is_a_usage_error(self, tmp_path, capsys, member, doubled):
+        path = minimal_config(tmp_path)
+        text = path.read_text()
+        assert text.count(member) == 1
+        path.write_text(text.replace(member, doubled))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = member.split('"')[1]
+        assert err == f"error: duplicate key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("valid", [False, True], ids=["missing-config", "tiny-config"])
+    def test_python_m_protofed_passes_the_exit_code_through(self, tmp_path, valid):
+        path = minimal_config(tmp_path) if valid else tmp_path / "absent.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "protofed", "run", str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == (0 if valid else 2), done.stderr
+        assert (tmp_path / "out" / "summary.json").exists() == valid
 
 
 @st.composite

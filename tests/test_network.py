@@ -381,6 +381,34 @@ class TestParamLayout:
         with pytest.raises(TypeError):
             params.running["mean1"] = np.ones(4)
 
+    def test_bound_views_see_in_place_buffer_writes(self):
+        ds = two_blob_dataset(20, 3, 0.1, seed=8)
+        params = randomized_params(pf.ModelSpec(3, ((5, 0.01), (4, 0.01)), 0.0, 2), 0)
+        pf.evaluate(params, ds)  # binds the views
+        rng = np.random.default_rng(1)
+        params.flat[...] = rng.standard_normal(params.flat.size)
+        params.stats[...] = 0.5 + rng.random(params.stats.size)
+        fresh = pf.ModelParams(params.spec, params.flat.copy(), params.stats.copy())
+        assert pf.evaluate(params, ds) == pf.evaluate(fresh, ds)
+
+    def test_training_a_copy_leaves_the_original_and_its_views(self):
+        ds = two_blob_dataset(20, 3, 0.1, seed=8)
+        params = randomized_params(pf.ModelSpec(3, ((5, 0.01), (4, 0.01)), 0.3, 2), 0)
+        report = pf.evaluate(params, ds)
+        blocks = params._blocks
+        flat, stats = params.flat.copy(), params.stats.copy()
+        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.01)
+        trained, _ = pf.train_local(params.copy(), ds, config, 11)
+        assert np.array_equal(params.flat, flat) and np.array_equal(params.stats, stats)
+        assert params._blocks is blocks
+        for owner in (params, trained):
+            for block in owner._blocks:
+                trainable = (block.w, block.b, block.gamma, block.beta)
+                assert all(np.shares_memory(v, owner.flat) for v in trainable)
+                assert all(np.shares_memory(v, owner.stats) for v in (block.mean, block.var))
+        assert pf.evaluate(params, ds) == report
+        assert pf.evaluate(trained, ds) != report
+
     def test_buffer_of_wrong_size_rejected(self):
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
         with pytest.raises(ValueError, match="flat must have shape"):
