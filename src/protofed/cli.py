@@ -109,6 +109,9 @@ def _check_keys(obj, section: str, *classes: type, extra: tuple[str, ...] = ()) 
     """Reject ``obj`` unless it is an object holding only keys the classes read."""
     if not isinstance(obj, dict):
         raise ValueError(f"{section}: expected object, got {json.dumps(obj)}")
+    repeated = getattr(obj, "repeated", None)
+    if repeated is not None:
+        raise ValueError(f"duplicate key {repeated!r} in {section}")
     unknown = sorted(set(obj).difference(extra, *map(_own_fields, classes)))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {section}")
@@ -160,15 +163,16 @@ def _read(obj, section: str, cls: type, *also: type, extra: tuple[str, ...] = ()
     return values
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """One JSON object's members as a dict; a key given twice is an error,
-    where ``json.loads`` would keep the last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
+class _Object(dict):
+    """One JSON object's members; ``repeated`` is the first key it gives
+    twice, where ``json.loads`` would keep the last value."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        self.repeated = None
+        if len(self) < len(pairs):
+            seen = set()
+            self.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
 
 
 def parse_config(path: str | Path) -> RunSpec:
@@ -180,7 +184,7 @@ def parse_config(path: str | Path) -> RunSpec:
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: parse error at line {err.lineno}: {err.msg}") from None
     if not isinstance(raw, dict):
@@ -363,6 +367,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     return run(spec)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -510,12 +510,13 @@ class TestMain:
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("member, doubled", [
-        ('"seed": 3', '"seed": 3, "seed": 4'),
-        ('"rounds": 2', '"rounds": 30, "rounds": 2'),
-        ('"epochs": 1', '"epochs": 1, "epochs": 1'),
-    ], ids=["config", "federation", "federation.train"])
-    def test_duplicate_key_is_a_usage_error(self, tmp_path, capsys, member, doubled):
+    @pytest.mark.parametrize("member, doubled, section", [
+        ('"seed": 3', '"seed": 3, "seed": 4', "config"),
+        ('"seed": 1', '"seed": 1, "seed": 1', "data.synthetic"),
+        ('"rounds": 2', '"rounds": 30, "rounds": 2', "federation"),
+        ('"epochs": 1', '"epochs": 1, "epochs": 1', "federation.train"),
+    ], ids=["config", "data.synthetic", "federation", "federation.train"])
+    def test_duplicate_key_is_a_usage_error(self, tmp_path, capsys, member, doubled, section):
         path = minimal_config(tmp_path)
         text = path.read_text()
         assert text.count(member) == 1
@@ -523,7 +524,7 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         key = member.split('"')[1]
-        assert err == f"error: duplicate key {key!r}\n"
+        assert err == f"error: duplicate key {key!r} in {section}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("valid", [False, True], ids=["missing-config", "tiny-config"])
