@@ -20,7 +20,6 @@ from .clustering import (
 from .datasets import (
     CsvSchema,
     Dataset,
-    PartitionPlan,
     SyntheticSpec,
     build_partition_plan,
     load_csv_dir,
@@ -71,7 +70,6 @@ __all__ = [
     "GmmModel",
     "ModelParams",
     "ModelSpec",
-    "PartitionPlan",
     "Prototypes",
     "RoundMetrics",
     "SyntheticSpec",

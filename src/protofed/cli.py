@@ -14,7 +14,6 @@ from .augment import AugmentationPolicy
 from .datasets import (
     CsvSchema,
     Dataset,
-    PartitionPlan,
     SCENARIOS,
     SyntheticSpec,
     build_partition_plan,
@@ -24,6 +23,7 @@ from .datasets import (
     synthesize,
 )
 from .federation import (
+    STRATEGIES,
     FederationConfig,
     RoundMetrics,
     check_round_one_exchange,
@@ -53,8 +53,6 @@ class RunSpec:
     """A parsed run configuration: one dataset, one federation, its strategies.
 
     ``federation.seed`` seeds the partition as well as every strategy.
-    ``quotas`` optionally pins the per-client, per-class sample counts;
-    when absent the scenario's built-in quota table is derived from the data.
     """
 
     data: SyntheticSpec | CsvSource
@@ -63,7 +61,6 @@ class RunSpec:
     federation: FederationConfig
     strategies: tuple[str, ...]
     output_dir: str
-    quotas: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.strategies:
@@ -76,10 +73,9 @@ class RunSpec:
             raise ValueError("each strategy may appear only once per run spec")
         for strategy in self.strategies:
             check_strategy(strategy, self.federation)
-        if self.quotas is not None and len(self.quotas) != self.n_clients:
-            raise ValueError(
-                f"quotas cover {len(self.quotas)} clients but partition declares {self.n_clients}"
-            )
+        # Path("") is the working directory, which no one means to fill.
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
 
 
 # Defaults of optional keys whose dataclass field has none.
@@ -282,8 +278,9 @@ def run(spec: RunSpec) -> int:
 
     Writes metrics_<strategy>.csv per strategy plus summary.json and
     comparison.csv into the spec's output directory, once every strategy
-    has finished; a run that fails writes nothing. Outputs are
-    byte-deterministic for a given spec.
+    has finished, then deletes the metrics file of each strategy it did not
+    run; a run that fails writes nothing. Outputs are byte-deterministic for
+    a given spec.
     """
     try:
         _execute(spec)
@@ -295,11 +292,8 @@ def run(spec: RunSpec) -> int:
 
 def _execute(spec: RunSpec) -> None:
     ds = _load_dataset(spec)
-    if spec.quotas is not None:
-        plan = PartitionPlan(spec.scenario, spec.quotas)
-    else:
-        plan = build_partition_plan(spec.scenario, ds.class_counts(), spec.n_clients)
-    shards = partition(ds, plan, spec.federation.seed)
+    quotas = build_partition_plan(spec.scenario, ds.class_counts(), spec.n_clients)
+    shards = partition(ds, quotas, spec.federation.seed)
     # The shards hold every row the run needs, so the loaded matrix goes.
     del ds
     clients = split_clients(spec.federation, shards)
@@ -332,6 +326,10 @@ def _execute(spec: RunSpec) -> None:
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    # A metrics file of a strategy this run left out describes an earlier run.
+    for strategy in STRATEGIES:
+        if strategy not in spec.strategies:
+            (out / f"metrics_{strategy}.csv").unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,19 +258,16 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def min_max_scale(ds: Dataset, bounds: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
-    """Rescale every column by (x - lo) / (hi - lo).
+def min_max_scale(ds: Dataset) -> Dataset:
+    """Map every column onto [0, 1] by (x - lo) / (hi - lo).
 
-    ``bounds`` holds the per-column ``(lo, hi)``; by default they are the
-    column minima and maxima of ``ds`` alone, which maps it onto [0, 1]. A
+    ``lo`` and ``hi`` are the column minima and maxima of ``ds`` alone. A
     column with ``hi == lo`` maps to 0.0 everywhere, which keeps the
     transform defined and idempotent.
     """
     if ds.n_samples == 0:
         raise ValueError("cannot scale an empty dataset")
-    if bounds is None:
-        bounds = ds.features.min(axis=0), ds.features.max(axis=0)
-    lo, hi = bounds
+    lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
     scaled = ds.features - lo
@@ -310,53 +308,14 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     return ds.select(train), ds.select(test)
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Per-client, per-class sample quotas for one heterogeneity scenario.
-
-    ``quotas[k][c]`` is the number of class-``c`` samples assigned to client
-    ``k``. The severe scenario must give each client exactly one class.
-    """
-
-    scenario: str
-    quotas: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        quotas = tuple(tuple(int(q) for q in row) for row in self.quotas)
-        if not quotas:
-            raise ValueError("plan must cover at least one client")
-        width = len(quotas[0])
-        for k, row in enumerate(quotas):
-            if len(row) != width:
-                raise ValueError(f"client {k}: quota row length {len(row)} != {width}")
-            if any(q < 0 for q in row):
-                raise ValueError(f"client {k}: quotas must be non-negative")
-        if self.scenario == "severe":
-            for k, row in enumerate(quotas):
-                if sum(1 for q in row if q > 0) != 1:
-                    raise ValueError(
-                        f"severe plan requires exactly one nonzero class per client; "
-                        f"client {k} has {sum(1 for q in row if q > 0)}"
-                    )
-        object.__setattr__(self, "quotas", quotas)
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.quotas)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.quotas[0])
-
-
 def build_partition_plan(
     scenario: str,
     class_counts: np.ndarray | list[int],
     n_clients: int,
-) -> PartitionPlan:
+) -> tuple[tuple[int, ...], ...]:
     """Quota table for one of the four built-in scenarios.
+
+    Row ``k`` holds client ``k``'s sample count of each class.
 
     iid: every client receives an equal share of every class.
     light / moderate: shares of each class rotate across clients with a
@@ -391,28 +350,31 @@ def build_partition_plan(
                 quotas[k][c] = int(counts[c]) // max(1, len(owners[c]))
     else:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    return PartitionPlan(scenario, tuple(tuple(row) for row in quotas))
+    return tuple(tuple(row) for row in quotas)
 
 
-def partition(ds: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
-    """Assign samples to clients exactly per the plan's quotas.
+def partition(ds: Dataset, quotas: Sequence[Sequence[int]], seed: int) -> list[Dataset]:
+    """Give client ``k`` exactly ``quotas[k][c]`` samples of each class ``c``.
 
     Sampling is without replacement from a seeded shuffle of each class pool,
     so no sample lands on two clients and reruns are identical.
 
     Raises:
-        ValueError: a quota exceeds the available samples of its class
-            (the message names the class and the shortfall).
+        ValueError: a row whose length is not the class count, a negative
+            quota, or a class whose quotas exceed its samples (the message
+            names the class and the shortfall).
     """
-    if plan.n_classes != ds.n_classes:
-        raise ValueError(
-            f"plan covers {plan.n_classes} classes but dataset has {ds.n_classes}"
-        )
+    for k, row in enumerate(quotas):
+        if len(row) != ds.n_classes:
+            raise ValueError(f"client {k}: quota row covers {len(row)} classes "
+                             f"but dataset has {ds.n_classes}")
+        if min(row) < 0:
+            raise ValueError(f"client {k}: quotas must be non-negative")
     rng = np.random.default_rng(seed)
     pools: list[np.ndarray] = []
     for class_id in range(ds.n_classes):
         idx = np.flatnonzero(ds.labels == class_id)
-        need = sum(row[class_id] for row in plan.quotas)
+        need = sum(row[class_id] for row in quotas)
         if need > idx.size:
             raise ValueError(
                 f"unsatisfiable quota for class {ds.class_names[class_id]!r}: "
@@ -421,14 +383,13 @@ def partition(ds: Dataset, plan: PartitionPlan, seed: int) -> list[Dataset]:
         pools.append(rng.permutation(idx))
     cursors = [0] * ds.n_classes
     shards: list[Dataset] = []
-    for row in plan.quotas:
+    for row in quotas:
         taken: list[np.ndarray] = []
         for class_id, quota in enumerate(row):
             start = cursors[class_id]
             taken.append(pools[class_id][start : start + quota])
             cursors[class_id] = start + quota
-        rows = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
-        shards.append(ds.select(rows))
+        shards.append(ds.select(np.concatenate(taken)))
     return shards
 
 

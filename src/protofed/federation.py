@@ -79,7 +79,7 @@ class FederationConfig:
             raise ValueError("noise_sigma must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.scale_mode not in ("local", "global", "none"):
+        if self.scale_mode not in ("local", "none"):
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
         if self.eval_weighting not in ("test_size", "uniform"):
             raise ValueError(f"unknown eval_weighting {self.eval_weighting!r}")
@@ -208,11 +208,9 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
 def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tuple[Dataset, Dataset]]:
     """Scale and split each client's data locally, one ``(train, test)`` pair per client.
 
-    Every silo must share client 0's feature count and class names. Under
-    ``scale_mode="global"`` the bounds are the pooled column minima and
-    maxima, taken before any client is scaled; clients are then scaled one
-    at a time, so at most one scaled copy is alive beside the splits.
-    Failures raise FederationError naming the client.
+    Every silo must share client 0's feature count and class names. Clients
+    are scaled one at a time, so at most one scaled copy is alive beside the
+    splits. Failures raise FederationError naming the client.
     """
     if not client_data:
         raise ValueError("need at least one client dataset")
@@ -225,15 +223,10 @@ def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tup
         if ds.class_names != first.class_names:
             raise FederationError(f"client {k}: classes {ds.class_names}, client 0 has {first.class_names}")
 
-    bounds = None
-    if cfg.scale_mode == "global":
-        # Min and max are exact, so the clients' extremes are the pooled data's.
-        bounds = (np.min([ds.features.min(axis=0) for ds in client_data], axis=0),
-                  np.max([ds.features.max(axis=0) for ds in client_data], axis=0))
     clients = []
     for k, ds in enumerate(client_data):
-        if cfg.scale_mode != "none":
-            ds = min_max_scale(ds, bounds)
+        if cfg.scale_mode == "local":
+            ds = min_max_scale(ds)
         with _failing_at(f"client {k}"):
             clients.append(stratified_split(ds, cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k)))
     return clients

@@ -11,7 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,7 @@ from helpers import write_nbaiot_layout
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def minimal_config(tmp_path, **overrides):
@@ -128,12 +129,11 @@ class TestParseConfig:
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
             model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
-            train_fraction=0.7, scale_mode="global", eval_weighting="uniform",
+            train_fraction=0.7, scale_mode="none", eval_weighting="uniform",
             gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
             aggregate_running_stats=False, seed=8,
         )
-        spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere",
-                       ((5, 6), (7, 8)))
+        spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere")
         for obj in (spec, federation, train, federation.aug):
             for f in fields(obj):
                 assert getattr(obj, f.name) != f.default, f.name
@@ -141,7 +141,7 @@ class TestParseConfig:
             "seed": 8,
             "output_dir": "elsewhere",
             "data": section,
-            "partition": {"scenario": "light", "n_clients": 2, "quotas": [[5, 6], [7, 8]]},
+            "partition": {"scenario": "light", "n_clients": 2},
             "federation": {
                 "strategies": ["fedprox", "fedp3e"], "rounds": 7, "threshold": 0.9,
                 "trigger_round": 3, "noise_sigma": 0.02,
@@ -149,7 +149,7 @@ class TestParseConfig:
                           "adam_beta2": 0.99, "adam_epsilon": 1e-6, "prox_mu": 0.3},
                 "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
                 "model": {"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25},
-                "train_fraction": 0.7, "scale_mode": "global", "eval_weighting": "uniform",
+                "train_fraction": 0.7, "scale_mode": "none", "eval_weighting": "uniform",
                 "gmm_components": 2, "gmm_max_components": 4, "global_prototypes_per_class": 3,
                 "aggregate_running_stats": False,
             },
@@ -167,22 +167,31 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"unknown key 'seed' in federation.{section}"):
             parse_config(path)
 
-    def test_explicit_quota_table(self, tmp_path):
-        path = minimal_config(tmp_path)
-        without = parse_config(path)
-        raw = json.loads(path.read_text())
-        raw["partition"]["quotas"] = [[40, 0, 0], [0, 40, 0], [0, 0, 40]]
-        path.write_text(json.dumps(raw))
-        spec = parse_config(path)
-        assert spec == replace(without, quotas=((40, 0, 0), (0, 40, 0), (0, 0, 40)))
-        assert run(spec) == 0
+    def test_readme_schema_lists_exactly_the_accepted_keys(self, tmp_path):
+        readme = README.read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+        schema = json.loads(re.sub(r"\s*//.*", "", block))
 
-    def test_quota_client_count_checked(self, tmp_path):
-        path = minimal_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["partition"]["quotas"] = [[40, 0, 0], [0, 40, 0]]
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match="quotas cover 2 clients"):
+        def tree(obj):
+            return {k: tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+        def section(*classes, **sections):
+            return {**{key: None for cls in classes for key in cli._own_fields(cls)}, **sections}
+
+        assert tree(schema) == {
+            "seed": None, "output_dir": None,
+            "data": {"synthetic": section(pf.SyntheticSpec),
+                     "csv_dir": section(pf.CsvSchema, CsvSource)},
+            "partition": section(RunSpec),
+            "federation": section(pf.FederationConfig, strategies=None,
+                                  train=section(pf.TrainConfig),
+                                  aug=section(pf.AugmentationPolicy),
+                                  model=section(pf.ModelSpec)),
+        }
+        # Each documented value parses, one data source at a time.
+        for source in schema["data"]:
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps({**schema, "data": {source: schema["data"][source]}}))
             parse_config(path)
 
     def test_duplicate_strategy_rejected(self, tmp_path):
@@ -266,6 +275,22 @@ class TestRun:
         assert "round 2, client 0" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert (out / "summary.json").read_bytes() == earlier
+
+    def test_rerun_deletes_only_the_metrics_of_strategies_it_left_out(self, tmp_path):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"]["strategies"] = ["fedavg", "fedp3e"]
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        others = {"notes.txt": b"mine", "metrics_fedsgd.csv": b"not a strategy"}
+        for name, data in others.items():
+            (out / name).write_bytes(data)
+        assert main(["run", str(path), "--out", str(out), "--strategies", "fedavg"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.csv", "metrics_fedavg.csv", "metrics_fedsgd.csv", "notes.txt", "summary.json"]
+        assert all((out / name).read_bytes() == data for name, data in others.items())
+        assert list(json.loads((out / "summary.json").read_text())["strategies"]) == ["fedavg"]
 
     def test_round_one_exchange_without_a_class_fails_before_training(self, tmp_path, capsys,
                                                                         monkeypatch):
@@ -376,8 +401,8 @@ class TestMain:
             loaded.extend([weakref.ref(ds), weakref.ref(ds.features)])
             return ds
 
-        def recording_partition(ds, plan, seed):
-            shards = partition(ds, plan, seed)
+        def recording_partition(ds, quotas, seed):
+            shards = partition(ds, quotas, seed)
             loaded.extend(weakref.ref(shard.features) for shard in shards)
             return shards
 
@@ -403,8 +428,8 @@ class TestMain:
         shard_bytes, live = [], []
         partition, train_local = cli.partition, federation.train_local
 
-        def measuring_partition(ds, plan, seed):
-            shards = partition(ds, plan, seed)
+        def measuring_partition(ds, quotas, seed):
+            shards = partition(ds, quotas, seed)
             shard_bytes.append(sum(shard.features.nbytes for shard in shards))
             return shards
 
@@ -455,7 +480,9 @@ class TestMain:
         ("federation", "train", 5, "federation.train: expected object, got 5"),
         ("federation", "aggregate_running_stats", "false",
          'federation.aggregate_running_stats: expected bool, got "false"'),
-        ("partition", "quotas", 5, "partition.quotas: expected"),
+        # knobs outside the protocol, now gone
+        ("partition", "quotas", [[40, 0, 0], [0, 40, 0], [0, 0, 40]], "unknown key 'quotas' in partition"),
+        ("federation", "scale_mode", "global", "unknown scale_mode 'global'"),
         # Adam's step is 0/0 at these values, so training would only fail later
         ("federation.train", "adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
         ("federation.train", "adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
@@ -467,7 +494,7 @@ class TestMain:
         ("federation", "noise_sigma", math.nan, "federation.noise_sigma: expected float, got NaN"),
         ("federation", "noise_sigma", math.inf, "federation.noise_sigma: expected float, got Infinity"),
         ("federation.model", "hidden", [[8, math.nan]], "federation.model.hidden: expected float, got NaN"),
-    ], ids=["rounds-null", "train-number", "bool-string", "quotas-number",
+    ], ids=["rounds-null", "train-number", "bool-string", "quotas-table", "scale-mode-global",
             "beta1-one", "beta2-one", "epsilon-zero",
             "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
@@ -505,6 +532,15 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "error: n_clients must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_output_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch, via):
+        # Path("") is the working directory, so a run that took it would write here.
+        monkeypatch.chdir(tmp_path)
+        path = minimal_config(tmp_path, output_dir="" if via == "config" else "out")
+        assert main(["run", str(path), *(["--out", ""] if via == "flag" else [])]) == 2
+        assert capsys.readouterr().err == "error: output_dir must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
@@ -582,7 +618,7 @@ def small_configs(draw):
             "train": train,
             "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count", "all"]))},
             "model": {"hidden": [[4, 0.001]], "dropout_p": draw(st.sampled_from([0.0, 0.5]))},
-            "scale_mode": draw(st.sampled_from(["local", "global", "none"])),
+            "scale_mode": draw(st.sampled_from(["local", "none"])),
         },
     }
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
-from protofed.datasets import PartitionPlan
 from helpers import traced_peak_bytes, write_nbaiot_layout
 
 
@@ -222,9 +221,8 @@ class TestPartition:
 
     def test_unsatisfiable_quota_names_class_and_shortfall(self):
         ds = self.make_ds([40, 40])
-        plan = PartitionPlan("iid", ((25, 10), (25, 10)))
         with pytest.raises(ValueError, match="'c0'.*requested 50, available 40.*short 10"):
-            pf.partition(ds, plan, seed=0)
+            pf.partition(ds, ((25, 10), (25, 10)), seed=0)
 
     def test_light_plan_keeps_every_class_everywhere(self):
         ds = self.make_ds([90, 90, 90])
@@ -245,28 +243,32 @@ class TestPartition:
         ds = self.make_ds(counts, seed=seed)
         rng = np.random.default_rng(seed)
         if scenario == "random":
-            plan = PartitionPlan("iid", tuple(
+            quotas = tuple(
                 tuple(int(rng.integers(0, counts[c] // n_clients + 1)) for c in range(len(counts)))
                 for _ in range(n_clients)
-            ))
+            )
         else:
-            plan = pf.build_partition_plan(scenario, ds.class_counts(), n_clients)
-        shards = pf.partition(ds, plan, seed=seed)
+            quotas = pf.build_partition_plan(scenario, ds.class_counts(), n_clients)
+        shards = pf.partition(ds, quotas, seed=seed)
         assert len(shards) == n_clients
         seen = set()
         for k, shard in enumerate(shards):
-            assert shard.class_counts().tolist() == list(plan.quotas[k])
+            assert shard.class_counts().tolist() == list(quotas[k])
+            if scenario == "severe":
+                # exactly one class per client: class k, shared round-robin
+                assert np.flatnonzero(shard.class_counts()).tolist() == [k % len(counts)]
             rows = {tuple(r) for r in shard.features}
             assert not rows & seen
             seen |= rows
 
-    def test_severe_plan_invariant_enforced(self):
-        with pytest.raises(ValueError, match="exactly one nonzero class"):
-            PartitionPlan("severe", ((10, 10, 0), (0, 10, 0), (0, 0, 10)))
-
     def test_negative_quota_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            PartitionPlan("iid", ((-1, 5),))
+        with pytest.raises(ValueError, match="client 0: quotas must be non-negative"):
+            pf.partition(self.make_ds([5, 5]), ((-1, 5),), seed=0)
+
+    @pytest.mark.parametrize("quotas", [((1, 1), (1,)), ((1, 1, 1),)], ids=["ragged", "too-wide"])
+    def test_quota_row_must_cover_every_class(self, quotas):
+        with pytest.raises(ValueError, match=r"client \d: quota row covers \d classes but dataset has 2"):
+            pf.partition(self.make_ds([5, 5]), quotas, seed=0)
 
 
 class TestSynthesize:

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import weakref
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 import protofed as pf
 import protofed.federation as federation
 from protofed.federation import FederationError, _combine_reports
-from helpers import randomized_params, traced_peak_bytes
+from helpers import randomized_params
 
 
 def scalar_params(values, seed=0):
@@ -110,49 +109,14 @@ class TestFedavgAggregate:
 
 
 class TestScaleClients:
-    def test_global_mode_scales_by_pooled_min_and_max(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        clients = []
-        for k, n in enumerate((5, 8, 4)):
-            features = np.column_stack([rng.normal(k, 1.0 + k, (n, 3)), np.full(n, 7.0)])
-            clients.append(pf.Dataset(features, np.arange(n) % 2, ("a", "b")))
-        scaled = []
-        stratified_split = federation.stratified_split
-
-        def recording_split(ds, train_fraction, seed):
-            scaled.append(ds)
-            return stratified_split(ds, train_fraction, seed)
-
-        monkeypatch.setattr(federation, "stratified_split", recording_split)
-        splits = pf.split_clients(small_config(scale_mode="global"), clients)
-        assert [train.n_samples + test.n_samples for train, test in splits] == [5, 8, 4]
-        for before, after in zip(clients, scaled):
-            assert np.array_equal(before.labels, after.labels)
-        pooled = np.vstack([ds.features for ds in scaled])
-        assert np.array_equal(pooled.min(axis=0), [0.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(pooled.max(axis=0), [1.0, 1.0, 1.0, 0.0])
-        # bytes of the per-client implementation this replaced
-        digest = hashlib.sha256(pooled.tobytes()).hexdigest()
-        assert digest == "88a1b8daf1fb6a74d8feedfa588667d9d28eee7c902558c81a4bb73d2f65479c"
-
-    def test_global_mode_makes_one_copy_of_the_data(self):
-        rng = np.random.default_rng(0)
-        clients = [pf.Dataset(rng.random((1000, 115)), rng.integers(0, 3, 1000), ("a", "b", "c"))
-                   for _ in range(9)]
-        cfg = small_config(scale_mode="global")
-        # the whole split stage: pooled bounds, one scaled copy, the splits
-        splits, peak = traced_peak_bytes(lambda: pf.split_clients(cfg, clients))
-        assert len(splits) == 9
-        assert peak <= 1.2 * sum(ds.features.nbytes for ds in clients)
-
     def test_one_scaled_copy_alive_at_a_time(self, monkeypatch):
         scaled, alive = [], []
         min_max_scale = federation.min_max_scale
 
-        def recording_scale(ds, bounds=None):
+        def recording_scale(ds):
             # every copy scaled so far must be gone before the next is made
             alive.append(sum(ref() is not None for ref in scaled))
-            result = min_max_scale(ds, bounds)
+            result = min_max_scale(ds)
             scaled.extend([weakref.ref(result), weakref.ref(result.features)])
             return result
 
@@ -360,8 +324,8 @@ class TestRunFederation:
         scaled, alive = [], []
         min_max_scale, train_local = federation.min_max_scale, federation.train_local
 
-        def recording_scale(ds, bounds=None):
-            result = min_max_scale(ds, bounds)
+        def recording_scale(ds):
+            result = min_max_scale(ds)
             scaled.extend([weakref.ref(result), weakref.ref(result.features)])
             return result
 
