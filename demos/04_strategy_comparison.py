@@ -32,12 +32,9 @@ for idx in range(10):
 
 exchange = pf.exchange_round(histories["fedp3e"])
 metrics = histories["fedp3e"][exchange - 1]
-d_w = metrics.model_upload_floats // metrics.n_clients
-uploads, download, total = pf.exchange_cost_ratios(
-    metrics.proto_upload_floats, metrics.proto_download_floats, d_w
-)
+uploads, download, total = pf.exchange_cost_ratios(metrics)
 print(f"\none-shot exchange at round {exchange}:")
-print(f"  model update: {d_w} floats per client per direction")
+print(f"  model update: {metrics.model_floats} floats per client per direction")
 up = metrics.proto_upload_floats[0]
 down = metrics.proto_download_floats
 print(f"  prototype upload: {up} floats per client ({100 * uploads[0]:.2f}% of a model)")

@@ -9,7 +9,7 @@ import numpy as np
 from .clustering import Prototypes
 from .datasets import Dataset, frozen
 
-ELIGIBILITY_RULES = ("missing_only", "below_mean_count", "all")
+ELIGIBILITY_RULES = ("missing_only", "below_mean_count")
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class AugmentationPolicy:
     training-set size. Eligibility rules select classes against the global
     class space: missing_only picks locally absent classes,
     below_mean_count picks classes with fewer samples than the local mean
-    (absent classes included), and all picks every class.
+    (absent classes included).
     """
 
     target_fraction: float = 0.10
@@ -51,10 +51,8 @@ def _eligible_classes(local: Dataset, policy: AugmentationPolicy) -> list[int]:
     counts = local.class_counts()
     if policy.eligible_classes == "missing_only":
         return [c for c in range(local.n_classes) if counts[c] == 0]
-    if policy.eligible_classes == "below_mean_count":
-        mean = local.n_samples / local.n_classes
-        return [c for c in range(local.n_classes) if counts[c] < mean]
-    return list(range(local.n_classes))
+    mean = local.n_samples / local.n_classes
+    return [c for c in range(local.n_classes) if counts[c] < mean]
 
 
 def augment(local: Dataset, gp: Prototypes, policy: AugmentationPolicy, seed: int) -> Dataset:

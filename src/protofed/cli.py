@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import MISSING, Field, dataclass, fields, replace
@@ -64,7 +65,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         if not self.strategies:
-            raise ValueError("run spec needs at least one strategy")
+            raise ValueError("federation.strategies must list at least one strategy")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.n_clients < 1:
@@ -196,8 +197,6 @@ def parse_config(path: str | Path) -> RunSpec:
     strategies = _convert(
         _require(fed, "strategies", "federation"), "tuple[str, ...]", "federation", "strategies"
     )
-    if not strategies:
-        raise ValueError("federation.strategies must be a non-empty list")
     train = TrainConfig(**_read(fed.get("train", {}), "federation.train", TrainConfig))
     aug = AugmentationPolicy(**_read(fed.get("aug", {}), "federation.aug", AugmentationPolicy))
     model = fed.get("model")
@@ -232,13 +231,28 @@ def _load_dataset(spec: RunSpec) -> Dataset:
     return load_csv_dir(spec.data.path, spec.data.schema)
 
 
-def _write_metrics_csv(path: Path, history: list[RoundMetrics]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for m in history:
-            writer.writerow([m.round_index, *_score_cells(m.global_report),
-                             m.uploaded_floats, m.downloaded_floats, int(m.exchange_triggered)])
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _metrics_csv(history: list[RoundMetrics]) -> str:
+    rows = [[m.round_index, *_score_cells(m.global_report), m.uploaded_floats, m.downloaded_floats,
+             int(m.exchange_triggered)] for m in history]
+    return _csv_text(METRICS_COLUMNS, rows)
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` under a temporary name beside ``path``, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _score_cells(report: EvalReport) -> list[str]:
@@ -251,12 +265,9 @@ def _strategy_summary(history: list[RoundMetrics]) -> dict:
     comm = None
     if ex_round is not None:
         m = history[ex_round - 1]
-        d_w = m.model_upload_floats // m.n_clients
-        uploads, download, total = exchange_cost_ratios(
-            m.proto_upload_floats, m.proto_download_floats, d_w
-        )
+        uploads, download, total = exchange_cost_ratios(m)
         comm = {
-            "model_floats": d_w,
+            "model_floats": m.model_floats,
             "prototype_upload_floats_per_client": list(m.proto_upload_floats),
             "prototype_download_floats_per_client": m.proto_download_floats,
             "upload_ratio_per_client": uploads,
@@ -277,10 +288,10 @@ def run(spec: RunSpec) -> int:
     """Execute every configured strategy; return a process exit code.
 
     Writes metrics_<strategy>.csv per strategy plus summary.json and
-    comparison.csv into the spec's output directory, once every strategy
-    has finished, then deletes the metrics file of each strategy it did not
-    run; a run that fails writes nothing. Outputs are byte-deterministic for
-    a given spec.
+    comparison.csv into the spec's output directory, each renamed into place
+    once every strategy has finished, then deletes the metrics file of each
+    strategy it did not run; a run that fails writes nothing. Outputs are
+    byte-deterministic for a given spec.
     """
     try:
         _execute(spec)
@@ -302,30 +313,27 @@ def _execute(spec: RunSpec) -> None:
     # Every strategy runs before the first write, so a failed run writes nothing.
     runs = [(s, run_federation(spec.federation, clients, s)) for s in spec.strategies]
 
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "seed": spec.federation.seed,
         "scenario": spec.scenario,
         "n_clients": spec.n_clients,
         "strategies": {},
     }
-    rows = []
+    files, rows = {}, []
     for strategy, history in runs:
-        _write_metrics_csv(out / f"metrics_{strategy}.csv", history)
+        files[f"metrics_{strategy}.csv"] = _metrics_csv(history)
         entry = summary["strategies"][strategy] = _strategy_summary(history)
         ex_round = entry["exchange_round"]
         rows.append([strategy, *_score_cells(history[-1].global_report),
                      entry["uploaded_floats_total"], entry["downloaded_floats_total"],
                      "" if ex_round is None else ex_round])
+    files["comparison.csv"] = _csv_text(COMPARISON_COLUMNS, rows)
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
-    with open(out / "comparison.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARISON_COLUMNS)
-        writer.writerows(rows)
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _replace_file(out / name, text)
     # A metrics file of a strategy this run left out describes an earlier run.
     for strategy in STRATEGIES:
         if strategy not in spec.strategies:
@@ -340,26 +348,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute a JSON run configuration")
     run_parser.add_argument("config", help="path to the run configuration file")
-    run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_parser.add_argument("--out", default=None, help="override the output directory")
-    run_parser.add_argument(
-        "--strategies", default=None,
-        help="comma-separated subset of the configured strategies",
-    )
     args = parser.parse_args(argv)
 
     try:
         spec = parse_config(args.config)
-        if args.seed is not None:
-            spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
         if args.out is not None:
             spec = replace(spec, output_dir=args.out)
-        if args.strategies is not None:
-            wanted = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-            missing = [s for s in wanted if s not in spec.strategies]
-            if missing:
-                raise ValueError(f"strategy {missing[0]!r} is not part of this config")
-            spec = replace(spec, strategies=wanted)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -122,6 +122,11 @@ class RoundMetrics:
         return len(self.client_reports)
 
     @property
+    def model_floats(self) -> int:
+        """Floats in one client's model update: the model size."""
+        return self.model_upload_floats // self.n_clients
+
+    @property
     def uploaded_floats(self) -> int:
         return self.model_upload_floats + sum(self.proto_upload_floats)
 
@@ -346,13 +351,13 @@ def exchange_round(history: list[RoundMetrics]) -> int | None:
     return None
 
 
-def exchange_cost_ratios(
-    uploads: Sequence[int], download: int, d_w: int
-) -> tuple[list[float], float, float]:
-    """Exchange floats as fractions of one ``d_w``-float model update.
+def exchange_cost_ratios(metrics: RoundMetrics) -> tuple[list[float], float, float]:
+    """A round's prototype floats as fractions of one model update.
 
     Returns each client's upload ratio, the per-client download ratio, and
-    the total: the mean upload plus the download, over ``d_w``.
+    the total: the mean upload plus the download, over ``metrics.model_floats``.
     """
+    d_w = metrics.model_floats
+    uploads, download = metrics.proto_upload_floats, metrics.proto_download_floats
     mean_upload = sum(uploads) / len(uploads)
     return [u / d_w for u in uploads], download / d_w, (mean_upload + download) / d_w

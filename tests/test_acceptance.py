@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 import protofed as pf
-from protofed.cli import _write_metrics_csv
+from protofed.cli import _metrics_csv
 from helpers import fd_max_relative_error, randomized_params
 
 # Committed fixture for the severe / IID trend experiments.
@@ -75,18 +75,17 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
 def _exchange_cost(history: list[pf.RoundMetrics]):
     """The exchange round and its cost ratios, as ``summary.json`` reports them."""
     m = history[pf.exchange_round(history) - 1]
-    d_w = m.model_upload_floats // m.n_clients
-    return m, d_w, pf.exchange_cost_ratios(m.proto_upload_floats, m.proto_download_floats, d_w)
+    return m, pf.exchange_cost_ratios(m)
 
 
 def test_criterion_2_communication_cost_reproduction():
     history = _comm_cost_run()
     assert pf.exchange_round(history) == 2
-    m, d_w, (uploads, download, _) = _exchange_cost(history)
+    m, (uploads, download, _) = _exchange_cost(history)
     upload_pp = [100 * ratio for ratio in uploads]
     download_pp = 100 * download
     ok = (
-        d_w == FULL_SCALE_D_W
+        m.model_floats == FULL_SCALE_D_W
         and m.proto_upload_floats == (1035,) * 3
         and m.proto_download_floats == 1380
         and all(abs(pp - 4.37) <= 0.005 for pp in upload_pp)
@@ -94,7 +93,7 @@ def test_criterion_2_communication_cost_reproduction():
     )
     assert report(
         "2 comm-cost", ok,
-        f"model={d_w}, upload={list(m.proto_upload_floats)} "
+        f"model={m.model_floats}, upload={list(m.proto_upload_floats)} "
         f"({', '.join(f'{pp:.4f}%' for pp in upload_pp)}), "
         f"download={m.proto_download_floats} ({download_pp:.4f}%)",
     )
@@ -113,7 +112,7 @@ def test_criterion_2_total_ratio_reference_value():
     whether the misprint is in the paper's cost table or in a later copy of
     it, and which cost 9.58% was meant to give, cannot be settled here.
     """
-    _, _, (uploads, download, total) = _exchange_cost(_comm_cost_run())
+    _, (uploads, download, total) = _exchange_cost(_comm_cost_run())
     expected_pp = 100 * (1035 + 1380) / 23683
     # Each published component is rounded to 0.01 pp, so their sum is
     # within 0.01 pp of the exact total.
@@ -281,7 +280,7 @@ def _segment_member(row, protos, tol=1e-9):
     return False
 
 
-def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
+def test_criterion_8_aggregation_oracle_and_determinism():
     rng = np.random.default_rng(80)
     spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
     oracle_ok = True
@@ -315,11 +314,9 @@ def test_criterion_8_aggregation_oracle_and_determinism(tmp_path):
     )
     clients = pf.split_clients(cfg, shards)
     digests = []
-    for attempt in range(2):
+    for _ in range(2):
         history = pf.run_federation(cfg, clients, "fedp3e")
-        path = tmp_path / f"metrics_{attempt}.csv"
-        _write_metrics_csv(path, history)
-        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        digests.append(hashlib.sha256(_metrics_csv(history).encode()).hexdigest())
 
     ok = oracle_ok and digests[0] == digests[1]
     assert report(

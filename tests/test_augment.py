@@ -56,7 +56,6 @@ class TestAugment:
         eligible = {
             "missing_only": {c for c, k in enumerate(counts) if k == 0},
             "below_mean_count": {c for c, k in enumerate(counts) if k < n / len(counts)},
-            "all": set(range(len(counts))),
         }[rule]
         out = pf.augment(local, gp, pf.AugmentationPolicy(fraction, rule), seed=seed)
         assert out.n_samples - n == (round(fraction * n) if eligible else 0)
@@ -67,13 +66,13 @@ class TestAugment:
     def test_exact_ten_percent_budget(self):
         local = make_local([500, 400, 100])
         gp = make_gp({c: np.random.default_rng(c).random((3, 3)) for c in range(3)})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all"), 1)
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count"), 1)
         assert out.n_samples == 1100
 
     def test_rounding_on_small_sets(self):
         local = make_local([20, 17])  # 37 rows -> round(3.7) = 4
         gp = make_gp({0: [[0.1] * 3, [0.9] * 3], 1: [[0.2] * 3, [0.8] * 3]})
-        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "all"), 2)
+        out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "below_mean_count"), 2)
         assert out.n_samples == 41
 
     def test_missing_only_labels(self):
@@ -152,7 +151,7 @@ class TestAugment:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="target_fraction"):
-            pf.AugmentationPolicy(0.0, "all")
+            pf.AugmentationPolicy(0.0, "below_mean_count")
         with pytest.raises(ValueError, match="eligibility"):
             pf.AugmentationPolicy(0.1, "sometimes")
 

@@ -276,6 +276,36 @@ class TestRun:
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert (out / "summary.json").read_bytes() == earlier
 
+    def test_write_that_fails_midway_leaves_the_earlier_files_whole(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(minimal_config(tmp_path)), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        writer = csv.writer
+
+        class FailsAfterHeader:
+            def __init__(self, handle, **kwargs):
+                self.inner, self.rows = writer(handle, **kwargs), 0
+
+            def writerow(self, row):
+                if self.rows:
+                    raise OSError("No space left on device")
+                self.rows += 1
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsAfterHeader)
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"]["rounds"] = 3
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
     def test_rerun_deletes_only_the_metrics_of_strategies_it_left_out(self, tmp_path):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -286,7 +316,9 @@ class TestRun:
         others = {"notes.txt": b"mine", "metrics_fedsgd.csv": b"not a strategy"}
         for name, data in others.items():
             (out / name).write_bytes(data)
-        assert main(["run", str(path), "--out", str(out), "--strategies", "fedavg"]) == 0
+        raw["federation"]["strategies"] = ["fedavg"]
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "comparison.csv", "metrics_fedavg.csv", "metrics_fedsgd.csv", "notes.txt", "summary.json"]
         assert all((out / name).read_bytes() == data for name, data in others.items())
@@ -319,7 +351,7 @@ class TestMain:
         expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["severe3"]
         out = tmp_path / "out"
         config = str(FIXTURES / "severe_nonidd.json")
-        assert main(["run", config, "--seed", "11", "--out", str(out)]) == 0
+        assert main(["run", config, "--out", str(out)]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == expected
 
@@ -450,39 +482,34 @@ class TestMain:
         # the splits are one copy of the shards; the shards themselves are gone
         assert live[0] <= 1.5 * shard_bytes[0]
 
-    def test_seed_override(self, tmp_path):
-        path = minimal_config(tmp_path)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["run", str(path), "--out", str(out_a), "--seed", "99"]) == 0
-        assert main(["run", str(path), "--out", str(out_b)]) == 0
-        a = json.loads((out_a / "summary.json").read_text())
-        b = json.loads((out_b / "summary.json").read_text())
-        assert a["seed"] == 99 and b["seed"] == 3
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--strategies", "fedavg"]],
+                             ids=["seed", "strategies"])
+    def test_config_only_setting_is_not_a_flag(self, tmp_path, capsys, flag):
+        # The run seed and the strategy list are stated once, in the config.
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(FIXTURES / "severe_nonidd.json"), "--out", str(tmp_path / "out"), *flag])
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_strategy_filter(self, tmp_path):
-        path = minimal_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["federation"]["strategies"] = ["fedavg", "fedp3e"]
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "filtered"
-        assert main(["run", str(path), "--out", str(out), "--strategies", "fedp3e"]) == 0
-        assert (out / "metrics_fedp3e.csv").exists()
-        assert not (out / "metrics_fedavg.csv").exists()
-
-    def test_unknown_strategy_filter_fails(self, tmp_path, capsys):
-        path = minimal_config(tmp_path)
-        assert main(["run", str(path), "--strategies", "fedsgd"]) == 2
-        assert "not part of this config" in capsys.readouterr().err
+    def test_readme_synopsis_lists_exactly_the_run_options(self, capsys):
+        block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        synopsis = block.split("```bash\n", 1)[1].split("\n```", 1)[0]
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        accepted = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[\w-]+", synopsis)) == accepted
 
     @pytest.mark.parametrize("section, key, value, expected", [
         ("federation", "rounds", None, "federation.rounds: expected int, got null"),
+        ("federation", "strategies", [], "federation.strategies must list at least one strategy"),
         ("federation", "train", 5, "federation.train: expected object, got 5"),
         ("federation", "aggregate_running_stats", "false",
          'federation.aggregate_running_stats: expected bool, got "false"'),
         # knobs outside the protocol, now gone
         ("partition", "quotas", [[40, 0, 0], [0, 40, 0], [0, 0, 40]], "unknown key 'quotas' in partition"),
         ("federation", "scale_mode", "global", "unknown scale_mode 'global'"),
+        ("federation", "aug", {"eligible_classes": "all"}, "unknown eligibility rule 'all'"),
         # Adam's step is 0/0 at these values, so training would only fail later
         ("federation.train", "adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
         ("federation.train", "adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
@@ -494,8 +521,8 @@ class TestMain:
         ("federation", "noise_sigma", math.nan, "federation.noise_sigma: expected float, got NaN"),
         ("federation", "noise_sigma", math.inf, "federation.noise_sigma: expected float, got Infinity"),
         ("federation.model", "hidden", [[8, math.nan]], "federation.model.hidden: expected float, got NaN"),
-    ], ids=["rounds-null", "train-number", "bool-string", "quotas-table", "scale-mode-global",
-            "beta1-one", "beta2-one", "epsilon-zero",
+    ], ids=["rounds-null", "strategies-empty", "train-number", "bool-string", "quotas-table",
+            "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
             "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
@@ -616,7 +643,7 @@ def small_configs(draw):
             "rounds": rounds,
             "trigger_round": draw(st.integers(1, rounds)),
             "train": train,
-            "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count", "all"]))},
+            "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count"]))},
             "model": {"hidden": [[4, 0.001]], "dropout_p": draw(st.sampled_from([0.0, 0.5]))},
             "scale_mode": draw(st.sampled_from(["local", "none"])),
         },
@@ -654,8 +681,13 @@ class TestExitContract:
             or ("fedprox" in config["federation"]["strategies"] and train["prox_mu"] == 0)
         )
         with tempfile.TemporaryDirectory() as tmp:
-            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path, out, used = Path(tmp) / "config.json", Path(tmp) / "out", Path(tmp) / "used"
             path.write_text(json.dumps(config))
+            used.mkdir()
+            earlier = {name: b"another run\n" for name in
+                       [*(f"metrics_{s}.csv" for s in federation.STRATEGIES), "comparison.csv", "summary.json"]}
+            for name, data in earlier.items():
+                (used / name).write_bytes(data)
             code, err = _run_main(path, out)
             assert "Traceback" not in err
             if usage_error or code == 2:
@@ -671,9 +703,11 @@ class TestExitContract:
                 names = {f"metrics_{s}.csv" for s in strategies} | {"comparison.csv", "summary.json"}
                 assert {p.name for p in out.iterdir()} == names
                 assert all(_finite_cells(out / name) for name in names if name.endswith(".csv"))
-                again = Path(tmp) / "again"
-                assert _run_main(path, again) == (0, "")
-                assert all((out / n).read_bytes() == (again / n).read_bytes() for n in names)
+            # The same run into a directory that holds another run's outputs
+            # leaves exactly this run's files there, or the earlier ones if it fails.
+            assert _run_main(path, used) == (code, err)
+            left = {p.name: p.read_bytes() for p in used.iterdir()}
+            assert left == ({n: (out / n).read_bytes() for n in names} if code == 0 else earlier)
 
 
 class TestRunSpecValidation:
