@@ -24,7 +24,6 @@ from .datasets import (
     build_partition_plan,
     load_csv_dir,
     min_max_scale,
-    nbaiot_schema,
     partition,
     stratified_split,
     synthesize,
@@ -91,7 +90,6 @@ __all__ = [
     "min_max_scale",
     "minibatch_kmeans",
     "mlp_spec",
-    "nbaiot_schema",
     "partition",
     "perturb",
     "run_federation",

@@ -19,7 +19,6 @@ from .datasets import (
     SyntheticSpec,
     build_partition_plan,
     load_csv_dir,
-    nbaiot_schema,
     partition,
     synthesize,
 )
@@ -82,7 +81,6 @@ class RunSpec:
 # Defaults of optional keys whose dataclass field has none.
 _DEFAULTS = {
     SyntheticSpec: {"clusters_per_class": 1, "seed": 0},
-    CsvSchema: vars(nbaiot_schema()),
     ModelSpec: {"dropout_p": DEFAULT_DROPOUT_P},
 }
 # Fields the CLI fills itself instead of reading them from their own section.
@@ -245,16 +243,6 @@ def _metrics_csv(history: list[RoundMetrics]) -> str:
     return _csv_text(METRICS_COLUMNS, rows)
 
 
-def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` under a temporary name beside ``path``, then rename it into place."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_bytes(text.encode("utf-8"))
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _score_cells(report: EvalReport) -> list[str]:
     return [repr(getattr(report, name)) for name in _SCORES.values()]
 
@@ -288,10 +276,10 @@ def run(spec: RunSpec) -> int:
     """Execute every configured strategy; return a process exit code.
 
     Writes metrics_<strategy>.csv per strategy plus summary.json and
-    comparison.csv into the spec's output directory, each renamed into place
-    once every strategy has finished, then deletes the metrics file of each
-    strategy it did not run; a run that fails writes nothing. Outputs are
-    byte-deterministic for a given spec.
+    comparison.csv into the spec's output directory once every strategy has
+    finished: all under temporary names first, then each renamed into place.
+    It then deletes the metrics file of each strategy it did not run; a run
+    that fails writes nothing. Outputs are byte-deterministic for a given spec.
     """
     try:
         _execute(spec)
@@ -332,8 +320,17 @@ def _execute(spec: RunSpec) -> None:
 
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        _replace_file(out / name, text)
+    # Every file is staged before the first rename, so a failed write leaves
+    # the earlier run's files as they were.
+    staged = {name: out / f".{name}.tmp" for name in files}
+    try:
+        for name, text in files.items():
+            staged[name].write_bytes(text.encode("utf-8"))
+        for name, tmp in staged.items():
+            tmp.replace(out / name)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
     # A metrics file of a strategy this run left out describes an earlier run.
     for strategy in STRATEGIES:
         if strategy not in spec.strategies:

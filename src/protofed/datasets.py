@@ -111,12 +111,12 @@ class CsvSchema:
     Each file holds one (device, class) capture: a header row of n_features
     column names followed by one numeric sample per row. The class of a file
     is the first pattern (case-insensitive substring of the file name) that
-    matches.
+    matches. The defaults are the N-BaIoT layout.
     """
 
-    n_features: int
-    class_patterns: tuple[tuple[str, int], ...]
-    class_names: tuple[str, ...]
+    n_features: int = 115
+    class_patterns: tuple[tuple[str, int], ...] = (("benign", 0), ("gafgyt", 1), ("mirai", 2))
+    class_names: tuple[str, ...] = ("benign", "gafgyt", "mirai")
 
     def __post_init__(self) -> None:
         if self.n_features < 1:
@@ -124,15 +124,6 @@ class CsvSchema:
         for pattern, class_id in self.class_patterns:
             if not 0 <= class_id < len(self.class_names):
                 raise ValueError(f"pattern {pattern!r} maps to unknown class id {class_id}")
-
-
-def nbaiot_schema() -> CsvSchema:
-    """Schema for the N-BaIoT CSV layout: 115 features, 3 coarse classes."""
-    return CsvSchema(
-        n_features=115,
-        class_patterns=(("benign", 0), ("gafgyt", 1), ("mirai", 2)),
-        class_names=("benign", "gafgyt", "mirai"),
-    )
 
 
 def _class_for_file(name: str, schema: CsvSchema) -> int:
@@ -148,6 +139,8 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
 
     Files are read in sorted name order and rows in file order, so the result
     is deterministic. Values are kept bit-exact (no scaling applied here).
+    Each file is checked as it is read, so loading stops at the first bad row
+    in file-name order and reads no file after it.
 
     Raises:
         FileNotFoundError: missing directory.
@@ -165,23 +158,12 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
 
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    first_rows: list[tuple[int, str]] = []
-    n_rows = 0
     for file in files:
-        first_rows.append((n_rows, file.name))
         class_id = _class_for_file(file.name, schema)
         block = _read_csv_file(file, schema.n_features)
         blocks.append(block)
         labels.append(np.full(len(block), class_id, dtype=np.int64))
-        n_rows += len(block)
-
-    features = np.concatenate(blocks)
-    if not np.isfinite(features).all():
-        row, col = np.argwhere(~np.isfinite(features))[0]
-        # The last file starting at or before the row holds it.
-        first, name = next((f, n) for f, n in reversed(first_rows) if f <= row)
-        raise ValueError(f"{name} row {row - first + 2}: non-finite cell {features[row, col]}")
-    return Dataset(frozen(features), frozen(np.concatenate(labels)), schema.class_names)
+    return Dataset(frozen(np.concatenate(blocks)), frozen(np.concatenate(labels)), schema.class_names)
 
 
 def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
@@ -204,7 +186,12 @@ def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
     # The reader consumed exactly the header record, so the rest is the body.
     body = handle.read()
     block = _parse_body(body, n_features)
-    return _read_rows(file.name, body, n_features) if block is None else block
+    if block is None:
+        block = _read_rows(file.name, body, n_features)
+    if not np.isfinite(block).all():
+        row, col = np.argwhere(~np.isfinite(block))[0]
+        raise ValueError(f"{file.name} row {row + 2}: non-finite cell {block[row, col]}")
+    return block
 
 
 def _parse_body(body: str, n_features: int) -> np.ndarray | None:
@@ -234,28 +221,20 @@ def _parse_body(body: str, n_features: int) -> np.ndarray | None:
 
 
 def _read_rows(name: str, body: str, n_features: int) -> np.ndarray:
-    """Parse the body record by record, naming the file and row of the first bad one."""
-    rows: list[list[float]] = []
+    """Parse the body record by record, naming the file, row and cell of the first bad one."""
+    values: list[float] = []
     for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if len(row) != n_features:
             raise ValueError(
                 f"{name} row {row_no}: column count mismatch "
                 f"(got {len(row)}, schema expects {n_features})"
             )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            bad = next(cell for cell in row if not _is_number(cell))
-            raise ValueError(f"{name} row {row_no}: non-numeric cell {bad!r}") from None
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), n_features)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{name} row {row_no}: non-numeric cell {cell!r}") from None
+    return np.array(values, dtype=np.float64).reshape(-1, n_features)
 
 
 def min_max_scale(ds: Dataset) -> Dataset:

@@ -194,6 +194,62 @@ class TestParseConfig:
             path.write_text(json.dumps({**schema, "data": {source: schema["data"][source]}}))
             parse_config(path)
 
+    def test_readme_schema_defaults_are_the_parsed_defaults(self, tmp_path):
+        # A key left out must parse like the key set to its documented
+        # default: "default X", or a bare "default" beside the shown value.
+        readme = README.read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+        schema = json.loads(re.sub(r"\s*//.*", "", block))
+        keys, documented = [], {}
+        for line in block.splitlines()[1:-1]:  # inside the outer braces
+            code, _, comment = line.partition("//")
+            if code.strip().startswith("}"):
+                keys.pop()
+            member = re.match(r'\s*"(\w+)":\s*(.*?),?\s*$', code)
+            if member is None:
+                continue
+            key, shown = member.groups()
+            note = re.search(r"\bdefault\b(.*)", comment)
+            if note is not None:
+                rest = note.group(1).strip()
+                if rest == "" or rest.startswith((";", "as shown")):
+                    documented[(*keys, key)] = json.loads(shown)
+                else:
+                    documented[(*keys, key)] = json.JSONDecoder().raw_decode(rest)[0]
+            if shown == "{":
+                keys.append(key)
+        assert len(documented) >= 20
+
+        def parsed(source, path, *value):
+            """The README config on one data source, with ``path`` set to
+            ``value`` or, given none, left out: its spec, or its error, as
+            leaving out ``prox_mu`` stops the listed fedprox."""
+            config = json.loads(json.dumps({**schema, "data": {source: schema["data"][source]}}))
+            *parents, key = path
+            section = config
+            for parent in parents:
+                section = section[parent]
+            del section[key]
+            if value:
+                section[key] = value[0]
+            file = tmp_path / "defaults.json"
+            file.write_text(json.dumps(config))
+            try:
+                return parse_config(file)
+            except ValueError as err:
+                return str(err)
+
+        for path, value in documented.items():
+            sources = [path[1]] if path[0] == "data" else list(schema["data"])
+            for source in sources:
+                assert parsed(source, path) == parsed(source, path, value), path
+
+    def test_csv_dir_schema_defaults_to_the_nbaiot_layout(self, tmp_path):
+        spec = parse_config(minimal_config(tmp_path, data={"csv_dir": {"path": "captures"}}))
+        assert spec.data == CsvSource("captures", pf.CsvSchema())
+        assert pf.CsvSchema() == pf.CsvSchema(
+            115, (("benign", 0), ("gafgyt", 1), ("mirai", 2)), ("benign", "gafgyt", "mirai"))
+
     def test_duplicate_strategy_rejected(self, tmp_path):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -302,6 +358,28 @@ class TestRun:
         raw = json.loads(path.read_text())
         raw["federation"]["rounds"] = 3
         path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_write_that_fails_before_any_rename_leaves_the_earlier_files_whole(self, tmp_path,
+                                                                             monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(minimal_config(tmp_path)), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"]["rounds"] = 3
+        path.write_text(json.dumps(raw))
+        write_bytes, calls = Path.write_bytes, []
+
+        def fails_on_second_call(self, data):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError("No space left on device")
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fails_on_second_call)
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier

@@ -63,6 +63,12 @@ class TestLoadCsvDir:
         with pytest.raises(ValueError, match="mirai.csv row 4: non-finite cell"):
             pf.load_csv_dir(tmp_path, small_schema())
 
+    def test_directory_stops_at_its_first_bad_row_in_file_name_order(self, tmp_path):
+        write_csv(tmp_path / "a.benign.csv", [[1, "nan", 3]], 3)
+        write_csv(tmp_path / "b.gafgyt.csv", [["oops", 2, 3]], 3)
+        with pytest.raises(ValueError, match=r"^a\.benign\.csv row 2: non-finite cell nan$"):
+            pf.load_csv_dir(tmp_path, small_schema())
+
     @pytest.mark.parametrize("body, row", [
         ("1,2,3\n\n4,5,6\n", 3),
         ("1,2,3\n4,5,6\n\n", 4),
@@ -370,6 +376,6 @@ class TestMemoryPeaks:
     def test_load_csv_dir_peaks_near_twice_its_result(self, tmp_path):
         # 45 files, so one file's text and parse buffers are small beside the matrix.
         write_nbaiot_layout(tmp_path / "nbaiot", seed=1, devices=9, rows=40)
-        ds, peak = traced_peak_bytes(lambda: pf.load_csv_dir(tmp_path / "nbaiot", pf.nbaiot_schema()))
+        ds, peak = traced_peak_bytes(lambda: pf.load_csv_dir(tmp_path / "nbaiot", pf.CsvSchema()))
         assert ds.n_samples == 45 * 40
         assert peak <= 2.5 * (ds.features.nbytes + ds.labels.nbytes)

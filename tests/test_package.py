@@ -28,3 +28,9 @@ def test_imports_are_numpy_and_stdlib():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert not foreign
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml's requires-python; this checks syntax, not library APIs.
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
