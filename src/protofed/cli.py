@@ -76,6 +76,11 @@ class RunSpec:
         # Path("") is the working directory, which no one means to fill.
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
+        # A file on the path would fail the first write, after every strategy had run.
+        out = Path(self.output_dir)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ValueError(f"output_dir {self.output_dir!r}: {str(existing)!r} is not a directory")
 
 
 # Defaults of optional keys whose dataclass field has none.

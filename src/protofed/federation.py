@@ -198,7 +198,7 @@ def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalRepor
 
 def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, client: int) -> Prototypes:
     means = {}
-    for class_id in np.unique(train.labels):
+    for class_id in np.flatnonzero(train.class_counts()):
         rows = train.features[train.labels == class_id]
         seed = _int_seed(cfg.seed, _SEED_GMM, round_index, client, int(class_id))
         if cfg.gmm_components is not None:

@@ -54,26 +54,15 @@ class GmmModel:
         return int(self.means.shape[1])
 
 
-def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """log N(x; mu_k, diag(var_k)) for every (sample, component) pair.
+def _log_density(sq: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Row-wise log N(x; mu, diag(var)), given ``sq = (x - mu)**2``.
 
-    Each component's terms are written in place into one (n, d) scratch array
-    laid out like ``X``. That computes what fresh temporaries would, and the
-    row sums run over an array of the same shape, so the result is bit-equal.
+    ``sq`` is divided by ``var`` in place, so it is spent afterwards.
     """
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    buf = np.empty_like(X)
-    for j in range(k):
-        var = covs[j]
-        np.subtract(X, means[j], out=buf)
-        np.square(buf, out=buf)
-        buf /= var
-        maha = buf.sum(axis=1)
-        log_det = np.log(var).sum()
-        out[:, j] = -0.5 * (d * _LOG_2PI + log_det + maha)
-    return out
+    sq /= var
+    maha = sq.sum(axis=1)
+    log_det = np.log(var).sum()
+    return -0.5 * (sq.shape[1] * _LOG_2PI + log_det + maha)
 
 
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -81,10 +70,9 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return (peak + np.log(np.exp(arr - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _e_step(
-    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    weighted = _log_gaussian_prob(X, means, covs) + np.log(weights)
+def _e_step(log_prob: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Responsibilities and the log-likelihood from per-component log-densities."""
+    weighted = log_prob + np.log(weights)
     norm = _logsumexp(weighted, axis=1)
     resp = np.exp(weighted - norm[:, None])
     return resp, float(norm.sum())
@@ -97,9 +85,11 @@ def em_fit(
 ) -> GmmModel:
     """Fit a diagonal Gaussian mixture by EM with k-means++ seeded initialization.
 
-    Iterates until the log-likelihood improves by less than EM_TOL or
-    EM_MAX_ITER is reached; the recorded log-likelihood history is
-    non-decreasing up to floating-point slack.
+    Stops once the log-likelihood improves by less than EM_TOL, or after
+    EM_MAX_ITER M-steps, so the history holds at most EM_MAX_ITER + 1
+    log-likelihoods and is non-decreasing up to floating-point slack. Each
+    M-step computes a component's squared deviations once, for its variance
+    and for the next E-step's log-density.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -116,19 +106,20 @@ def em_fit(
     means = kmeans_plusplus(X, n_components, rng).copy()
     covs = np.tile(np.maximum(X.var(axis=0), COVARIANCE_FLOOR), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
+    sq, buf = np.empty_like(X), np.empty_like(X)
+    log_prob = np.empty((n, n_components))
+    for j in range(n_components):
+        log_prob[:, j] = _log_density(np.square(np.subtract(X, means[j], out=sq), out=sq), covs[j])
 
     history: list[float] = []
     previous = -np.inf
-    for _ in range(EM_MAX_ITER):
-        resp, ll = _e_step(X, weights, means, covs)
+    while True:
+        resp, ll = _e_step(log_prob, weights)
         history.append(ll)
-        if ll - previous < EM_TOL:
+        if ll - previous < EM_TOL or len(history) > EM_MAX_ITER:
             break
         previous = ll
-        weights, means, covs = _m_step(X, resp)
-    else:
-        _, ll = _e_step(X, weights, means, covs)
-        history.append(ll)
+        weights, means, covs = _m_step(X, resp, sq, buf, log_prob)
 
     return GmmModel(
         weights=weights,
@@ -139,18 +130,25 @@ def em_fit(
     )
 
 
-def _m_step(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, means and floored variances, with one scratch array as in _log_gaussian_prob."""
+def _m_step(
+    X: np.ndarray, resp: np.ndarray, sq: np.ndarray, buf: np.ndarray, log_prob: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means and floored variances; ``log_prob`` gets the next E-step's densities.
+
+    Each component's squared deviations go into the scratch array ``sq``
+    once and serve both its variance and its log-density. ``sq`` and
+    ``buf`` are laid out like ``X``, so every sum runs over the same shape
+    as with fresh temporaries and the result is bit-equal.
+    """
     nk = resp.sum(axis=0) + 10 * np.finfo(np.float64).eps
     weights = nk / nk.sum()
     means = (resp.T @ X) / nk[:, None]
     covs = np.empty((resp.shape[1], X.shape[1]))
-    buf = np.empty_like(X)
     for j in range(resp.shape[1]):
-        np.subtract(X, means[j], out=buf)
-        np.square(buf, out=buf)
-        buf *= resp[:, j, None]
+        np.square(np.subtract(X, means[j], out=sq), out=sq)
+        np.multiply(sq, resp[:, j, None], out=buf)
         covs[j] = np.maximum(buf.sum(axis=0) / nk[j], COVARIANCE_FLOOR)
+        log_prob[:, j] = _log_density(sq, covs[j])
     return weights, means, covs
 
 

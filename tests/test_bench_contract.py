@@ -6,10 +6,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protofed as pf
 import protofed.cli as cli
+import protofed.mixtures as mixtures
 import protofed.network as network
 from helpers import two_blob_dataset
 
@@ -60,6 +62,21 @@ def test_train_local_calls_adam_step_once_per_mini_batch(monkeypatch):
     config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
     pf.train_local(pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.3, 2), seed=0), ds, config, 1)
     assert len(calls) == config.epochs * math.ceil(ds.n_samples / config.batch_size)
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 4), (3, 5), (40, 4)])
+def test_select_k_bic_fits_through_the_module_attribute_once_per_k(monkeypatch, n, k_max):
+    # SEVERE3_COUNTS pins the em_fit calls that the wrapper on mixtures.em_fit sees.
+    calls = []
+    original = mixtures.em_fit
+
+    def counting(X, n_components, seed):
+        calls.append(n_components)
+        return original(X, n_components, seed)
+
+    monkeypatch.setattr(mixtures, "em_fit", counting)
+    pf.select_k_bic(np.random.default_rng(n).random((n, 2)), k_max, seed=0)
+    assert calls == list(range(1, min(k_max, n) + 1))
 
 
 def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_path):

@@ -647,6 +647,23 @@ class TestMain:
         assert capsys.readouterr().err == "error: output_dir must not be empty\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("below", ["", "/sub"], ids=["file", "under-file"])
+    def test_output_dir_at_or_under_a_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                             via, below):
+        # Such a run would train every strategy and then fail its first write.
+        def no_loading(spec):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_loading)
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / "afile") + below
+        path = minimal_config(tmp_path, **({"output_dir": out} if via == "config" else {}))
+        assert main(["run", str(path), *(["--out", out] if via == "flag" else [])]) == 2
+        assert capsys.readouterr().err == (f"error: output_dir {out!r}: "
+                                           f"{str(tmp_path / 'afile')!r} is not a directory\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err

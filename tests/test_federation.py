@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import protofed as pf
 import protofed.federation as federation
 from protofed.federation import FederationError, _combine_reports
 from helpers import randomized_params
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def scalar_params(values, seed=0):
@@ -207,6 +213,28 @@ class TestClientPrototypes:
             class_rows = train.features[labels == class_id]
             model = pf.em_fit(class_rows, min(2, class_rows.shape[0]), seed)
             assert np.array_equal(rows, model.means)
+
+    def test_exchange_does_not_import_numpy_ma(self):
+        # numpy.ma adds about a MiB to a run's resident memory, and np.unique imports it.
+        # A fresh interpreter, because another test may have imported it already.
+        script = """
+import sys
+import protofed as pf
+data = pf.synthesize(pf.SyntheticSpec(3, 4, 1, 0.05, 30, seed=0))
+shards = pf.partition(data, pf.build_partition_plan("severe", data.class_counts(), 3), seed=0)
+cfg = pf.FederationConfig(rounds=1, trigger_round=1, threshold=1.0, gmm_components=None,
+                          train=pf.TrainConfig(epochs=1), model=pf.ModelSpec(4, ((4, 0.0),), 0.0, 3),
+                          scale_mode="none", seed=0)
+history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedp3e")
+assert history[0].exchange_triggered
+print("numpy.ma" in sys.modules)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestRunFederation:

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
+import protofed.mixtures as mixtures
+from protofed.clustering import kmeans_plusplus
 from protofed.mixtures import (
     _LOG_2PI,
     COVARIANCE_FLOOR,
+    EM_MAX_ITER,
+    EM_TOL,
     _e_step,
-    _log_gaussian_prob,
+    _log_density,
     _m_step,
     n_free_parameters,
 )
@@ -18,8 +22,9 @@ def blob(rng, center, spread, n, dims):
     return rng.normal(center, spread, (n, dims))
 
 
-# The EM formulas with a fresh temporary per step: the reference that the
-# scratch-buffer versions in protofed.mixtures must match bit for bit.
+# The EM formulas with a fresh temporary per step and the textbook loop: the
+# reference that the scratch-buffer versions in protofed.mixtures must match
+# bit for bit.
 def reference_log_gaussian_prob(X, means, covs):
     n, d = X.shape
     out = np.empty((n, means.shape[0]))
@@ -39,6 +44,40 @@ def reference_m_step(X, resp):
         diff = X - means[j]
         covs[j] = np.maximum((resp[:, j, None] * diff**2).sum(axis=0) / nk[j], COVARIANCE_FLOOR)
     return nk / nk.sum(), means, covs
+
+
+def reference_em_fit(X, k, seed, max_iter):
+    rng = np.random.default_rng(seed)
+    means = kmeans_plusplus(X, k, rng).copy()
+    covs = np.tile(np.maximum(X.var(axis=0), COVARIANCE_FLOOR), (k, 1))
+    weights = np.full(k, 1.0 / k)
+
+    def e_step(weights, means, covs):
+        weighted = reference_log_gaussian_prob(X, means, covs) + np.log(weights)
+        peak = weighted.max(axis=1, keepdims=True)
+        norm = (peak + np.log(np.exp(weighted - peak).sum(axis=1, keepdims=True)))[:, 0]
+        return np.exp(weighted - norm[:, None]), float(norm.sum())
+
+    history, previous = [], -np.inf
+    for _ in range(max_iter):
+        resp, ll = e_step(weights, means, covs)
+        history.append(ll)
+        if ll - previous < EM_TOL:
+            break
+        previous = ll
+        weights, means, covs = reference_m_step(X, resp)
+    else:
+        history.append(e_step(weights, means, covs)[1])
+    return weights, means, covs, history
+
+
+def oracle_data(n, d, k):
+    rng = np.random.default_rng([n, d, k])
+    # Column scales over four decades, as in N-BaIoT traffic statistics.
+    return rng, rng.normal(size=(n, d)) * 10.0 ** rng.uniform(0.0, 4.0, size=d)
+
+
+ORACLE_SHAPES = [(681, 115, 5), (15, 115, 5), (4, 115, 3), (60, 8, 1), (33, 2, 4)]
 
 
 class TestEmFit:
@@ -81,7 +120,7 @@ class TestEmFit:
         rng = np.random.default_rng(4)
         x = rng.random((40, 3))
         model = pf.em_fit(x, 3, seed=0)
-        resp, _ = _e_step(x, model.weights, model.means, model.covariances)
+        resp, _ = _e_step(reference_log_gaussian_prob(x, model.means, model.covariances), model.weights)
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_too_many_components_rejected(self):
@@ -96,20 +135,46 @@ class TestEmFit:
 
 
 class TestScratchBufferOracle:
-    @pytest.mark.parametrize("n, d, k", [
-        (681, 115, 5), (15, 115, 5), (4, 115, 3), (60, 8, 1), (33, 2, 4),
-    ])
+    @pytest.mark.parametrize("n, d, k", ORACLE_SHAPES)
     def test_buffered_steps_match_fresh_temporaries(self, n, d, k):
-        rng = np.random.default_rng([n, d, k])
-        # Column scales over four decades, as in N-BaIoT traffic statistics.
-        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(0.0, 4.0, size=d)
+        rng, X = oracle_data(n, d, k)
         means = X[rng.choice(n, size=k)] + rng.normal(size=(k, d))
         covs = np.maximum(rng.uniform(0.0, 2.0, size=(k, d)) * X.var(axis=0), COVARIANCE_FLOOR)
         resp = rng.dirichlet(np.ones(k), size=n)
-        assert np.array_equal(_log_gaussian_prob(X, means, covs),
-                              reference_log_gaussian_prob(X, means, covs))
-        for got, want in zip(_m_step(X, resp), reference_m_step(X, resp)):
-            assert np.array_equal(got, want)
+        log_prob = np.column_stack([_log_density((X - means[j]) ** 2, covs[j]) for j in range(k)])
+        assert np.array_equal(log_prob, reference_log_gaussian_prob(X, means, covs))
+        # Scratch contents left by an earlier step must not leak into this one.
+        sq, buf, log_prob = np.full_like(X, np.nan), np.full_like(X, np.nan), np.full((n, k), np.nan)
+        want = reference_m_step(X, resp)
+        for got, expected in zip(_m_step(X, resp, sq, buf, log_prob), want):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(log_prob, reference_log_gaussian_prob(X, want[1], want[2]))
+
+
+class TestWholeFitOracle:
+    @staticmethod
+    def assert_fit_matches(X, k, seed, max_iter):
+        model = pf.em_fit(X, k, seed)
+        weights, means, covs, history = reference_em_fit(X, k, seed, max_iter)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.covariances, covs)
+        assert model.log_likelihood_history == tuple(history)
+        assert model.log_likelihood == history[-1]
+        return model
+
+    # 681x115 with K=5 runs all EM_MAX_ITER M-steps, so its full fit is left
+    # to the capped case below.
+    @pytest.mark.parametrize("n, d, k", [s for s in ORACLE_SHAPES if s != (681, 115, 5)])
+    def test_em_fit_matches_the_textbook_loop(self, n, d, k):
+        _, X = oracle_data(n, d, k)
+        self.assert_fit_matches(X, k, seed=n, max_iter=EM_MAX_ITER)
+
+    def test_iteration_cap_stops_after_max_iter_m_steps(self, monkeypatch):
+        monkeypatch.setattr(mixtures, "EM_MAX_ITER", 3)
+        _, X = oracle_data(681, 115, 5)
+        model = self.assert_fit_matches(X, 5, seed=681, max_iter=3)
+        assert len(model.log_likelihood_history) == 4
 
 
 class TestSelectKBic:
