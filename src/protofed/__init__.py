@@ -18,7 +18,6 @@ from .clustering import (
     minibatch_kmeans,
 )
 from .datasets import (
-    CsvSchema,
     Dataset,
     SyntheticSpec,
     build_partition_plan,
@@ -62,7 +61,6 @@ from .network import (
 __all__ = [
     "AdamState",
     "AugmentationPolicy",
-    "CsvSchema",
     "Dataset",
     "EvalReport",
     "FederationConfig",

@@ -7,14 +7,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import MISSING, Field, dataclass, fields, replace
+from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 from .augment import AugmentationPolicy
 from .datasets import (
-    CsvSchema,
+    CLASS_NAMES,
     Dataset,
+    N_FEATURES,
     SCENARIOS,
     SyntheticSpec,
     build_partition_plan,
@@ -45,7 +46,6 @@ COMPARISON_COLUMNS = ("strategy", *_SCORES, "total_up_floats", "total_down_float
 @dataclass(frozen=True)
 class CsvSource:
     path: str
-    schema: CsvSchema
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ _DEFAULTS = {
 # Fields the CLI fills itself instead of reading them from their own section.
 _FILLED = {
     RunSpec: ("data", "federation", "strategies", "output_dir"),
-    CsvSource: ("schema",),
     FederationConfig: ("seed", "train", "aug", "model"),
     ModelSpec: ("input_dim", "output_classes"),
 }
@@ -145,12 +144,12 @@ def _convert(value, hint: str, section: str, key: str):
     raise ValueError(f"{section}.{key}: expected {hint}, got {json.dumps(value)}")
 
 
-def _read(obj, section: str, cls: type, *also: type, extra: tuple[str, ...] = ()) -> dict:
+def _read(obj, section: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
     """Field values of ``cls`` given in, or defaulted for, a JSON section.
 
-    ``also`` and ``extra`` name the other classes and keys the section holds.
+    ``extra`` names the other keys the section holds.
     """
-    _check_keys(obj, section, cls, *also, extra=extra)
+    _check_keys(obj, section, cls, extra=extra)
     defaults = _DEFAULTS.get(cls, {})
     values = {}
     for key, f in _own_fields(cls).items():
@@ -175,12 +174,13 @@ class _Object(dict):
             self.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
 
 
-def parse_config(path: str | Path) -> RunSpec:
+def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     """Load and validate a JSON run configuration.
 
     Unknown and duplicated keys are rejected at every level, every value is
     checked against its field's type, and every invariant violation is
-    reported with the offending key named.
+    reported with the offending key named. ``output_dir``, when given,
+    replaces the config's own before the directory is checked.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -191,7 +191,9 @@ def parse_config(path: str | Path) -> RunSpec:
         raise ValueError(f"{path}: top-level config must be a JSON object")
     _check_keys(raw, "config", extra=("seed", "output_dir", "data", "partition", "federation"))
     seed = _convert(raw.get("seed", 0), "int", "config", "seed")
-    output_dir = _convert(raw.get("output_dir", "runs"), "str", "config", "output_dir")
+    configured = _convert(raw.get("output_dir", "runs"), "str", "config", "output_dir")
+    if output_dir is None:
+        output_dir = configured
     data = _parse_data(_require(raw, "data", "config"))
     part = _read(_require(raw, "partition", "config"), "partition", RunSpec)
 
@@ -217,21 +219,19 @@ def _parse_data(section) -> SyntheticSpec | CsvSource:
         raise ValueError("data must define exactly one of 'synthetic' or 'csv_dir'")
     if "synthetic" in section:
         return SyntheticSpec(**_read(section["synthetic"], "data.synthetic", SyntheticSpec))
-    src = section["csv_dir"]
-    schema = CsvSchema(**_read(src, "data.csv_dir", CsvSchema, CsvSource))
-    return CsvSource(schema=schema, **_read(src, "data.csv_dir", CsvSource, CsvSchema))
+    return CsvSource(**_read(section["csv_dir"], "data.csv_dir", CsvSource))
 
 
 def _data_dims(data: SyntheticSpec | CsvSource) -> tuple[int, int]:
     if isinstance(data, SyntheticSpec):
         return data.dims, data.n_classes
-    return data.schema.n_features, len(data.schema.class_names)
+    return N_FEATURES, len(CLASS_NAMES)
 
 
 def _load_dataset(spec: RunSpec) -> Dataset:
     if isinstance(spec.data, SyntheticSpec):
         return synthesize(spec.data)
-    return load_csv_dir(spec.data.path, spec.data.schema)
+    return load_csv_dir(spec.data.path)
 
 
 def _csv_text(columns: tuple[str, ...], rows) -> str:
@@ -354,9 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = parse_config(args.config)
-        if args.out is not None:
-            spec = replace(spec, output_dir=args.out)
+        spec = parse_config(args.config, args.out)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -104,38 +104,23 @@ def _adopt(values, dtype: type) -> np.ndarray:
     return frozen(np.array(values, dtype=dtype))
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column and file-naming contract for a directory of labelled CSV files.
-
-    Each file holds one (device, class) capture: a header row of n_features
-    column names followed by one numeric sample per row. The class of a file
-    is the first pattern (case-insensitive substring of the file name) that
-    matches. The defaults are the N-BaIoT layout.
-    """
-
-    n_features: int = 115
-    class_patterns: tuple[tuple[str, int], ...] = (("benign", 0), ("gafgyt", 1), ("mirai", 2))
-    class_names: tuple[str, ...] = ("benign", "gafgyt", "mirai")
-
-    def __post_init__(self) -> None:
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
-        for pattern, class_id in self.class_patterns:
-            if not 0 <= class_id < len(self.class_names):
-                raise ValueError(f"pattern {pattern!r} maps to unknown class id {class_id}")
+# The N-BaIoT layout (Meidan et al., 2018): each CSV file holds one (device,
+# class) capture of N_FEATURES columns, and its class is the first of
+# CLASS_NAMES that appears in its lower-cased file name.
+N_FEATURES = 115
+CLASS_NAMES = ("benign", "gafgyt", "mirai")
 
 
-def _class_for_file(name: str, schema: CsvSchema) -> int:
+def _class_for_file(name: str) -> int:
     lowered = name.lower()
-    for pattern, class_id in schema.class_patterns:
-        if pattern.lower() in lowered:
+    for class_id, class_name in enumerate(CLASS_NAMES):
+        if class_name in lowered:
             return class_id
-    raise ValueError(f"{name}: file name matches no class pattern in schema")
+    raise ValueError(f"{name}: file name contains none of {', '.join(CLASS_NAMES)}")
 
 
-def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
-    """Load every CSV file under ``path`` into one Dataset.
+def load_csv_dir(path: str | Path) -> Dataset:
+    """Load every N-BaIoT-layout CSV file under ``path`` into one Dataset.
 
     Files are read in sorted name order and rows in file order, so the result
     is deterministic. Values are kept bit-exact (no scaling applied here).
@@ -159,15 +144,15 @@ def load_csv_dir(path: str | Path, schema: CsvSchema) -> Dataset:
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for file in files:
-        class_id = _class_for_file(file.name, schema)
-        block = _read_csv_file(file, schema.n_features)
+        class_id = _class_for_file(file.name)
+        block = _read_csv_file(file)
         blocks.append(block)
         labels.append(np.full(len(block), class_id, dtype=np.int64))
-    return Dataset(frozen(np.concatenate(blocks)), frozen(np.concatenate(labels)), schema.class_names)
+    return Dataset(frozen(np.concatenate(blocks)), frozen(np.concatenate(labels)), CLASS_NAMES)
 
 
-def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
-    """One file's samples as an (n, n_features) float64 array; row 1 is the header."""
+def _read_csv_file(file: Path) -> np.ndarray:
+    """One file's samples as an (n, N_FEATURES) float64 array; row 1 is the header."""
     data = file.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -178,23 +163,22 @@ def _read_csv_file(file: Path, n_features: int) -> np.ndarray:
     header = next(csv.reader(handle), None)
     if header is None:
         raise ValueError(f"{file.name}: empty file")
-    if len(header) != n_features:
+    if len(header) != N_FEATURES:
         raise ValueError(
-            f"{file.name}: column count mismatch "
-            f"(got {len(header)}, schema expects {n_features})"
+            f"{file.name}: column count mismatch (got {len(header)}, expects {N_FEATURES})"
         )
     # The reader consumed exactly the header record, so the rest is the body.
     body = handle.read()
-    block = _parse_body(body, n_features)
+    block = _parse_body(body)
     if block is None:
-        block = _read_rows(file.name, body, n_features)
+        block = _read_rows(file.name, body)
     if not np.isfinite(block).all():
         row, col = np.argwhere(~np.isfinite(block))[0]
         raise ValueError(f"{file.name} row {row + 2}: non-finite cell {block[row, col]}")
     return block
 
 
-def _parse_body(body: str, n_features: int) -> np.ndarray | None:
+def _parse_body(body: str) -> np.ndarray | None:
     """Parse every row with one np.loadtxt; None where only the row reader decides.
 
     loadtxt and ``float()`` share CPython's correctly rounded decimal parser,
@@ -212,29 +196,28 @@ def _parse_body(body: str, n_features: int) -> np.ndarray | None:
     if "" in lines:
         return None
     if not lines:
-        return np.empty((0, n_features))
+        return np.empty((0, N_FEATURES))
     try:
         block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
-    return block if block.shape == (len(lines), n_features) else None
+    return block if block.shape == (len(lines), N_FEATURES) else None
 
 
-def _read_rows(name: str, body: str, n_features: int) -> np.ndarray:
+def _read_rows(name: str, body: str) -> np.ndarray:
     """Parse the body record by record, naming the file, row and cell of the first bad one."""
     values: list[float] = []
     for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if len(row) != n_features:
+        if len(row) != N_FEATURES:
             raise ValueError(
-                f"{name} row {row_no}: column count mismatch "
-                f"(got {len(row)}, schema expects {n_features})"
+                f"{name} row {row_no}: column count mismatch (got {len(row)}, expects {N_FEATURES})"
             )
         for cell in row:
             try:
                 values.append(float(cell))
             except ValueError:
                 raise ValueError(f"{name} row {row_no}: non-numeric cell {cell!r}") from None
-    return np.array(values, dtype=np.float64).reshape(-1, n_features)
+    return np.array(values, dtype=np.float64).reshape(-1, N_FEATURES)
 
 
 def min_max_scale(ds: Dataset) -> Dataset:
@@ -387,7 +370,7 @@ class SyntheticSpec:
         for name in ("n_classes", "dims", "clusters_per_class", "samples_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.cluster_spread <= 0:
+        if not self.cluster_spread > 0:
             raise ValueError("cluster_spread must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

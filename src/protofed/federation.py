@@ -75,7 +75,7 @@ class FederationConfig:
             raise ValueError("threshold must be in (0,1]")
         if not 1 <= self.trigger_round <= self.rounds:
             raise ValueError("trigger_round must satisfy 1 <= trigger_round <= rounds")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")

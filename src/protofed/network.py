@@ -45,7 +45,7 @@ class ModelSpec:
         for units, l2 in hidden:
             if units < 1:
                 raise ValueError("hidden layer units must be >= 1")
-            if l2 < 0:
+            if not l2 >= 0:
                 raise ValueError("l2 coefficients must be >= 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
@@ -313,7 +313,7 @@ def _check_targets(
 ) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= spec.output_classes):
         raise ValueError("labels outside the model's class range")
-    if prox_mu < 0:
+    if not prox_mu >= 0:
         raise ValueError("prox_mu must be >= 0")
     if prox_mu > 0 and w_global is None:
         raise ValueError("prox_mu > 0 requires w_global")
@@ -363,15 +363,15 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.adam_epsilon <= 0:
+        if not self.adam_epsilon > 0:
             raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
-        if self.prox_mu < 0:
+        if not self.prox_mu >= 0:
             raise ValueError("prox_mu must be >= 0")
 
 
@@ -456,14 +456,17 @@ def train_local(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
+            features, labels = ds.features[order], ds.labels[order]
+            # One draw of n rows gives the doubles of the per-batch draws in row order.
+            masks = None
+            if spec.dropout_p > 0:
+                p = spec.dropout_p
+                masks = (rng.random((n, spec.hidden[0][0])) >= p) / (1.0 - p)
             total = 0.0
             for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
-                idx = order[start : start + config.batch_size]
-                mask = None
-                if spec.dropout_p > 0:
-                    p = spec.dropout_p
-                    mask = (rng.random((idx.size, spec.hidden[0][0])) >= p) / (1.0 - p)
-                loss = _loss_and_grad(work, grad, ds.features[idx], ds.labels[idx],
+                stop = min(start + config.batch_size, n)
+                mask = None if masks is None else masks[start:stop]
+                loss = _loss_and_grad(work, grad, features[start:stop], labels[start:stop],
                                       config.prox_mu, w_global, True, mask)
                 if not math.isfinite(loss):
                     raise FloatingPointError(
@@ -475,7 +478,7 @@ def train_local(
                 batch_stats *= 1.0 - BN_MOMENTUM
                 stats += batch_stats
                 adam_step(work, grad.flat, state, config)
-                total += loss * idx.size
+                total += loss * (stop - start)
             history.append(total / n)
     return work, history
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 import protofed as pf
+from protofed.datasets import N_FEATURES
 from protofed.network import loss_and_grads
 
 
@@ -115,7 +116,7 @@ def write_nbaiot_layout(root, seed, devices=3, rows=60):
     the cells use both fixed and exponent notation.
     """
     rng = np.random.default_rng(seed)
-    n_cols = pf.CsvSchema().n_features
+    n_cols = N_FEATURES
     magnitude = 10.0 ** rng.uniform(0.0, 4.0, size=n_cols)
     offset = {cls: rng.normal(0.0, 0.3, size=n_cols) for cls in ("benign", "gafgyt", "mirai")}
     header = ",".join(f"stat_{i}" for i in range(n_cols)) + "\n"

@@ -30,6 +30,7 @@ from protofed.cli import (
     parse_config,
     run,
 )
+from protofed.datasets import CLASS_NAMES, N_FEATURES
 from helpers import write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,21 +115,22 @@ class TestParseConfig:
         ({"synthetic": {"n_classes": 2, "dims": 5, "clusters_per_class": 2, "cluster_spread": 0.2,
                         "samples_per_class": 30, "seed": 9}},
          pf.SyntheticSpec(2, 5, 2, 0.2, 30, seed=9)),
-        ({"csv_dir": {"path": "captures", "n_features": 4, "class_patterns": [["x", 0], ["y", 1]],
-                      "class_names": ["x", "y"]}},
-         CsvSource("captures", pf.CsvSchema(4, (("x", 0), ("y", 1)), ("x", "y")))),
+        ({"csv_dir": {"path": "captures"}}, CsvSource("captures")),
     ])
     def test_every_field_round_trips(self, tmp_path, data):
         # Every key is given a value other than its default, so a key the
         # reader skipped or misnamed leaves its field unequal to the expected one.
         section, data = data
-        input_dim = data.dims if isinstance(data, pf.SyntheticSpec) else data.schema.n_features
+        if isinstance(data, pf.SyntheticSpec):
+            input_dim, n_classes = data.dims, data.n_classes
+        else:
+            input_dim, n_classes = N_FEATURES, len(CLASS_NAMES)
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
                                adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
         federation = pf.FederationConfig(
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
-            model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, 2),
+            model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, n_classes),
             train_fraction=0.7, scale_mode="none", eval_weighting="uniform",
             gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
             aggregate_running_stats=False, seed=8,
@@ -181,7 +183,7 @@ class TestParseConfig:
         assert tree(schema) == {
             "seed": None, "output_dir": None,
             "data": {"synthetic": section(pf.SyntheticSpec),
-                     "csv_dir": section(pf.CsvSchema, CsvSource)},
+                     "csv_dir": section(CsvSource)},
             "partition": section(RunSpec),
             "federation": section(pf.FederationConfig, strategies=None,
                                   train=section(pf.TrainConfig),
@@ -246,9 +248,21 @@ class TestParseConfig:
 
     def test_csv_dir_schema_defaults_to_the_nbaiot_layout(self, tmp_path):
         spec = parse_config(minimal_config(tmp_path, data={"csv_dir": {"path": "captures"}}))
-        assert spec.data == CsvSource("captures", pf.CsvSchema())
-        assert pf.CsvSchema() == pf.CsvSchema(
-            115, (("benign", 0), ("gafgyt", 1), ("mirai", 2)), ("benign", "gafgyt", "mirai"))
+        assert spec.data == CsvSource("captures")
+        model = spec.federation.model
+        assert (model.input_dim, model.output_classes) == (115, 3)
+        assert CLASS_NAMES == ("benign", "gafgyt", "mirai")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_features", 115),
+        ("class_names", ["benign", "gafgyt", "mirai"]),
+        ("class_patterns", [["benign", 0], ["gafgyt", 1], ["mirai", 2]]),
+    ])
+    def test_csv_dir_takes_only_a_path(self, tmp_path, capsys, key, value):
+        data = {"csv_dir": {"path": str(tmp_path / "captures"), key: value}}
+        path = minimal_config(tmp_path, data=data)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: unknown key {key!r} in data.csv_dir\n"
 
     def test_duplicate_strategy_rejected(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -662,6 +676,15 @@ class TestMain:
         assert main(["run", str(path), *(["--out", out] if via == "flag" else [])]) == 2
         assert capsys.readouterr().err == (f"error: output_dir {out!r}: "
                                            f"{str(tmp_path / 'afile')!r} is not a directory\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_out_replaces_a_rejected_output_dir(self, tmp_path, monkeypatch):
+        # The directory is checked once, as the run will use it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        path = minimal_config(tmp_path, output_dir="afile")
+        assert main(["run", str(path), "--out", "good"]) == 0
+        assert (tmp_path / "good" / "summary.json").exists()
         assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_missing_config_fails(self, tmp_path, capsys):

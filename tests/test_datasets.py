@@ -6,94 +6,110 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
+from protofed.datasets import N_FEATURES
 from helpers import traced_peak_bytes, write_nbaiot_layout
 
 
-def write_csv(path, rows, n_cols):
+def padded(row, n_cols=N_FEATURES):
+    """``row`` with zero cells appended up to ``n_cols`` cells."""
+    return [*row, *[0] * (n_cols - len(row))]
+
+
+def write_csv(path, rows, n_cols=N_FEATURES):
+    """A header of ``n_cols`` names, then each row padded with zero cells to ``n_cols``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"f{i}" for i in range(n_cols)])
-        writer.writerows(rows)
+        writer.writerows(padded(row, n_cols) for row in rows)
 
 
-def small_schema(n_cols=3):
-    return pf.CsvSchema(
-        n_features=n_cols,
-        class_patterns=(("benign", 0), ("gafgyt", 1), ("mirai", 2)),
-        class_names=("benign", "gafgyt", "mirai"),
-    )
+HEADER = ",".join(f"f{i}" for i in range(N_FEATURES)) + "\n"
+
+
+def csv_line(*cells):
+    """One N-BaIoT-width CSV line whose first cells are ``cells``, as text."""
+    return ",".join(str(cell) for cell in padded(cells)) + "\n"
 
 
 class TestLoadCsvDir:
     def test_concatenates_files_in_name_order(self, tmp_path):
-        write_csv(tmp_path / "benign.csv", [[i, i, i] for i in range(10)], 3)
-        write_csv(tmp_path / "mirai_ack.csv", [[9, 9, 9]] * 5, 3)
-        ds = pf.load_csv_dir(tmp_path, small_schema())
+        write_csv(tmp_path / "benign.csv", [[i, i, i] for i in range(10)])
+        write_csv(tmp_path / "mirai_ack.csv", [[9, 9, 9]] * 5)
+        ds = pf.load_csv_dir(tmp_path)
         assert ds.n_samples == 15
         assert ds.labels.tolist() == [0] * 10 + [2] * 5
 
+    def test_class_is_the_first_class_name_in_the_lower_cased_file_name(self, tmp_path):
+        # Names are tried in class order, not in the order they appear in the file name.
+        write_csv(tmp_path / "3.Mirai.ACK.csv", [[1]])
+        write_csv(tmp_path / "mirai-benign.csv", [[2]])
+        ds = pf.load_csv_dir(tmp_path)
+        assert ds.class_names == ("benign", "gafgyt", "mirai")
+        assert [ds.class_names[c] for c in ds.labels] == ["mirai", "benign"]
+
     def test_column_count_mismatch_names_file(self, tmp_path):
-        write_csv(tmp_path / "benign.csv", [[1, 2]], 2)
-        with pytest.raises(ValueError, match="benign.csv.*column count mismatch"):
-            pf.load_csv_dir(tmp_path, small_schema(3))
+        write_csv(tmp_path / "benign.csv", [[1, 2]], N_FEATURES - 1)
+        with pytest.raises(ValueError, match=r"^benign.csv: column count mismatch \(got 114, expects 115\)$"):
+            pf.load_csv_dir(tmp_path)
 
     def test_bit_exact_against_independent_reader(self, tmp_path):
         rng = np.random.default_rng(5)
         expected_rows = []
         for name in ("benign.csv", "gafgyt_udp.csv", "mirai_syn.csv"):
-            rows = rng.normal(size=(4, 3)).tolist()
-            write_csv(tmp_path / name, rows, 3)
+            rows = rng.normal(size=(4, N_FEATURES)).tolist()
+            write_csv(tmp_path / name, rows)
         # Independent reader: plain text split, no csv module involved.
         for name in sorted(p.name for p in tmp_path.iterdir()):
             lines = (tmp_path / name).read_text().strip().split("\n")[1:]
             expected_rows.extend([float(cell) for cell in line.split(",")] for line in lines)
-        ds = pf.load_csv_dir(tmp_path, small_schema())
+        ds = pf.load_csv_dir(tmp_path)
         assert ds.features.tolist() == expected_rows
 
     def test_non_numeric_cell_names_file_and_row(self, tmp_path):
-        write_csv(tmp_path / "benign.csv", [[1, 2, 3], [4, "oops", 6]], 3)
+        write_csv(tmp_path / "benign.csv", [[1, 2, 3], [4, "oops", 6]])
         with pytest.raises(ValueError, match="benign.csv row 3.*non-numeric"):
-            pf.load_csv_dir(tmp_path, small_schema())
+            pf.load_csv_dir(tmp_path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_file_and_row(self, tmp_path, cell):
-        write_csv(tmp_path / "benign.csv", [[1, 2, 3]], 3)
-        write_csv(tmp_path / "gafgyt.csv", [], 3)
-        write_csv(tmp_path / "mirai.csv", [[1, 2, 3], [4, 5, 6], [7, cell, 9]], 3)
+        write_csv(tmp_path / "benign.csv", [[1, 2, 3]])
+        write_csv(tmp_path / "gafgyt.csv", [])
+        write_csv(tmp_path / "mirai.csv", [[1, 2, 3], [4, 5, 6], [7, cell, 9]])
         with pytest.raises(ValueError, match="mirai.csv row 4: non-finite cell"):
-            pf.load_csv_dir(tmp_path, small_schema())
+            pf.load_csv_dir(tmp_path)
 
     def test_directory_stops_at_its_first_bad_row_in_file_name_order(self, tmp_path):
-        write_csv(tmp_path / "a.benign.csv", [[1, "nan", 3]], 3)
-        write_csv(tmp_path / "b.gafgyt.csv", [["oops", 2, 3]], 3)
+        write_csv(tmp_path / "a.benign.csv", [[1, "nan", 3]])
+        write_csv(tmp_path / "b.gafgyt.csv", [["oops", 2, 3]])
         with pytest.raises(ValueError, match=r"^a\.benign\.csv row 2: non-finite cell nan$"):
-            pf.load_csv_dir(tmp_path, small_schema())
+            pf.load_csv_dir(tmp_path)
 
     @pytest.mark.parametrize("body, row", [
-        ("1,2,3\n\n4,5,6\n", 3),
-        ("1,2,3\n4,5,6\n\n", 4),
-        ("1,2,3\r\n\r\n4,5,6\r\n", 3),
-        ("1,2,3\r\r\n4,5,6\n", 3),
+        ("{row}\n\n{row}\n", 3),
+        ("{row}\n{row}\n\n", 4),
+        ("{row}\r\n\r\n{row}\r\n", 3),
+        ("{row}\r\r\n{row}\n", 3),
     ], ids=["mid-file", "trailing", "crlf", "lone-cr"])
     def test_blank_line_is_a_row_of_zero_columns(self, tmp_path, body, row):
-        (tmp_path / "benign.csv").write_text("f0,f1,f2\n" + body, newline="")
+        full_row = csv_line(1, 2, 3).rstrip("\n")
+        (tmp_path / "benign.csv").write_text(HEADER + body.format(row=full_row), newline="")
         expected = rf"benign.csv row {row}: column count mismatch \(got 0,"
         with pytest.raises(ValueError, match=expected):
-            pf.load_csv_dir(tmp_path, small_schema())
+            pf.load_csv_dir(tmp_path)
 
     def test_header_only_file_adds_no_rows(self, tmp_path):
-        write_csv(tmp_path / "benign.csv", [[1, 2, 3], [4, 5, 6]], 3)
-        write_csv(tmp_path / "gafgyt.csv", [], 3)
-        ds = pf.load_csv_dir(tmp_path, small_schema())
-        assert ds.features.tolist() == [[1, 2, 3], [4, 5, 6]]
+        write_csv(tmp_path / "benign.csv", [[1, 2, 3], [4, 5, 6]])
+        write_csv(tmp_path / "gafgyt.csv", [])
+        ds = pf.load_csv_dir(tmp_path)
+        assert ds.features.tolist() == [padded([1, 2, 3]), padded([4, 5, 6])]
         assert ds.class_counts().tolist() == [2, 0, 0]
 
     def test_cells_only_the_row_reader_accepts(self, tmp_path):
         # float() takes digit separators and csv unquotes cells; loadtxt does
         # neither, so these files load through the row reader.
-        (tmp_path / "benign.csv").write_text('f0,f1,f2\n1_0,"1.5",3\n4,5,6\n')
-        ds = pf.load_csv_dir(tmp_path, small_schema())
-        assert ds.features.tolist() == [[10.0, 1.5, 3.0], [4.0, 5.0, 6.0]]
+        (tmp_path / "benign.csv").write_text(HEADER + csv_line("1_0", '"1.5"', 3) + csv_line(4, 5, 6))
+        ds = pf.load_csv_dir(tmp_path)
+        assert ds.features.tolist() == [padded([10.0, 1.5, 3.0]), padded([4.0, 5.0, 6.0])]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -106,27 +122,27 @@ class TestLoadCsvDir:
     )
     def test_cells_load_bit_equal_to_float(self, tmp_path_factory, values, style):
         root = tmp_path_factory.mktemp("csv")
-        cells = [[style(v) for v in row] for row in values]
-        lines = "".join(",".join(row) + "\n" for row in cells)
-        (root / "mirai.csv").write_text("f0,f1,f2\n" + lines)
+        cells = [padded([style(v) for v in row]) for row in values]
+        (root / "mirai.csv").write_text(HEADER + "".join(csv_line(*row) for row in cells))
         expected = np.array([[float(cell) for cell in row] for row in cells])
-        loaded = pf.load_csv_dir(root, small_schema()).features
+        loaded = pf.load_csv_dir(root).features
         assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
 
     def test_non_utf8_bytes_name_file_and_row(self, tmp_path):
-        (tmp_path / "1.benign.csv").write_bytes(b"f0,f1,f2\n1,2,3\n4,\xff,6\n7,8,9\n")
+        text = HEADER + csv_line(1, 2, 3) + csv_line(4, "@", 6) + csv_line(7, 8, 9)
+        (tmp_path / "1.benign.csv").write_bytes(text.encode().replace(b"@", b"\xff"))
         expected = r"^1.benign.csv row 3: not UTF-8 text \(invalid start byte\)$"
         with pytest.raises(ValueError, match=expected):
-            pf.load_csv_dir(tmp_path, small_schema())
+            pf.load_csv_dir(tmp_path)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            pf.load_csv_dir(tmp_path / "nope", small_schema())
+            pf.load_csv_dir(tmp_path / "nope")
 
     def test_unmatched_file_name(self, tmp_path):
-        write_csv(tmp_path / "mystery.csv", [[1, 2, 3]], 3)
-        with pytest.raises(ValueError, match="mystery.csv.*no class pattern"):
-            pf.load_csv_dir(tmp_path, small_schema())
+        write_csv(tmp_path / "mystery.csv", [[1, 2, 3]])
+        with pytest.raises(ValueError, match="mystery.csv: file name contains none of benign, gafgyt, mirai"):
+            pf.load_csv_dir(tmp_path)
 
 
 class TestMinMaxScale:
@@ -376,6 +392,6 @@ class TestMemoryPeaks:
     def test_load_csv_dir_peaks_near_twice_its_result(self, tmp_path):
         # 45 files, so one file's text and parse buffers are small beside the matrix.
         write_nbaiot_layout(tmp_path / "nbaiot", seed=1, devices=9, rows=40)
-        ds, peak = traced_peak_bytes(lambda: pf.load_csv_dir(tmp_path / "nbaiot", pf.CsvSchema()))
+        ds, peak = traced_peak_bytes(lambda: pf.load_csv_dir(tmp_path / "nbaiot"))
         assert ds.n_samples == 45 * 40
         assert peak <= 2.5 * (ds.features.nbytes + ds.labels.nbytes)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
-from protofed.network import init_adam, loss_and_grads
+from protofed.network import BN_MOMENTUM, _loss_and_grad, init_adam, loss_and_grads
 from helpers import fd_max_relative_error, randomized_params, two_blob_dataset
 
 REFERENCE_SPEC = pf.ModelSpec(115, ((128, 1e-3), (64, 1e-3)), 0.5, 3)
@@ -264,6 +264,36 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="empty"):
             pf.train_local(start, ds, pf.TrainConfig(), 0)
 
+    def test_matches_a_per_batch_loop_with_dropout_and_a_short_last_batch(self):
+        ds = two_blob_dataset(20, 3, 0.1, seed=8)  # 40 rows: batches of 16, 16 and 8
+        start = randomized_params(pf.ModelSpec(3, ((6, 0.01), (4, 0.01)), 0.3, 2), 2)
+        config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
+        trained, history = pf.train_local(start, ds, config, 5)
+        # oracle: gather each batch's rows and draw its dropout mask batch by batch
+        spec, p = start.spec, start.spec.dropout_p
+        work, grad = start.copy(), pf.ModelParams(spec)
+        stats, batch_stats = work.stats, grad.stats
+        state = init_adam(work)
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        expected = []
+        for _ in range(config.epochs):
+            order = rng.permutation(ds.n_samples)
+            total = 0.0
+            for begin in range(0, ds.n_samples, config.batch_size):
+                idx = order[begin : begin + config.batch_size]
+                mask = (rng.random((idx.size, spec.hidden[0][0])) >= p) / (1.0 - p)
+                loss = _loss_and_grad(work, grad, ds.features[idx], ds.labels[idx],
+                                      0.0, None, True, mask)
+                stats *= BN_MOMENTUM
+                batch_stats *= 1.0 - BN_MOMENTUM
+                stats += batch_stats
+                pf.adam_step(work, grad.flat, state, config)
+                total += loss * idx.size
+            expected.append(total / ds.n_samples)
+        assert history == expected
+        assert np.array_equal(trained.flat, work.flat)
+        assert np.array_equal(trained.stats, work.stats)
+
 
 class TestEvaluate:
     def test_all_correct_gives_perfect_scores(self):
@@ -413,3 +443,20 @@ class TestParamLayout:
         spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
         with pytest.raises(ValueError, match="flat must have shape"):
             pf.ModelParams(spec, np.zeros(pf.build_model(spec, seed=0).trainable_count + 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pf.TrainConfig(learning_rate=math.nan),
+    lambda: pf.TrainConfig(adam_epsilon=math.nan),
+    lambda: pf.TrainConfig(prox_mu=math.nan),
+    lambda: pf.FederationConfig(noise_sigma=math.nan),
+    lambda: pf.SyntheticSpec(2, 3, 1, math.nan, 10, seed=0),
+    lambda: pf.ModelSpec(3, ((4, math.nan),), 0.0, 2),
+    lambda: loss_and_grads(pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0),
+                           np.zeros((2, 3)), np.zeros(2, dtype=np.int64), prox_mu=math.nan),
+], ids=["learning_rate", "adam_epsilon", "prox_mu", "noise_sigma", "cluster_spread", "l2",
+        "loss-prox_mu"])
+def test_nan_fails_the_range_check(build):
+    # A NaN compares false both ways, so only a check that the value is in range rejects it.
+    with pytest.raises(ValueError, match="must be >"):
+        build()
