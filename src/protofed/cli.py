@@ -282,8 +282,9 @@ def run(spec: RunSpec) -> int:
 
     Writes metrics_<strategy>.csv per strategy plus summary.json and
     comparison.csv into the spec's output directory once every strategy has
-    finished: all under temporary names first, then each renamed into place.
-    It then deletes the metrics file of each strategy it did not run; a run
+    finished: all under temporary names first, then each renamed into place,
+    summary.json last. Before the first rename it deletes the earlier
+    summary.json and the metrics file of each strategy it did not run; a run
     that fails writes nothing. Outputs are byte-deterministic for a given spec.
     """
     try:
@@ -331,15 +332,17 @@ def _execute(spec: RunSpec) -> None:
     try:
         for name, text in files.items():
             staged[name].write_bytes(text.encode("utf-8"))
+        # The earlier run's summary goes before the first rename, and this
+        # run's comes last, so a failed rename leaves no summary beside a mix
+        # of runs. A metrics file of a strategy this run left out goes too.
+        left_out = [f"metrics_{s}.csv" for s in STRATEGIES if s not in spec.strategies]
+        for name in ("summary.json", *left_out):
+            (out / name).unlink(missing_ok=True)
         for name, tmp in staged.items():
             tmp.replace(out / name)
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
-    # A metrics file of a strategy this run left out describes an earlier run.
-    for strategy in STRATEGIES:
-        if strategy not in spec.strategies:
-            (out / f"metrics_{strategy}.csv").unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -94,7 +94,7 @@ class Prototypes:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         frozen: dict[int, np.ndarray] = {}
         for class_id, rows in self.by_class.items():

@@ -255,91 +255,88 @@ def check_round_one_exchange(
                               "so fedp3e's exchange has no prototypes of it")
 
 
+def _exchange(
+    cfg: FederationConfig, train_sets: list[Dataset], r: int
+) -> tuple[tuple[int, ...], int]:
+    """Round ``r``'s exchange: upload, recluster, then augment each entry of ``train_sets``.
+
+    Returns each client's upload size and the broadcast size, in floats.
+    """
+    uploads = []
+    for k, train in enumerate(train_sets):
+        with _failing_at(f"round {r}, client {k}"):
+            ps = _client_prototypes(train, cfg, r, k)
+            uploads.append(perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, r, k)))
+    with _failing_at(f"round {r}"):
+        gp = aggregate_prototypes(uploads, seed=_int_seed(cfg.seed, _SEED_AGG, r),
+                                  cluster_count=cfg.global_prototypes_per_class)
+    for k, train in enumerate(train_sets):
+        with _failing_at(f"round {r}, client {k}"):
+            train_sets[k] = augment(train, gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, r, k))
+    return tuple(ps.floats for ps in uploads), gp.floats
+
+
+def _train(cfg: FederationConfig, train_cfg: TrainConfig, global_params: ModelParams,
+           train_sets: list[Dataset], r: int) -> ModelParams:
+    """Round ``r``'s local training on every client, then FedAvg: the new global model."""
+    updates = []
+    for k, train in enumerate(train_sets):
+        seed = _int_seed(cfg.seed, _SEED_TRAIN, r, k)
+        with _failing_at(f"round {r}, client {k}"):
+            updated, _ = train_local(global_params, train, train_cfg, seed, w_global=global_params)
+        updates.append((updated, train.n_samples))
+    with _failing_at(f"round {r}"):
+        aggregated = fedavg_aggregate(updates)
+    if cfg.aggregate_running_stats:
+        return aggregated
+    return ModelParams(aggregated.spec, aggregated.flat, global_params.stats.copy())
+
+
 def run_federation(
     cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]], strategy: str
 ) -> list[RoundMetrics]:
     """Run ``strategy`` over the ``(train, test)`` pairs of ``split_clients``.
 
-    Every client trains for the configured epochs each round on its train
-    set, uploads its model for weighted averaging, and evaluates the global
-    model on its test set. Only fedprox applies ``cfg.train.prox_mu``. Under
-    fedp3e a one-shot prototype exchange can fire at the trigger round, after
-    which clients train on augmented data; ``clients`` itself is left as it
-    was, so several strategies can run on the same splits. All randomness
-    is derived from per-(round, client) sub-seeds, so results are
-    bit-identical across reruns. A failure in a round raises FederationError naming the round,
-    and the client where there is one.
+    Each round runs three phases. Exchange (fedp3e only, once, at the trigger
+    round): clients upload noisy GMM prototypes, the server reclusters them,
+    and each client augments its train set, which later rounds keep. Train:
+    every client trains from the global model, and FedAvg makes the next one.
+    Evaluate: every client scores the new global model on its test set. Only
+    fedprox applies ``cfg.train.prox_mu``. ``clients`` itself is left as it
+    was, so several strategies can run on the same splits. All randomness is
+    derived from per-(round, client) sub-seeds, so results are bit-identical
+    across reruns. A failure in a round raises FederationError naming the
+    round, and the client where there is one.
     """
     check_strategy(strategy, cfg)
-    n_clients = len(clients)
     train_sets = [train for train, _ in clients]
-    test_sets = [test for _, test in clients]
     first = train_sets[0]
-    n_classes = first.n_classes
-    spec = cfg.model or mlp_spec(first.n_features, n_classes)
+    spec = cfg.model or mlp_spec(first.n_features, first.n_classes)
     if spec.input_dim != first.n_features:
         raise ValueError(f"model expects {spec.input_dim} inputs but data has {first.n_features}")
-    if spec.output_classes != n_classes:
-        raise ValueError(f"model expects {spec.output_classes} classes but data has {n_classes}")
+    if spec.output_classes != first.n_classes:
+        raise ValueError(f"model expects {spec.output_classes} classes but data has {first.n_classes}")
     global_params = build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
-    d_w = global_params.trainable_count
-
     train_cfg = cfg.train if strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
 
     history: list[RoundMetrics] = []
-    for round_index in range(1, cfg.rounds + 1):
+    for r in range(1, cfg.rounds + 1):
         exchange = strategy == "fedp3e" and should_trigger_exchange(history, cfg)
-        proto_upload = [0] * n_clients
-        proto_download = 0
-        if exchange:
-            uploads = []
-            for k in range(n_clients):
-                with _failing_at(f"round {round_index}, client {k}"):
-                    ps = _client_prototypes(train_sets[k], cfg, round_index, k)
-                    ps = perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, round_index, k))
-                proto_upload[k] = ps.floats
-                uploads.append(ps)
-            gp = aggregate_prototypes(
-                uploads,
-                seed=_int_seed(cfg.seed, _SEED_AGG, round_index),
-                cluster_count=cfg.global_prototypes_per_class,
-            )
-            proto_download = gp.floats
-            for k in range(n_clients):
-                with _failing_at(f"round {round_index}, client {k}"):
-                    train_sets[k] = augment(
-                        train_sets[k], gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, round_index, k)
-                    )
-
-        updates = []
-        for k in range(n_clients):
-            seed = _int_seed(cfg.seed, _SEED_TRAIN, round_index, k)
-            with _failing_at(f"round {round_index}, client {k}"):
-                updated, _ = train_local(
-                    global_params, train_sets[k], train_cfg, seed, w_global=global_params
-                )
-            updates.append((updated, train_sets[k].n_samples))
-
-        with _failing_at(f"round {round_index}"):
-            aggregated = fedavg_aggregate(updates)
-        if not cfg.aggregate_running_stats:
-            aggregated = ModelParams(aggregated.spec, aggregated.flat, global_params.stats.copy())
-        global_params = aggregated
-
+        uploads, download = _exchange(cfg, train_sets, r) if exchange else ((0,) * len(clients), 0)
+        global_params = _train(cfg, train_cfg, global_params, train_sets, r)
         reports = []
-        for k, test in enumerate(test_sets):
-            with _failing_at(f"round {round_index}, client {k}"):
+        for k, (_, test) in enumerate(clients):
+            with _failing_at(f"round {r}, client {k}"):
                 reports.append(evaluate(global_params, test))
-        metrics = RoundMetrics(
-            round_index=round_index,
+        history.append(RoundMetrics(
+            round_index=r,
             global_report=_combine_reports(reports, cfg.eval_weighting),
             client_reports=tuple(reports),
-            model_upload_floats=n_clients * d_w,
-            proto_upload_floats=tuple(proto_upload),
-            proto_download_floats=proto_download,
+            model_upload_floats=len(clients) * global_params.trainable_count,
+            proto_upload_floats=uploads,
+            proto_download_floats=download,
             exchange_triggered=exchange,
-        )
-        history.append(metrics)
+        ))
     return history
 
 

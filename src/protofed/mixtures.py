@@ -198,7 +198,7 @@ def perturb(ps: Prototypes, sigma: float, seed: int) -> Prototypes:
     Each row draws from its own stream derived from (seed, class, row), so
     reordering the rows reorders the noise with them.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     noisy = {}
     for class_id, rows in ps.by_class.items():

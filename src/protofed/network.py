@@ -510,15 +510,20 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
 
     Macro averages run over the classes present in the labels or predictions;
     per-class ratios that are undefined (no predictions, or no true samples)
-    count as 0. The loss excludes L2 and proximal terms.
+    count as 0. The loss excludes L2 and proximal terms; a non-finite loss,
+    as from a diverged model, raises FloatingPointError.
     """
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_batch(params.spec, ds.features)
-    cache = _forward(params, ds.features, None, None)
+    # A diverged model is reported by the loss check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = _forward(params, ds.features, None, None)
+        mean_loss = _cross_entropy(cache.log_probs, ds.labels)
+    if not math.isfinite(mean_loss):
+        raise FloatingPointError(f"the global model's test loss is non-finite: {mean_loss}")
     preds = cache.probs.argmax(axis=1)
     n = ds.n_samples
-    mean_loss = _cross_entropy(cache.log_probs, ds.labels)
     accuracy = float((preds == ds.labels).mean())
 
     n_classes = params.spec.output_classes

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 import protofed as pf
 from protofed.datasets import N_FEATURES
 from protofed.network import loss_and_grads
+
+# The committed severe non-IID run: the benchmark's severe3 and acceptance criterion 3.
+SEVERE_FIXTURE = Path(__file__).parent / "fixtures" / "severe_nonidd.json"
 
 
 def randomized_params(spec: pf.ModelSpec, seed: int) -> pf.ModelParams:

@@ -7,12 +7,13 @@ runs of those exact configurations.
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 
 import protofed as pf
-from protofed.cli import _metrics_csv
-from helpers import fd_max_relative_error, randomized_params
+from protofed.cli import _metrics_csv, parse_config
+from helpers import SEVERE_FIXTURE, fd_max_relative_error, randomized_params
 
 # Committed fixture for the severe / IID trend experiments.
 TREND_DATA = pf.SyntheticSpec(
@@ -133,10 +134,14 @@ def test_criterion_2_total_ratio_reference_value():
     )
 
 
-def test_criterion_3_severe_noniid_trend():
-    clients = pf.split_clients(TREND_CONFIG, partitioned(TREND_DATA, "severe"))
-    p3e = pf.run_federation(TREND_CONFIG, clients, "fedp3e")
-    avg = pf.run_federation(TREND_CONFIG, clients, "fedavg")
+def test_criterion_3_severe_noniid_trend(severe_run):
+    # The committed severe fixture is this experiment: fedavg and fedp3e do
+    # not read its prox_mu, which only its fedprox run uses.
+    spec = parse_config(SEVERE_FIXTURE)
+    assert (spec.data, spec.scenario, spec.n_clients) == (TREND_DATA, "severe", 3)
+    assert spec.federation == replace(TREND_CONFIG, train=replace(TREND_TRAIN, prox_mu=0.1))
+    _, histories = severe_run
+    p3e, avg = histories["fedp3e"], histories["fedavg"]
     acc_p3e = p3e[-1].global_report.accuracy
     acc_avg = avg[-1].global_report.accuracy
     ok = acc_avg <= 0.60 and acc_p3e >= acc_avg + 0.25 and pf.exchange_round(p3e) == 6

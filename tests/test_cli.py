@@ -322,6 +322,18 @@ class TestRun:
         assert run(spec) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_diverged_global_model_fails_in_evaluation_with_one_line(self, tmp_path, capsys):
+        # One step per client at this rate leaves every loss and parameter
+        # finite (about 1e300), so the first non-finite value is the test loss.
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"].update({"rounds": 1, "trigger_round": 1, "train": {
+            "epochs": 1, "batch_size": 64, "learning_rate": 1e300}})
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: round 1, client 0: [^\n]*non-finite[^\n]*\n", err), err
+
     @staticmethod
     def _class_without_rows(tmp_path, trigger_round):
         """fedavg then fedp3e on two severe clients over three classes, so no
@@ -398,6 +410,28 @@ class TestRun:
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
+    def test_rename_that_fails_midway_leaves_no_summary(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(minimal_config(tmp_path)), "--out", str(out)]) == 0
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"]["rounds"] = 3
+        path.write_text(json.dumps(raw))
+        replace, calls = Path.replace, []
+
+        def fails_on_second_call(self, target):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError("Input/output error")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", fails_on_second_call)
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Input/output error\n"
+        names = [p.name for p in out.iterdir()]
+        assert "summary.json" not in names
+        assert not [name for name in names if name.endswith(".tmp")]
+
     def test_rerun_deletes_only_the_metrics_of_strategies_it_left_out(self, tmp_path):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -437,13 +471,11 @@ class TestMain:
         assert main(["run", str(path), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
 
-    def test_severe_fixture_reproduces_reference_hashes(self, tmp_path):
+    def test_severe_fixture_reproduces_reference_hashes(self, severe_run):
         # A faster path must write the same bytes; the hashes are stated once,
         # in the benchmark's reference file.
         expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["severe3"]
-        out = tmp_path / "out"
-        config = str(FIXTURES / "severe_nonidd.json")
-        assert main(["run", config, "--out", str(out)]) == 0
+        out, _ = severe_run
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == expected
 

@@ -156,6 +156,10 @@ class TestGlobalPrototypesWire:
         with pytest.raises(ValueError, match="noise_sigma"):
             pf.Prototypes({0: np.zeros((1, 2))}, noise_sigma=-0.01)
 
+    def test_nan_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
+            pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=float("nan"))
+
     def test_arrays_are_read_only_copies(self):
         rows = np.zeros((2, 3))
         protos = pf.Prototypes({0: rows})

@@ -348,6 +348,34 @@ class TestRunFederation:
         with pytest.raises(FederationError, match="round 1, client 0: evaluation failed"):
             pf.run_federation(small_config(), severe_clients(), "fedavg")
 
+    # The context a round gives a failure of each module attribute it calls.
+    FAILURE_CONTEXT = {
+        "select_k_bic": "round 2, client 0",
+        "perturb": "round 2, client 0",
+        "aggregate_prototypes": "round 2",
+        "augment": "round 2, client 0",
+        "train_local": "round 2, client 0",
+        "fedavg_aggregate": "round 2",
+        "evaluate": "round 2, client 0",
+    }
+
+    @pytest.mark.parametrize("name", FAILURE_CONTEXT)
+    def test_each_phase_failure_names_its_round(self, monkeypatch, name):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        ask = federation.should_trigger_exchange
+
+        def failing_from_round_two(history, cfg):
+            if len(history) == 1:
+                monkeypatch.setattr(federation, name, boom)
+            return ask(history, cfg)
+
+        monkeypatch.setattr(federation, "should_trigger_exchange", failing_from_round_two)
+        # small_config's exchange fires in round 2, so every phase runs then.
+        with pytest.raises(FederationError, match=f"^{self.FAILURE_CONTEXT[name]}: boom$"):
+            pf.run_federation(small_config(rounds=2), severe_clients(), "fedp3e")
+
     def test_scaled_copies_released_before_training(self, monkeypatch):
         scaled, alive = [], []
         min_max_scale, train_local = federation.min_max_scale, federation.train_local

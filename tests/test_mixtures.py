@@ -267,6 +267,11 @@ class TestPerturb:
         with pytest.raises(ValueError, match="sigma"):
             pf.perturb(self.make_set(), -0.1, seed=0)
 
+    def test_nan_sigma_rejected(self):
+        # Blamed on the prototypes before: NaN noise made them non-finite.
+        with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+            pf.perturb(pf.Prototypes({0: np.zeros((2, 3))}), float("nan"), seed=0)
+
     def test_sigma_recorded(self):
         out = pf.perturb(self.make_set(), 0.25, seed=1)
         assert out.noise_sigma == 0.25
