@@ -96,6 +96,8 @@ class Prototypes:
     def __post_init__(self) -> None:
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
+        if math.isinf(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         frozen: dict[int, np.ndarray] = {}
         for class_id, rows in self.by_class.items():
             if class_id < 0:

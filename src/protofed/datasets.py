@@ -11,11 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-SCENARIOS = ("iid", "light", "moderate", "severe")
-
-# Per-class proportions handed to client 0, rotated by one position per client.
-_LIGHT_SHARES = 0.5
-_MODERATE_SHARES = 0.15
+# Skew decay of each partition scenario, from IID (1) to one class per client (0).
+_DECAY = {"iid": 1.0, "light": 0.5, "moderate": 0.15, "severe": 0.0}
+SCENARIOS = tuple(_DECAY)
 
 
 @dataclass(frozen=True)
@@ -277,41 +275,30 @@ def build_partition_plan(
 ) -> tuple[tuple[int, ...], ...]:
     """Quota table for one of the four built-in scenarios.
 
-    Row ``k`` holds client ``k``'s sample count of each class.
-
-    iid: every client receives an equal share of every class.
-    light / moderate: shares of each class rotate across clients with a
-        geometric decay (mild for light, steep for moderate), so every client
-        still sees every class but in skewed proportions.
-    severe: client k holds only class k (mod n_classes), split evenly among
-        clients mapped to the same class.
+    Row ``k`` holds client ``k``'s sample count of each class. With ``C``
+    classes and ``n_c`` samples of class ``c``, client ``k`` gets
+    ``floor(n_c * w_kc / sum_j w_jc)`` of class ``c``, where
+    ``w_kc = decay ** ((c - k) mod C)``: client ``k`` favours class
+    ``k mod C`` and the weight of every other class decays with its distance.
+    The decay is 1.0 for iid (equal shares), 0.5 for light, 0.15 for moderate
+    and 0.0 for severe (``0.0 ** 0 == 1``, so client ``k`` holds only class
+    ``k mod C``). A class no client favours under severe (fewer clients than
+    classes) has total weight 0 and goes to no client.
     """
     counts = np.asarray(class_counts, dtype=np.int64)
     n_classes = counts.size
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
-    if scenario == "iid":
-        quotas = [[int(counts[c]) // n_clients for c in range(n_classes)] for _ in range(n_clients)]
-    elif scenario in ("light", "moderate"):
-        decay = _LIGHT_SHARES if scenario == "light" else _MODERATE_SHARES
-        weights = decay ** np.arange(n_classes, dtype=np.float64)
-        total_w = [sum(weights[(c - j) % n_classes] for j in range(n_clients))
-                   for c in range(n_classes)]
-        quotas = [
-            [math.floor(counts[c] * weights[(c - k) % n_classes] / total_w[c])
-             for c in range(n_classes)]
-            for k in range(n_clients)
-        ]
-    elif scenario == "severe":
-        owners = [[] for _ in range(n_classes)]
-        for k in range(n_clients):
-            owners[k % n_classes].append(k)
-        quotas = [[0] * n_classes for _ in range(n_clients)]
-        for c in range(n_classes):
-            for k in owners[c]:
-                quotas[k][c] = int(counts[c]) // max(1, len(owners[c]))
-    else:
+    if scenario not in _DECAY:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    weights = _DECAY[scenario] ** np.arange(n_classes, dtype=np.float64)
+    total_w = [sum(weights[(c - j) % n_classes] for j in range(n_clients))
+               for c in range(n_classes)]
+    quotas = [
+        [math.floor(counts[c] * weights[(c - k) % n_classes] / total_w[c]) if total_w[c] else 0
+         for c in range(n_classes)]
+        for k in range(n_clients)
+    ]
     return tuple(tuple(row) for row in quotas)
 
 
@@ -372,6 +359,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not self.cluster_spread > 0:
             raise ValueError("cluster_spread must be > 0")
+        if math.isinf(self.cluster_spread):
+            raise ValueError(f"cluster_spread must be finite, got {self.cluster_spread}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -77,6 +78,8 @@ class FederationConfig:
             raise ValueError("trigger_round must satisfy 1 <= trigger_round <= rounds")
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
+        if math.isinf(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.scale_mode not in ("local", "none"):

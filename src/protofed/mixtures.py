@@ -200,6 +200,8 @@ def perturb(ps: Prototypes, sigma: float, seed: int) -> Prototypes:
     """
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
+    if math.isinf(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     noisy = {}
     for class_id, rows in ps.by_class.items():
         noise = [

@@ -47,6 +47,8 @@ class ModelSpec:
                 raise ValueError("hidden layer units must be >= 1")
             if not l2 >= 0:
                 raise ValueError("l2 coefficients must be >= 0")
+            if math.isinf(l2):
+                raise ValueError(f"l2 coefficients must be finite, got {l2}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.dropout_p > 0 and not hidden:
@@ -315,6 +317,8 @@ def _check_targets(
         raise ValueError("labels outside the model's class range")
     if not prox_mu >= 0:
         raise ValueError("prox_mu must be >= 0")
+    if math.isinf(prox_mu):
+        raise ValueError(f"prox_mu must be finite, got {prox_mu}")
     if prox_mu > 0 and w_global is None:
         raise ValueError("prox_mu > 0 requires w_global")
 
@@ -365,14 +369,20 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
+        if math.isinf(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.adam_epsilon > 0:
             raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        if math.isinf(self.adam_epsilon):
+            raise ValueError(f"adam_epsilon must be finite, got {self.adam_epsilon}")
         if not self.prox_mu >= 0:
             raise ValueError("prox_mu must be >= 0")
+        if math.isinf(self.prox_mu):
+            raise ValueError(f"prox_mu must be finite, got {self.prox_mu}")
 
 
 @dataclass

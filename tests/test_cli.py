@@ -30,7 +30,7 @@ from protofed.cli import (
     parse_config,
     run,
 )
-from protofed.datasets import CLASS_NAMES, N_FEATURES
+from protofed.datasets import CLASS_NAMES, N_FEATURES, SCENARIOS
 from helpers import write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -195,6 +195,11 @@ class TestParseConfig:
             path = tmp_path / f"{source}.json"
             path.write_text(json.dumps({**schema, "data": {source: schema["data"][source]}}))
             parse_config(path)
+
+    def test_readme_schema_lists_the_scenarios_in_order(self):
+        block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+        listed = re.search(r'"scenario":.*// required; (.*)$', block, re.MULTILINE).group(1)
+        assert tuple(listed.split(" | ")) == SCENARIOS
 
     def test_readme_schema_defaults_are_the_parsed_defaults(self, tmp_path):
         # A key left out must parse like the key set to its documented

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
-from protofed.datasets import N_FEATURES
+from protofed.datasets import N_FEATURES, SCENARIOS
 from helpers import traced_peak_bytes, write_nbaiot_layout
 
 
@@ -219,6 +220,34 @@ class TestStratifiedSplit:
             pf.stratified_split(ds, 0.8, seed=0)
 
 
+def three_branch_plan(scenario, class_counts, n_clients):
+    """Reference quotas: the three algorithms that the one decay rule replaced."""
+    counts = np.asarray(class_counts, dtype=np.int64)
+    n_classes = counts.size
+    if scenario == "iid":
+        quotas = [[int(counts[c]) // n_clients for c in range(n_classes)] for _ in range(n_clients)]
+    elif scenario in ("light", "moderate"):
+        decay = 0.5 if scenario == "light" else 0.15
+        weights = decay ** np.arange(n_classes, dtype=np.float64)
+        total_w = [sum(weights[(c - j) % n_classes] for j in range(n_clients))
+                   for c in range(n_classes)]
+        quotas = [
+            [math.floor(counts[c] * weights[(c - k) % n_classes] / total_w[c])
+             for c in range(n_classes)]
+            for k in range(n_clients)
+        ]
+    else:
+        assert scenario == "severe"
+        owners = [[] for _ in range(n_classes)]
+        for k in range(n_clients):
+            owners[k % n_classes].append(k)
+        quotas = [[0] * n_classes for _ in range(n_clients)]
+        for c in range(n_classes):
+            for k in owners[c]:
+                quotas[k][c] = int(counts[c]) // max(1, len(owners[c]))
+    return tuple(tuple(row) for row in quotas)
+
+
 class TestPartition:
     def make_ds(self, counts, seed=0):
         rng = np.random.default_rng(seed)
@@ -282,6 +311,18 @@ class TestPartition:
             rows = {tuple(r) for r in shard.features}
             assert not rows & seen
             seen |= rows
+
+    def test_plan_matches_the_three_branch_reference(self):
+        rng = np.random.default_rng(22)
+        for n_classes in range(1, 8):
+            vectors = [[400] * n_classes, *rng.integers(0, 5000, (5, n_classes)).tolist()]
+            for n_clients in (*range(1, 15), 31, 100):
+                for counts in vectors:
+                    for scenario in SCENARIOS:
+                        plan = pf.build_partition_plan(scenario, counts, n_clients)
+                        assert plan == three_branch_plan(scenario, counts, n_clients), (
+                            scenario, counts, n_clients)
+                        assert all(type(q) is int for row in plan for q in row)
 
     def test_negative_quota_rejected(self):
         with pytest.raises(ValueError, match="client 0: quotas must be non-negative"):

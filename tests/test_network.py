@@ -460,3 +460,27 @@ def test_nan_fails_the_range_check(build):
     # A NaN compares false both ways, so only a check that the value is in range rejects it.
     with pytest.raises(ValueError, match="must be >"):
         build()
+
+
+def _loss_with_prox_mu(prox_mu):
+    model = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+    return loss_and_grads(model, np.zeros((2, 3)), np.zeros(2, dtype=np.int64),
+                          prox_mu=prox_mu, w_global=model)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("learning_rate", lambda: pf.TrainConfig(learning_rate=math.inf)),
+    ("adam_epsilon", lambda: pf.TrainConfig(adam_epsilon=math.inf)),
+    ("prox_mu", lambda: pf.TrainConfig(prox_mu=math.inf)),
+    ("l2 coefficients", lambda: pf.ModelSpec(3, ((4, math.inf),), 0.0, 2)),
+    ("prox_mu", lambda: _loss_with_prox_mu(math.inf)),
+    ("cluster_spread", lambda: pf.SyntheticSpec(2, 3, 1, math.inf, 10, seed=0)),
+    ("sigma", lambda: pf.perturb(pf.Prototypes({0: np.zeros((2, 3))}), math.inf, 0)),
+    ("noise_sigma", lambda: pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=math.inf)),
+    ("noise_sigma", lambda: pf.FederationConfig(noise_sigma=math.inf)),
+], ids=["learning_rate", "adam_epsilon", "prox_mu", "l2", "loss-prox_mu", "cluster_spread",
+        "sigma", "prototypes-noise_sigma", "federation-noise_sigma"])
+def test_infinity_fails_the_finiteness_check(name, build):
+    # A check with only a lower bound lets infinity through to fail later, or never.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        build()
