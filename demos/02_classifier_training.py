@@ -8,9 +8,11 @@ import numpy as np
 import protofed as pf
 from protofed.network import loss_and_grads
 
-# The reference architecture: 115 inputs, 128- and 64-unit hidden layers with
-# batch norm and L2 1e-3, dropout 0.5 after the first block, 3-way softmax.
-reference = pf.mlp_spec(input_dim=115, output_classes=3)
+# The reference architecture: 128- and 64-unit hidden layers with batch norm
+# and L2 1e-3, dropout 0.5 after the first block, as FederationConfig's
+# defaults; N-BaIoT data fixes the 115 inputs and the 3-way softmax.
+defaults = pf.FederationConfig()
+reference = pf.ModelSpec(115, defaults.hidden, defaults.dropout_p, 3)
 model = pf.build_model(reference, seed=0)
 print(f"reference architecture: {reference.layer_dims}, "
       f"{model.trainable_count} trainable parameters")

@@ -15,7 +15,7 @@ print("severe non-IID silos:", [s.class_counts().tolist() for s in shards])
 cfg = pf.FederationConfig(
     rounds=10, trigger_round=4, threshold=0.97, noise_sigma=0.01,
     train=pf.TrainConfig(epochs=10, batch_size=32, learning_rate=0.005, prox_mu=0.1),
-    model=pf.ModelSpec(12, ((32, 1e-3), (16, 1e-3)), 0.5, 3), scale_mode="none", seed=1,
+    hidden=((32, 1e-3), (16, 1e-3)), dropout_p=0.5, scale_mode="none", seed=1,
 )
 # Each silo splits its data into train and test once; every strategy trains
 # on the same splits, and the shards are no longer needed.

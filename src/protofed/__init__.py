@@ -54,7 +54,6 @@ from .network import (
     build_model,
     evaluate,
     loss_and_grads,
-    mlp_spec,
     train_local,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "loss_and_grads",
     "min_max_scale",
     "minibatch_kmeans",
-    "mlp_spec",
     "partition",
     "perturb",
     "run_federation",

@@ -13,9 +13,7 @@ from pathlib import Path
 
 from .augment import AugmentationPolicy
 from .datasets import (
-    CLASS_NAMES,
     Dataset,
-    N_FEATURES,
     SCENARIOS,
     SyntheticSpec,
     build_partition_plan,
@@ -91,7 +89,7 @@ _DEFAULTS = {
 # Fields the CLI fills itself instead of reading them from their own section.
 _FILLED = {
     RunSpec: ("data", "federation", "strategies", "output_dir"),
-    FederationConfig: ("seed", "train", "aug", "model"),
+    FederationConfig: ("seed", "train", "aug", "hidden", "dropout_p"),
     ModelSpec: ("input_dim", "output_classes"),
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
@@ -182,11 +180,16 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     reported with the offending key named. ``output_dir``, when given,
     replaces the config's own before the directory is checked.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text, object_pairs_hook=_Object)
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=_Object)
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path} line {line}: not UTF-8 text ({err.reason})") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: parse error at line {err.lineno}: {err.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level config must be a JSON object")
     _check_keys(raw, "config", extra=("seed", "output_dir", "data", "partition", "federation"))
@@ -206,10 +209,8 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     aug = AugmentationPolicy(**_read(fed.get("aug", {}), "federation.aug", AugmentationPolicy))
     model = fed.get("model")
     if model is not None:
-        input_dim, n_classes = _data_dims(data)
-        model = ModelSpec(input_dim=input_dim, output_classes=n_classes,
-                          **_read(model, "federation.model", ModelSpec))
-    federation = FederationConfig(seed=seed, train=train, aug=aug, model=model, **base)
+        base.update(_read(model, "federation.model", ModelSpec))
+    federation = FederationConfig(seed=seed, train=train, aug=aug, **base)
     return RunSpec(data=data, federation=federation, strategies=strategies, output_dir=output_dir, **part)
 
 
@@ -220,12 +221,6 @@ def _parse_data(section) -> SyntheticSpec | CsvSource:
     if "synthetic" in section:
         return SyntheticSpec(**_read(section["synthetic"], "data.synthetic", SyntheticSpec))
     return CsvSource(**_read(section["csv_dir"], "data.csv_dir", CsvSource))
-
-
-def _data_dims(data: SyntheticSpec | CsvSource) -> tuple[int, int]:
-    if isinstance(data, SyntheticSpec):
-        return data.dims, data.n_classes
-    return N_FEATURES, len(CLASS_NAMES)
 
 
 def _load_dataset(spec: RunSpec) -> Dataset:

@@ -14,13 +14,13 @@ from .clustering import Prototypes, aggregate_prototypes
 from .datasets import Dataset, min_max_scale, stratified_split
 from .mixtures import em_fit, perturb, select_k_bic
 from .network import (
+    DEFAULT_DROPOUT_P,
     EvalReport,
     ModelParams,
     ModelSpec,
     TrainConfig,
     build_model,
     evaluate,
-    mlp_spec,
     train_local,
 )
 
@@ -51,7 +51,11 @@ def _failing_at(where: str) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """The protocol knobs of a run, shared by every strategy it compares."""
+    """The protocol knobs of a run, shared by every strategy it compares.
+
+    ``hidden`` and ``dropout_p`` are the model's design choices, as in
+    ``ModelSpec``; the data set its input and output sizes.
+    """
 
     rounds: int = 20
     train: TrainConfig = TrainConfig()
@@ -59,7 +63,8 @@ class FederationConfig:
     threshold: float = 0.97
     trigger_round: int = 6
     noise_sigma: float = 0.01
-    model: ModelSpec | None = None
+    hidden: tuple[tuple[int, float], ...] = ((128, 1e-3), (64, 1e-3))
+    dropout_p: float = DEFAULT_DROPOUT_P
     train_fraction: float = 0.8
     scale_mode: str = "local"
     eval_weighting: str = "test_size"
@@ -70,6 +75,8 @@ class FederationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # ModelSpec states the architecture's rules; any input and output size will do.
+        object.__setattr__(self, "hidden", ModelSpec(1, self.hidden, self.dropout_p, 1).hidden)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0.0 < self.threshold <= 1.0:
@@ -208,7 +215,7 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
             k = min(cfg.gmm_components, rows.shape[0])
             model = em_fit(rows, k, seed)
         else:
-            _, model = select_k_bic(rows, min(cfg.gmm_max_components, rows.shape[0]), seed)
+            _, model = select_k_bic(rows, cfg.gmm_max_components, seed)
         means[int(class_id)] = model.means
     return Prototypes(means)
 
@@ -314,11 +321,7 @@ def run_federation(
     check_strategy(strategy, cfg)
     train_sets = [train for train, _ in clients]
     first = train_sets[0]
-    spec = cfg.model or mlp_spec(first.n_features, first.n_classes)
-    if spec.input_dim != first.n_features:
-        raise ValueError(f"model expects {spec.input_dim} inputs but data has {first.n_features}")
-    if spec.output_classes != first.n_classes:
-        raise ValueError(f"model expects {spec.output_classes} classes but data has {first.n_classes}")
+    spec = ModelSpec(first.n_features, cfg.hidden, cfg.dropout_p, first.n_classes)
     global_params = build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
     train_cfg = cfg.train if strategy == "fedprox" else replace(cfg.train, prox_mu=0.0)
 

@@ -60,16 +60,6 @@ class ModelSpec:
         return (self.input_dim, *(u for u, _ in self.hidden), self.output_classes)
 
 
-def mlp_spec(
-    input_dim: int,
-    output_classes: int,
-    hidden: tuple[tuple[int, float], ...] = ((128, 1e-3), (64, 1e-3)),
-    dropout_p: float = DEFAULT_DROPOUT_P,
-) -> ModelSpec:
-    """Default architecture: 128- and 64-unit hidden layers, dropout ``DEFAULT_DROPOUT_P``."""
-    return ModelSpec(input_dim, hidden, dropout_p, output_classes)
-
-
 @lru_cache(maxsize=64)
 def _layout(spec: ModelSpec) -> tuple[_Layout, _Layout]:
     """(name, shape) of each trainable tensor and each running statistic.
@@ -525,6 +515,7 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     """
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    _check_targets(params.spec, ds.labels, 0.0, None)
     _check_batch(params.spec, ds.features)
     # A diverged model is reported by the loss check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -20,7 +20,7 @@ TREND_DATA = pf.SyntheticSpec(
     n_classes=3, dims=20, clusters_per_class=1, cluster_spread=0.05,
     samples_per_class=400, seed=20250807,
 )
-TREND_MODEL = pf.ModelSpec(20, ((32, 1e-3), (16, 1e-3)), 0.5, 3)
+TREND_HIDDEN = ((32, 1e-3), (16, 1e-3))
 TREND_TRAIN = pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005)
 RUN_SEED = 11
 
@@ -30,7 +30,7 @@ PROX_DATA = pf.SyntheticSpec(
     n_classes=3, dims=2, clusters_per_class=12, cluster_spread=0.015,
     samples_per_class=600, seed=20250807,
 )
-PROX_MODEL = pf.ModelSpec(2, ((64, 1e-3), (32, 1e-3)), 0.5, 3)
+PROX_HIDDEN = ((64, 1e-3), (32, 1e-3))
 
 FULL_SCALE_D_W = 23_683  # trainable count of the 115-feature architecture
 FULL_SCALE_D_X = 115
@@ -43,7 +43,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 TREND_CONFIG = pf.FederationConfig(
     rounds=20, trigger_round=6, threshold=0.97, noise_sigma=0.01, train=TREND_TRAIN,
-    model=TREND_MODEL, scale_mode="none", seed=RUN_SEED,
+    hidden=TREND_HIDDEN, dropout_p=0.5, scale_mode="none", seed=RUN_SEED,
 )
 
 
@@ -67,7 +67,7 @@ def _comm_cost_run() -> list[pf.RoundMetrics]:
     cfg = pf.FederationConfig(
         rounds=2, trigger_round=2, threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=1, batch_size=32, learning_rate=1e-4),
-        model=pf.ModelSpec(FULL_SCALE_D_X, ((128, 1e-3), (64, 1e-3)), 0.5, 3),
+        hidden=((128, 1e-3), (64, 1e-3)), dropout_p=0.5,
         scale_mode="none", gmm_components=3, seed=4,
     )
     return pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedp3e")
@@ -314,7 +314,7 @@ def test_criterion_8_aggregation_oracle_and_determinism():
     cfg = pf.FederationConfig(
         rounds=6, trigger_round=3, threshold=0.97, noise_sigma=0.01,
         train=pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.005),
-        model=pf.ModelSpec(8, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
+        hidden=((8, 1e-3), (4, 1e-3)), dropout_p=0.5,
         scale_mode="none", seed=82,
     )
     clients = pf.split_clients(cfg, shards)
@@ -337,7 +337,7 @@ def test_criterion_9_fedprox_sensitivity():
         cfg = pf.FederationConfig(
             rounds=20, trigger_round=6, threshold=0.97, noise_sigma=0.01,
             train=pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005, prox_mu=mu),
-            model=PROX_MODEL, scale_mode="none", seed=RUN_SEED,
+            hidden=PROX_HIDDEN, dropout_p=0.5, scale_mode="none", seed=RUN_SEED,
         )
         history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedprox")
         finals[mu] = history[-1].global_report.accuracy

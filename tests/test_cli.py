@@ -30,7 +30,7 @@ from protofed.cli import (
     parse_config,
     run,
 )
-from protofed.datasets import CLASS_NAMES, N_FEATURES, SCENARIOS
+from protofed.datasets import CLASS_NAMES, SCENARIOS
 from helpers import write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -70,7 +70,6 @@ class TestParseConfig:
         assert cfg.trigger_round == 2
         assert cfg.train.adam_beta1 == 0.9
         assert cfg.aug.target_fraction == 0.10
-        assert cfg.model.input_dim == 6
 
     def test_threshold_invariant_message(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -93,6 +92,24 @@ class TestParseConfig:
         path.write_text('{\n  "seed": 3,\n  oops\n}')
         with pytest.raises(ValueError, match="line 3"):
             parse_config(path)
+
+    @pytest.mark.parametrize("data, line, reason", [
+        (b"\xff{}", 1, "invalid start byte"),
+        (b'{\n  "output_dir": "caf\xe9"\n}', 2, "invalid continuation byte"),
+    ], ids=["first-byte", "latin-1"])
+    def test_non_utf8_config_is_a_usage_error_naming_file_and_line(self, tmp_path, capsys,
+                                                                   data, line, reason):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} line {line}: not UTF-8 text ({reason})\n"
+
+    def test_deeply_nested_config_is_a_usage_error_naming_file(self, tmp_path, capsys):
+        # json.loads recurses once per level, so this used to end in a RecursionError traceback.
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
 
     def test_data_requires_exactly_one_source(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -121,16 +138,12 @@ class TestParseConfig:
         # Every key is given a value other than its default, so a key the
         # reader skipped or misnamed leaves its field unequal to the expected one.
         section, data = data
-        if isinstance(data, pf.SyntheticSpec):
-            input_dim, n_classes = data.dims, data.n_classes
-        else:
-            input_dim, n_classes = N_FEATURES, len(CLASS_NAMES)
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
                                adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
         federation = pf.FederationConfig(
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
-            model=pf.ModelSpec(input_dim, ((7, 0.002), (5, 0.0)), 0.25, n_classes),
+            hidden=((7, 0.002), (5, 0.0)), dropout_p=0.25,
             train_fraction=0.7, scale_mode="none", eval_weighting="uniform",
             gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
             aggregate_running_stats=False, seed=8,
@@ -254,8 +267,6 @@ class TestParseConfig:
     def test_csv_dir_schema_defaults_to_the_nbaiot_layout(self, tmp_path):
         spec = parse_config(minimal_config(tmp_path, data={"csv_dir": {"path": "captures"}}))
         assert spec.data == CsvSource("captures")
-        model = spec.federation.model
-        assert (model.input_dim, model.output_classes) == (115, 3)
         assert CLASS_NAMES == ("benign", "gafgyt", "mirai")
 
     @pytest.mark.parametrize("key, value", [
@@ -317,6 +328,24 @@ class TestRun:
             )
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_nbaiot_layout_run_gets_a_115_input_3_class_model(self, tmp_path, monkeypatch):
+        # The config names no sizes: the CSV data give 115 inputs and 3 classes, and
+        # the omitted model section the default 128/64 layers, 23,683 floats in all.
+        write_nbaiot_layout(tmp_path / "nbaiot", seed=8, devices=1, rows=12)
+        built = []
+        build_model = federation.build_model
+        monkeypatch.setattr(federation, "build_model",
+                            lambda spec, seed: built.append(spec) or build_model(spec, seed))
+        path = minimal_config(tmp_path, data={"csv_dir": {"path": str(tmp_path / "nbaiot")}})
+        raw = json.loads(path.read_text())
+        del raw["federation"]["model"]
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 0
+        assert built == [pf.ModelSpec(115, ((128, 1e-3), (64, 1e-3)), 0.5, 3)]
+        with open(tmp_path / "out" / "metrics_fedavg.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {row["up_floats"] for row in rows} == {str(3 * 23_683)}
 
     def test_failure_returns_nonzero(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
@@ -650,9 +679,13 @@ class TestMain:
         ("federation", "noise_sigma", math.nan, "federation.noise_sigma: expected float, got NaN"),
         ("federation", "noise_sigma", math.inf, "federation.noise_sigma: expected float, got Infinity"),
         ("federation.model", "hidden", [[8, math.nan]], "federation.model.hidden: expected float, got NaN"),
+        # the model section's rules are ModelSpec's, checked by FederationConfig
+        ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1"),
+        ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
     ], ids=["rounds-null", "strategies-empty", "train-number", "bool-string", "quotas-table",
             "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
-            "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan"])
+            "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan",
+            "hidden-zero-units", "dropout-one"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())

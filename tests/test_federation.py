@@ -45,7 +45,8 @@ def small_config(**overrides):
         threshold=0.97,
         noise_sigma=0.01,
         train=pf.TrainConfig(epochs=2, batch_size=16, learning_rate=0.005),
-        model=pf.ModelSpec(6, ((8, 1e-3), (4, 1e-3)), 0.5, 3),
+        hidden=((8, 1e-3), (4, 1e-3)),
+        dropout_p=0.5,
         scale_mode="none",
         seed=5,
     )
@@ -223,7 +224,7 @@ import protofed as pf
 data = pf.synthesize(pf.SyntheticSpec(3, 4, 1, 0.05, 30, seed=0))
 shards = pf.partition(data, pf.build_partition_plan("severe", data.class_counts(), 3), seed=0)
 cfg = pf.FederationConfig(rounds=1, trigger_round=1, threshold=1.0, gmm_components=None,
-                          train=pf.TrainConfig(epochs=1), model=pf.ModelSpec(4, ((4, 0.0),), 0.0, 3),
+                          train=pf.TrainConfig(epochs=1), hidden=((4, 0.0),), dropout_p=0.0,
                           scale_mode="none", seed=0)
 history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedp3e")
 assert history[0].exchange_triggered
@@ -242,7 +243,7 @@ class TestRunFederation:
         clients = severe_clients()
         cfg = small_config()
         history = pf.run_federation(cfg, clients, "fedavg")
-        d_w = pf.build_model(cfg.model, 0).trainable_count
+        d_w = pf.build_model(pf.ModelSpec(6, cfg.hidden, cfg.dropout_p, 3), 0).trainable_count
         for metrics in history:
             assert metrics.uploaded_floats == 3 * d_w
             assert metrics.downloaded_floats == 3 * d_w
@@ -263,7 +264,8 @@ class TestRunFederation:
         exchange = history[1]
         assert all(count > 0 for count in exchange.proto_upload_floats)
         assert exchange.proto_download_floats > 0
-        d_w = pf.build_model(small_config().model, 0).trainable_count
+        cfg = small_config()
+        d_w = pf.build_model(pf.ModelSpec(6, cfg.hidden, cfg.dropout_p, 3), 0).trainable_count
         assert exchange.uploaded_floats > 3 * d_w
         # every round still moves at least two model payloads per client
         for metrics in history:
@@ -438,6 +440,39 @@ class TestRunFederation:
     def test_non_positive_prototype_counts_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
             small_config(**{key: value})
+
+    def test_model_sizes_come_from_the_data(self, monkeypatch):
+        # One config sizes the model to each client set's features and classes.
+        built = []
+        build_model = federation.build_model
+        monkeypatch.setattr(federation, "build_model",
+                            lambda spec, seed: built.append(spec) or build_model(spec, seed))
+        cfg = pf.FederationConfig(rounds=1, trigger_round=1, hidden=((4, 0.0),), dropout_p=0.0,
+                                  train=pf.TrainConfig(epochs=1), scale_mode="none", seed=0)
+        for n_classes, dims in ((3, 6), (2, 9)):
+            data = pf.synthesize(pf.SyntheticSpec(n_classes, dims, 1, 0.05, 20, seed=dims))
+            shards = pf.partition(data, pf.build_partition_plan("iid", data.class_counts(), 2), seed=0)
+            history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedavg")
+            spec = pf.ModelSpec(dims, cfg.hidden, cfg.dropout_p, n_classes)
+            assert built[-1] == spec
+            assert history[0].model_floats == pf.build_model(spec, 0).trainable_count
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hidden": ((0, 1e-3),)}, "hidden layer units must be >= 1"),
+        ({"hidden": ((8, -1.0),)}, "l2 coefficients must be >= 0"),
+        ({"hidden": ((8, math.inf),)}, "l2 coefficients must be finite, got inf"),
+        ({"dropout_p": 1.0}, r"dropout_p must be in \[0, 1\)"),
+        ({"hidden": ()}, "dropout requires at least one hidden layer"),
+    ], ids=["zero-units", "negative-l2", "infinite-l2", "dropout-one", "dropout-without-layers"])
+    def test_bad_architecture_fails_at_the_config_with_model_spec_message(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pf.FederationConfig(**overrides)
+
+    def test_hidden_layers_normalised_as_model_spec_does(self):
+        cfg = pf.FederationConfig(hidden=[[8, 0], [4, 1]])
+        assert cfg.hidden == ((8, 0.0), (4, 1.0))
+        assert type(cfg.hidden[0][1]) is float
+        assert hash(cfg) == hash(pf.FederationConfig(hidden=((8, 0.0), (4, 1.0))))
 
 
 class TestProxDeviation:

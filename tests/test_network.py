@@ -330,6 +330,17 @@ class TestEvaluate:
         report = pf.evaluate(params, ds)
         assert abs(report.accuracy - 1.0 / 3.0) <= 0.05
 
+    @pytest.mark.parametrize("run", [
+        lambda params, ds: pf.train_local(params, ds, pf.TrainConfig(epochs=1), 0),
+        pf.evaluate,
+    ], ids=["train_local", "evaluate"])
+    def test_labels_beyond_the_model_classes_rejected(self, run):
+        # evaluate used to fail inside its confusion matrix with numpy's IndexError
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        ds = pf.Dataset(np.zeros((3, 3)), np.array([0, 1, 2]), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="^labels outside the model's class range$"):
+            run(params, ds)
+
     def test_loss_excludes_regularizers(self):
         ds = two_blob_dataset(10, 3, 0.1, seed=3)
         spec = pf.ModelSpec(3, ((4, 0.5),), 0.0, 2)  # huge l2
