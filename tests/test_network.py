@@ -335,7 +335,7 @@ class TestEvaluate:
         pf.evaluate,
     ], ids=["train_local", "evaluate"])
     def test_labels_beyond_the_model_classes_rejected(self, run):
-        # evaluate used to fail inside its confusion matrix with numpy's IndexError
+        # evaluate used to fail in its loss with numpy's IndexError
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         ds = pf.Dataset(np.zeros((3, 3)), np.array([0, 1, 2]), ("a", "b", "c"))
         with pytest.raises(ValueError, match="^labels outside the model's class range$"):
