@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_range
 from .clustering import Prototypes
 from .datasets import Dataset, frozen
 
@@ -27,8 +28,7 @@ class AugmentationPolicy:
     eligible_classes: str = "below_mean_count"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.target_fraction <= 1.0:
-            raise ValueError("target_fraction must be in (0, 1]")
+        check_range("target_fraction", self.target_fraction, "in (0, 1]")
         if self.eligible_classes not in ELIGIBILITY_RULES:
             raise ValueError(
                 f"unknown eligibility rule {self.eligible_classes!r}; "
@@ -42,8 +42,7 @@ def smote_pair(a: np.ndarray, b: np.ndarray, coeff: float) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if not 0.0 <= coeff <= 1.0:
-        raise ValueError("interpolation coefficient must be in [0, 1]")
+    check_range("interpolation coefficient", coeff, "in [0, 1]")
     return a + coeff * (b - a)
 
 

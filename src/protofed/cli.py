@@ -45,6 +45,10 @@ COMPARISON_COLUMNS = ("strategy", *_SCORES, "total_up_floats", "total_down_float
 class CsvSource:
     path: str
 
+    def __post_init__(self) -> None:
+        if not self.path:  # Path("") is the working directory, which no one means to read.
+            raise ValueError("data.csv_dir.path must not be empty")
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -74,8 +78,15 @@ class RunSpec:
         # Path("") is the working directory, which no one means to fill.
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
-        # A file on the path would fail the first write, after every strategy had run.
+        # A path the OS cannot encode, or a file on it, would fail the first write,
+        # after every strategy had run. Path.exists reads the former as absent.
         out = Path(self.output_dir)
+        try:
+            out.stat()
+        except OSError:
+            pass
+        except ValueError as err:
+            raise ValueError(f"output_dir {self.output_dir!r}: {err}") from None
         existing = next((p for p in (out, *out.parents) if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ValueError(f"output_dir {self.output_dir!r}: {str(existing)!r} is not a directory")

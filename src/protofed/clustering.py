@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_range
+
 CLUSTER_CAP = 4
 KMEANS_BATCH_SIZE = 32
 KMEANS_ITERS = 100
@@ -33,17 +35,14 @@ def kmeans_plusplus(points: np.ndarray, n_clusters: int, rng: np.random.Generato
 
 
 def minibatch_kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    batch_size: int,
-    n_iters: int,
-    seed: int | np.random.SeedSequence,
+    points: np.ndarray, n_clusters: int, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
     """Sculley-style mini-batch k-means with per-center learning rates.
 
-    Each iteration draws a seeded mini-batch, assigns it to the nearest
-    centers and moves every hit center by 1/count toward its point, so every
-    centroid stays a convex combination of the data.
+    Each of KMEANS_ITERS iterations draws a seeded mini-batch of up to
+    KMEANS_BATCH_SIZE points, assigns it to the nearest centers and moves
+    every hit center by 1/count toward its point, so every centroid stays a
+    convex combination of the data.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -56,8 +55,8 @@ def minibatch_kmeans(
     rng = np.random.default_rng(seed)
     centers = kmeans_plusplus(pts, n_clusters, rng).copy()
     counts = np.zeros(n_clusters)
-    take = min(batch_size, n)
-    for _ in range(n_iters):
+    take = min(KMEANS_BATCH_SIZE, n)
+    for _ in range(KMEANS_ITERS):
         idx = rng.choice(n, size=take, replace=False)
         batch = pts[idx]
         d2 = ((batch[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -94,10 +93,7 @@ class Prototypes:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if math.isinf(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
+        check_range("noise_sigma", self.noise_sigma, ">= 0")
         frozen: dict[int, np.ndarray] = {}
         for class_id, rows in self.by_class.items():
             if class_id < 0:
@@ -141,7 +137,5 @@ def aggregate_prototypes(
         pts = np.concatenate([u.by_class[class_id] for u in uploads if class_id in u.by_class])
         pts = pts[np.lexsort(pts.T[::-1])]
         k = choose_cluster_count(len(pts)) if cluster_count is None else min(cluster_count, len(pts))
-        centroids[class_id] = minibatch_kmeans(
-            pts, k, KMEANS_BATCH_SIZE, KMEANS_ITERS, seed=np.random.SeedSequence([seed, class_id])
-        )
+        centroids[class_id] = minibatch_kmeans(pts, k, np.random.SeedSequence([seed, class_id]))
     return Prototypes(centroids, noise_sigma=max(u.noise_sigma for u in uploads))

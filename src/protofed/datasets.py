@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_range
+
 # Skew decay of each partition scenario, from IID (1) to one class per client (0).
 _DECAY = {"iid": 1.0, "light": 0.5, "moderate": 0.15, "severe": 0.0}
 SCENARIOS = tuple(_DECAY)
@@ -243,8 +245,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     (at least 1) to train and the remainder to test. Classes absent from
     ``ds`` are skipped; a class with a single sample cannot be split.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_range("train_fraction", train_fraction, "in (0, 1)")
     if ds.n_samples == 0:
         raise ValueError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
@@ -357,10 +358,7 @@ class SyntheticSpec:
         for name in ("n_classes", "dims", "clusters_per_class", "samples_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.cluster_spread > 0:
-            raise ValueError("cluster_spread must be > 0")
-        if math.isinf(self.cluster_spread):
-            raise ValueError(f"cluster_spread must be finite, got {self.cluster_spread}")
+        check_range("cluster_spread", self.cluster_spread, "> 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

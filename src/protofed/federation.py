@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_range
 from .augment import AugmentationPolicy, augment
 from .clustering import Prototypes, aggregate_prototypes
 from .datasets import Dataset, min_max_scale, stratified_split
@@ -79,16 +79,11 @@ class FederationConfig:
         object.__setattr__(self, "hidden", ModelSpec(1, self.hidden, self.dropout_p, 1).hidden)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0,1]")
+        check_range("threshold", self.threshold, "in (0, 1]")
         if not 1 <= self.trigger_round <= self.rounds:
             raise ValueError("trigger_round must satisfy 1 <= trigger_round <= rounds")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if math.isinf(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+        check_range("noise_sigma", self.noise_sigma, ">= 0")
+        check_range("train_fraction", self.train_fraction, "in (0, 1)")
         if self.scale_mode not in ("local", "none"):
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
         if self.eval_weighting not in ("test_size", "uniform"):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_range
 from .clustering import Prototypes, kmeans_plusplus
 
 COVARIANCE_FLOOR = 1e-6
@@ -198,10 +199,7 @@ def perturb(ps: Prototypes, sigma: float, seed: int) -> Prototypes:
     Each row draws from its own stream derived from (seed, class, row), so
     reordering the rows reorders the noise with them.
     """
-    if not sigma >= 0:
-        raise ValueError("sigma must be >= 0")
-    if math.isinf(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    check_range("sigma", sigma, ">= 0")
     noisy = {}
     for class_id, rows in ps.by_class.items():
         noise = [

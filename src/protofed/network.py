@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_range
 from .datasets import Dataset
 
 BN_EPSILON = 1e-3
@@ -45,12 +46,8 @@ class ModelSpec:
         for units, l2 in hidden:
             if units < 1:
                 raise ValueError("hidden layer units must be >= 1")
-            if not l2 >= 0:
-                raise ValueError("l2 coefficients must be >= 0")
-            if math.isinf(l2):
-                raise ValueError(f"l2 coefficients must be finite, got {l2}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+            check_range("l2 coefficients", l2, ">= 0")
+        check_range("dropout_p", self.dropout_p, "in [0, 1)")
         if self.dropout_p > 0 and not hidden:
             raise ValueError("dropout requires at least one hidden layer")
         object.__setattr__(self, "hidden", hidden)
@@ -305,10 +302,7 @@ def _check_targets(
 ) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= spec.output_classes):
         raise ValueError("labels outside the model's class range")
-    if not prox_mu >= 0:
-        raise ValueError("prox_mu must be >= 0")
-    if math.isinf(prox_mu):
-        raise ValueError(f"prox_mu must be finite, got {prox_mu}")
+    check_range("prox_mu", prox_mu, ">= 0")
     if prox_mu > 0 and w_global is None:
         raise ValueError("prox_mu > 0 requires w_global")
 
@@ -357,22 +351,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if math.isinf(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_epsilon > 0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
-        if math.isinf(self.adam_epsilon):
-            raise ValueError(f"adam_epsilon must be finite, got {self.adam_epsilon}")
-        if not self.prox_mu >= 0:
-            raise ValueError("prox_mu must be >= 0")
-        if math.isinf(self.prox_mu):
-            raise ValueError(f"prox_mu must be finite, got {self.prox_mu}")
+        for name, rule in (("learning_rate", "> 0"), ("adam_beta1", "in [0, 1)"),
+                           ("adam_beta2", "in [0, 1)"), ("adam_epsilon", "> 0"),
+                           ("prox_mu", ">= 0")):
+            check_range(name, getattr(self, name), rule)
 
 
 @dataclass
@@ -496,11 +479,8 @@ class EvalReport:
 
     def __post_init__(self) -> None:
         for name in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not self.mean_loss >= 0:  # also rejects NaN
-            raise ValueError(f"mean_loss must be >= 0, got {self.mean_loss}")
+            check_range(name, getattr(self, name), "in [0, 1]")
+        check_range("mean_loss", self.mean_loss, ">= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 

@@ -76,7 +76,7 @@ class TestParseConfig:
         raw = json.loads(path.read_text())
         raw["federation"]["threshold"] = 1.5
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match=r"threshold must be in \(0,1\]"):
+        with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\], got 1\.5$"):
             parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -279,6 +279,13 @@ class TestParseConfig:
         path = minimal_config(tmp_path, data=data)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: unknown key {key!r} in data.csv_dir\n"
+
+    def test_empty_csv_dir_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, so a run that took it would load the CSVs here.
+        monkeypatch.chdir(tmp_path)
+        path = minimal_config(tmp_path, data={"csv_dir": {"path": ""}})
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: data.csv_dir.path must not be empty\n"
 
     def test_duplicate_strategy_rejected(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -732,20 +739,28 @@ class TestMain:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("below", ["", "/sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("below, reason", [
+        ("", "{afile!r} is not a directory"),
+        ("/sub", "{afile!r} is not a directory"),
+        ("\ud800", "'utf-8' codec can't encode character '\\ud800' in position {end}: "
+                   "surrogates not allowed"),
+        ("\0x", "embedded null byte"),
+    ], ids=["file", "under-file", "surrogate", "nul"])
     def test_output_dir_at_or_under_a_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                             via, below):
-        # Such a run would train every strategy and then fail its first write.
+                                                             via, below, reason):
+        # Such a run would train every strategy and then fail its first write,
+        # as would one whose path the OS cannot encode.
         def no_loading(spec):
             raise AssertionError("data loaded")
 
         monkeypatch.setattr(cli, "_load_dataset", no_loading)
+        afile = str(tmp_path / "afile")
         (tmp_path / "afile").write_text("kept\n")
-        out = str(tmp_path / "afile") + below
+        out = afile + below
         path = minimal_config(tmp_path, **({"output_dir": out} if via == "config" else {}))
         assert main(["run", str(path), *(["--out", out] if via == "flag" else [])]) == 2
-        assert capsys.readouterr().err == (f"error: output_dir {out!r}: "
-                                           f"{str(tmp_path / 'afile')!r} is not a directory\n")
+        reason = reason.format(afile=afile, end=len(afile))
+        assert capsys.readouterr().err == f"error: output_dir {out!r}: {reason}\n"
         assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_out_replaces_a_rejected_output_dir(self, tmp_path, monkeypatch):

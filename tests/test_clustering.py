@@ -8,12 +8,12 @@ from helpers import kmeans_sse, lloyd_kmeans
 class TestMinibatchKmeans:
     def test_identical_points_fixed_point(self):
         points = np.tile([0.3, 0.7], (25, 1))
-        centers = pf.minibatch_kmeans(points, 3, batch_size=8, n_iters=50, seed=0)
+        centers = pf.minibatch_kmeans(points, 3, seed=0)
         assert np.allclose(centers, [0.3, 0.7])
 
     def test_two_distinct_points(self):
         points = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
-        centers = pf.minibatch_kmeans(points, 2, batch_size=8, n_iters=50, seed=1)
+        centers = pf.minibatch_kmeans(points, 2, seed=1)
         got = sorted(centers.tolist())
         assert np.allclose(got[0], [0.0, 0.0])
         assert np.allclose(got[1], [1.0, 1.0])
@@ -22,7 +22,7 @@ class TestMinibatchKmeans:
         rng = np.random.default_rng(2)
         true_centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         points = np.vstack([rng.normal(c, 0.08, (70, 2)) for c in true_centers])
-        centers = pf.minibatch_kmeans(points, 3, batch_size=32, n_iters=100, seed=3)
+        centers = pf.minibatch_kmeans(points, 3, seed=3)
         for true in true_centers:
             assert np.linalg.norm(centers - true, axis=1).min() <= 0.1
         lloyd = lloyd_kmeans(points, true_centers.astype(float))
@@ -31,18 +31,18 @@ class TestMinibatchKmeans:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
         points = rng.random((60, 3))
-        a = pf.minibatch_kmeans(points, 4, 16, 40, seed=9)
-        b = pf.minibatch_kmeans(points, 4, 16, 40, seed=9)
+        a = pf.minibatch_kmeans(points, 4, seed=9)
+        b = pf.minibatch_kmeans(points, 4, seed=9)
         assert np.array_equal(a, b)
 
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            pf.minibatch_kmeans(np.zeros((2, 2)), 3, 2, 10, seed=0)
+            pf.minibatch_kmeans(np.zeros((2, 2)), 3, seed=0)
 
     def test_centroids_stay_in_coordinate_bounds(self):
         rng = np.random.default_rng(5)
         points = rng.random((50, 4)) * 3 - 1
-        centers = pf.minibatch_kmeans(points, 3, 16, 80, seed=6)
+        centers = pf.minibatch_kmeans(points, 3, seed=6)
         assert (centers >= points.min(axis=0) - 1e-12).all()
         assert (centers <= points.max(axis=0) + 1e-12).all()
 
@@ -157,7 +157,7 @@ class TestGlobalPrototypesWire:
             pf.Prototypes({0: np.zeros((1, 2))}, noise_sigma=-0.01)
 
     def test_nan_noise_sigma_rejected(self):
-        with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
+        with pytest.raises(ValueError, match="^noise_sigma must be >= 0, got nan$"):
             pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=float("nan"))
 
     def test_arrays_are_read_only_copies(self):

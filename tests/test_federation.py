@@ -459,9 +459,9 @@ class TestRunFederation:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"hidden": ((0, 1e-3),)}, "hidden layer units must be >= 1"),
-        ({"hidden": ((8, -1.0),)}, "l2 coefficients must be >= 0"),
+        ({"hidden": ((8, -1.0),)}, "l2 coefficients must be >= 0, got -1.0"),
         ({"hidden": ((8, math.inf),)}, "l2 coefficients must be finite, got inf"),
-        ({"dropout_p": 1.0}, r"dropout_p must be in \[0, 1\)"),
+        ({"dropout_p": 1.0}, r"dropout_p must be in \[0, 1\), got 1.0"),
         ({"hidden": ()}, "dropout requires at least one hidden layer"),
     ], ids=["zero-units", "negative-l2", "infinite-l2", "dropout-one", "dropout-without-layers"])
     def test_bad_architecture_fails_at_the_config_with_model_spec_message(self, overrides, message):

@@ -269,7 +269,7 @@ class TestPerturb:
 
     def test_nan_sigma_rejected(self):
         # Blamed on the prototypes before: NaN noise made them non-finite.
-        with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+        with pytest.raises(ValueError, match="^sigma must be >= 0, got nan$"):
             pf.perturb(pf.Prototypes({0: np.zeros((2, 3))}), float("nan"), seed=0)
 
     def test_sigma_recorded(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,42 +457,95 @@ class TestParamLayout:
             pf.ModelParams(spec, np.zeros(pf.build_model(spec, seed=0).trainable_count + 1))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: pf.TrainConfig(learning_rate=math.nan),
-    lambda: pf.TrainConfig(adam_epsilon=math.nan),
-    lambda: pf.TrainConfig(prox_mu=math.nan),
-    lambda: pf.FederationConfig(noise_sigma=math.nan),
-    lambda: pf.SyntheticSpec(2, 3, 1, math.nan, 10, seed=0),
-    lambda: pf.ModelSpec(3, ((4, math.nan),), 0.0, 2),
-    lambda: loss_and_grads(pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0),
-                           np.zeros((2, 3)), np.zeros(2, dtype=np.int64), prox_mu=math.nan),
-], ids=["learning_rate", "adam_epsilon", "prox_mu", "noise_sigma", "cluster_spread", "l2",
-        "loss-prox_mu"])
-def test_nan_fails_the_range_check(build):
-    # A NaN compares false both ways, so only a check that the value is in range rejects it.
-    with pytest.raises(ValueError, match="must be >"):
-        build()
-
-
 def _loss_with_prox_mu(prox_mu):
     model = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
     return loss_and_grads(model, np.zeros((2, 3)), np.zeros(2, dtype=np.int64),
                           prox_mu=prox_mu, w_global=model)
 
 
-@pytest.mark.parametrize("name, build", [
-    ("learning_rate", lambda: pf.TrainConfig(learning_rate=math.inf)),
-    ("adam_epsilon", lambda: pf.TrainConfig(adam_epsilon=math.inf)),
-    ("prox_mu", lambda: pf.TrainConfig(prox_mu=math.inf)),
-    ("l2 coefficients", lambda: pf.ModelSpec(3, ((4, math.inf),), 0.0, 2)),
-    ("prox_mu", lambda: _loss_with_prox_mu(math.inf)),
-    ("cluster_spread", lambda: pf.SyntheticSpec(2, 3, 1, math.inf, 10, seed=0)),
-    ("sigma", lambda: pf.perturb(pf.Prototypes({0: np.zeros((2, 3))}), math.inf, 0)),
-    ("noise_sigma", lambda: pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=math.inf)),
-    ("noise_sigma", lambda: pf.FederationConfig(noise_sigma=math.inf)),
-], ids=["learning_rate", "adam_epsilon", "prox_mu", "l2", "loss-prox_mu", "cluster_spread",
-        "sigma", "prototypes-noise_sigma", "federation-noise_sigma"])
-def test_infinity_fails_the_finiteness_check(name, build):
+def _report(**scores):
+    values = dict(accuracy=0.5, macro_precision=0.5, macro_recall=0.5, macro_f1=0.5,
+                  mean_loss=1.0, n_samples=4)
+    return pf.EvalReport(**{**values, **scores})
+
+
+def _protos(noise_sigma=0.0):
+    return pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=noise_sigma)
+
+
+# Every float setting: (test id, name in its messages, range rule, build from a value).
+_FLOAT_SETTINGS = [
+    ("learning_rate", "learning_rate", "> 0", lambda v: pf.TrainConfig(learning_rate=v)),
+    ("adam_beta1", "adam_beta1", "in [0, 1)", lambda v: pf.TrainConfig(adam_beta1=v)),
+    ("adam_beta2", "adam_beta2", "in [0, 1)", lambda v: pf.TrainConfig(adam_beta2=v)),
+    ("adam_epsilon", "adam_epsilon", "> 0", lambda v: pf.TrainConfig(adam_epsilon=v)),
+    ("prox_mu", "prox_mu", ">= 0", lambda v: pf.TrainConfig(prox_mu=v)),
+    ("l2", "l2 coefficients", ">= 0", lambda v: pf.ModelSpec(3, ((4, v),), 0.0, 2)),
+    ("dropout_p", "dropout_p", "in [0, 1)", lambda v: pf.ModelSpec(3, ((4, 0.0),), v, 2)),
+    ("loss-prox_mu", "prox_mu", ">= 0", _loss_with_prox_mu),
+    *((score, score, "in [0, 1]", lambda v, score=score: _report(**{score: v}))
+      for score in ("accuracy", "macro_precision", "macro_recall", "macro_f1")),
+    ("mean_loss", "mean_loss", ">= 0", lambda v: _report(mean_loss=v)),
+    ("threshold", "threshold", "in (0, 1]", lambda v: pf.FederationConfig(threshold=v)),
+    ("federation-noise_sigma", "noise_sigma", ">= 0", lambda v: pf.FederationConfig(noise_sigma=v)),
+    ("federation-train_fraction", "train_fraction", "in (0, 1)",
+     lambda v: pf.FederationConfig(train_fraction=v)),
+    ("split-train_fraction", "train_fraction", "in (0, 1)",
+     lambda v: pf.stratified_split(two_blob_dataset(4, 2, 0.1, seed=0), v, seed=0)),
+    ("cluster_spread", "cluster_spread", "> 0", lambda v: pf.SyntheticSpec(2, 3, 1, v, 10, seed=0)),
+    ("target_fraction", "target_fraction", "in (0, 1]",
+     lambda v: pf.AugmentationPolicy(target_fraction=v)),
+    ("coeff", "interpolation coefficient", "in [0, 1]",
+     lambda v: pf.smote_pair(np.zeros(2), np.ones(2), v)),
+    ("prototypes-noise_sigma", "noise_sigma", ">= 0", _protos),
+    ("sigma", "sigma", ">= 0", lambda v: pf.perturb(_protos(), v, 0)),
+]
+
+
+def _cases(*values_and_suffixes):
+    """One case per float setting and value, its id the setting's id and the value's suffix."""
+    return [pytest.param(name, rule, build, value, id=key + suffix)
+            for value, suffix in values_and_suffixes for key, name, rule, build in _FLOAT_SETTINGS]
+
+
+def _refusal(name, rule, value):
+    return f"^{re.escape(f'{name} must be {rule}, got {value}')}$"
+
+
+@pytest.mark.parametrize("name, rule, build, value", _cases((math.nan, "")))
+def test_nan_fails_the_range_check(name, rule, build, value):
+    # A NaN compares false both ways, so only a check that the value is in range rejects it.
+    with pytest.raises(ValueError, match=_refusal(name, rule, value)):
+        build(value)
+
+
+@pytest.mark.parametrize("name, rule, build, value", _cases((math.inf, ""), (-math.inf, "-negative")))
+def test_infinity_fails_the_finiteness_check(name, rule, build, value):
     # A check with only a lower bound lets infinity through to fail later, or never.
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
-        build()
+    unbounded = value > 0 and rule in ("> 0", ">= 0")
+    with pytest.raises(ValueError, match=_refusal(name, "finite" if unbounded else rule, value)):
+        build(value)
+
+
+_BELOW_0, _ABOVE_0 = math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0)
+_BELOW_1, _ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+# Each rule's bounds, as (the nearest value inside, the nearest value outside).
+_EDGES = {
+    "> 0": [(_ABOVE_0, 0.0)],
+    ">= 0": [(0.0, _BELOW_0)],
+    "in [0, 1)": [(0.0, _BELOW_0), (_BELOW_1, 1.0)],
+    "in (0, 1)": [(_ABOVE_0, 0.0), (_BELOW_1, 1.0)],
+    "in (0, 1]": [(_ABOVE_0, 0.0), (1.0, _ABOVE_1)],
+    "in [0, 1]": [(0.0, _BELOW_0), (1.0, _ABOVE_1)],
+}
+
+
+@pytest.mark.parametrize("name, rule, build, inside, outside", [
+    pytest.param(name, rule, build, inside, outside,
+                 id=f"{key}-{'upper' if outside > inside else 'lower'}")
+    for key, name, rule, build in _FLOAT_SETTINGS for inside, outside in _EDGES[rule]
+])
+def test_range_bounds_are_exact(name, rule, build, inside, outside):
+    build(inside)
+    with pytest.raises(ValueError, match=_refusal(name, rule, outside)):
+        build(outside)
