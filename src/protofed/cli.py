@@ -11,6 +11,7 @@ from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
+from ._checks import check_range
 from .augment import AugmentationPolicy
 from .datasets import (
     Dataset,
@@ -69,8 +70,7 @@ class RunSpec:
             raise ValueError("federation.strategies must list at least one strategy")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
+        check_range("n_clients", self.n_clients, "integer >= 1")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("each strategy may appear only once per run spec")
         for strategy in self.strategies:
@@ -303,6 +303,9 @@ def run(spec: RunSpec) -> int:
 
 def _execute(spec: RunSpec) -> None:
     ds = _load_dataset(spec)
+    # Clients get disjoint rows, so one would be empty: fail before building the plan.
+    if spec.n_clients > ds.n_samples:
+        raise ValueError(f"n_clients={spec.n_clients} exceeds the {ds.n_samples} rows loaded")
     quotas = build_partition_plan(spec.scenario, ds.class_counts(), spec.n_clients)
     shards = partition(ds, quotas, spec.federation.seed)
     # The shards hold every row the run needs, so the loaded matrix goes.

@@ -48,8 +48,7 @@ def minibatch_kmeans(
     if pts.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {pts.shape}")
     n = pts.shape[0]
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1")
+    check_range("n_clusters", n_clusters, "integer >= 1")
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds {n} points")
     rng = np.random.default_rng(seed)
@@ -74,8 +73,7 @@ def choose_cluster_count(n_prototypes: int) -> int:
     ceil(4/9 of the received prototypes), at least 1, never more than the
     prototypes available nor CLUSTER_CAP.
     """
-    if n_prototypes < 1:
-        raise ValueError("n_prototypes must be >= 1")
+    check_range("n_prototypes", n_prototypes, "integer >= 1")
     k = math.ceil(n_prototypes * 4.0 / 9.0)
     return max(1, min(k, n_prototypes, CLUSTER_CAP))
 
@@ -96,8 +94,7 @@ class Prototypes:
         check_range("noise_sigma", self.noise_sigma, ">= 0")
         frozen: dict[int, np.ndarray] = {}
         for class_id, rows in self.by_class.items():
-            if class_id < 0:
-                raise ValueError("class ids must be >= 0")
+            check_range("class ids", class_id, "integer >= 0")
             arr = np.array(rows, dtype=np.float64)
             if arr.ndim != 2 or arr.size == 0:
                 raise ValueError(f"class {class_id}: prototypes must form a non-empty 2-D array")

@@ -288,8 +288,7 @@ def build_partition_plan(
     """
     counts = np.asarray(class_counts, dtype=np.int64)
     n_classes = counts.size
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
+    check_range("n_clients", n_clients, "integer >= 1")
     if scenario not in _DECAY:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     weights = _DECAY[scenario] ** np.arange(n_classes, dtype=np.float64)
@@ -355,12 +354,10 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("n_classes", "dims", "clusters_per_class", "samples_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        check_range("cluster_spread", self.cluster_spread, "> 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, rule in (("n_classes", "integer >= 1"), ("dims", "integer >= 1"),
+                           ("clusters_per_class", "integer >= 1"), ("cluster_spread", "> 0"),
+                           ("samples_per_class", "integer >= 1"), ("seed", "integer >= 0")):
+            check_range(name, getattr(self, name), rule)
 
 
 def synthesize(spec: SyntheticSpec) -> Dataset:

@@ -77,11 +77,11 @@ class FederationConfig:
     def __post_init__(self) -> None:
         # ModelSpec states the architecture's rules; any input and output size will do.
         object.__setattr__(self, "hidden", ModelSpec(1, self.hidden, self.dropout_p, 1).hidden)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        check_range("rounds", self.rounds, "integer >= 1")
         check_range("threshold", self.threshold, "in (0, 1]")
-        if not 1 <= self.trigger_round <= self.rounds:
-            raise ValueError("trigger_round must satisfy 1 <= trigger_round <= rounds")
+        check_range("trigger_round", self.trigger_round, "integer >= 1")
+        if self.trigger_round > self.rounds:
+            raise ValueError(f"trigger_round must be <= rounds ({self.rounds}), got {self.trigger_round}")
         check_range("noise_sigma", self.noise_sigma, ">= 0")
         check_range("train_fraction", self.train_fraction, "in (0, 1)")
         if self.scale_mode not in ("local", "none"):
@@ -89,11 +89,9 @@ class FederationConfig:
         if self.eval_weighting not in ("test_size", "uniform"):
             raise ValueError(f"unknown eval_weighting {self.eval_weighting!r}")
         for name in ("gmm_components", "gmm_max_components", "global_prototypes_per_class"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), "integer >= 1")
+        check_range("seed", self.seed, "integer >= 0")
 
 
 def check_strategy(strategy: str, cfg: FederationConfig) -> None:

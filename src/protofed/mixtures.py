@@ -98,8 +98,7 @@ def em_fit(
     if not np.isfinite(X).all():
         raise ValueError("X contains non-finite values")
     n, d = X.shape
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    check_range("n_components", n_components, "integer >= 1")
     if n_components > n:
         raise ValueError(f"n_components={n_components} exceeds {n} samples")
 
@@ -174,8 +173,7 @@ def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> tuple[int, GmmModel]:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("cannot select components for an empty matrix")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_range("k_max", k_max, "integer >= 1")
     k_hi = 1 if X.shape[0] < 2 else min(k_max, X.shape[0])
     children = np.random.SeedSequence(seed).spawn(k_hi)
     best_k, best_model, best_bic = 0, None, np.inf

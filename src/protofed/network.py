@@ -40,17 +40,15 @@ class ModelSpec:
     output_classes: int
 
     def __post_init__(self) -> None:
-        hidden = tuple((int(u), float(l2)) for u, l2 in self.hidden)
-        if self.input_dim < 1 or self.output_classes < 1:
-            raise ValueError("input_dim and output_classes must be >= 1")
-        for units, l2 in hidden:
-            if units < 1:
-                raise ValueError("hidden layer units must be >= 1")
+        check_range("input_dim", self.input_dim, "integer >= 1")
+        check_range("output_classes", self.output_classes, "integer >= 1")
+        for units, l2 in self.hidden:
+            check_range("hidden layer units", units, "integer >= 1")
             check_range("l2 coefficients", l2, ">= 0")
         check_range("dropout_p", self.dropout_p, "in [0, 1)")
-        if self.dropout_p > 0 and not hidden:
+        if self.dropout_p > 0 and not self.hidden:
             raise ValueError("dropout requires at least one hidden layer")
-        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "hidden", tuple((int(u), float(l2)) for u, l2 in self.hidden))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -347,14 +345,10 @@ class TrainConfig:
     prox_mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
-        for name, rule in (("learning_rate", "> 0"), ("adam_beta1", "in [0, 1)"),
-                           ("adam_beta2", "in [0, 1)"), ("adam_epsilon", "> 0"),
-                           ("prox_mu", ">= 0")):
+        for name, rule in (("epochs", "integer >= 1"), ("batch_size", "integer >= 1"),
+                           ("learning_rate", "> 0"), ("adam_beta1", "in [0, 1)"),
+                           ("adam_beta2", "in [0, 1)"), ("adam_epsilon", "> 0"), ("prox_mu", ">= 0")):
             check_range(name, getattr(self, name), rule)
 
 
@@ -481,8 +475,7 @@ class EvalReport:
         for name in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
             check_range(name, getattr(self, name), "in [0, 1]")
         check_range("mean_loss", self.mean_loss, ">= 0")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        check_range("n_samples", self.n_samples, "integer >= 1")
 
 
 def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:

@@ -504,6 +504,17 @@ class TestRun:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_more_clients_than_rows_fails_before_the_partition_plan(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # Clients get disjoint rows, so one of 181 clients over 180 rows would be empty.
+        calls = []
+        monkeypatch.setattr(cli, "build_partition_plan", lambda *args: calls.append(args))
+        path = minimal_config(tmp_path, partition={"scenario": "iid", "n_clients": 181})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: n_clients=181 exceeds the 180 rows loaded\n"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):
@@ -687,7 +698,7 @@ class TestMain:
         ("federation", "noise_sigma", math.inf, "federation.noise_sigma: expected float, got Infinity"),
         ("federation.model", "hidden", [[8, math.nan]], "federation.model.hidden: expected float, got NaN"),
         # the model section's rules are ModelSpec's, checked by FederationConfig
-        ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1"),
+        ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1, got 0"),
         ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
     ], ids=["rounds-null", "strategies-empty", "train-number", "bool-string", "quotas-table",
             "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
@@ -726,7 +737,7 @@ class TestMain:
         raw["partition"]["n_clients"] = 0
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "error: n_clients must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n_clients must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])

@@ -126,7 +126,7 @@ class TestAggregatePrototypes:
 
     def test_zero_cluster_count_is_not_the_heuristic(self):
         uploads = [proto_set({0: [[0.1, 0.2], [0.3, 0.4]]})]
-        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+        with pytest.raises(ValueError, match="^n_clusters must be >= 1, got 0$"):
             pf.aggregate_prototypes(uploads, seed=0, cluster_count=0)
 
     def test_sigma_taken_from_uploads(self):

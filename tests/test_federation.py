@@ -458,7 +458,7 @@ class TestRunFederation:
             assert history[0].model_floats == pf.build_model(spec, 0).trainable_count
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"hidden": ((0, 1e-3),)}, "hidden layer units must be >= 1"),
+        ({"hidden": ((0, 1e-3),)}, "hidden layer units must be >= 1, got 0"),
         ({"hidden": ((8, -1.0),)}, "l2 coefficients must be >= 0, got -1.0"),
         ({"hidden": ((8, math.inf),)}, "l2 coefficients must be finite, got inf"),
         ({"dropout_p": 1.0}, r"dropout_p must be in \[0, 1\), got 1.0"),

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
+from protofed.cli import CsvSource, RunSpec
 from protofed.network import BN_MOMENTUM, _loss_and_grad, init_adam, loss_and_grads
 from helpers import fd_max_relative_error, randomized_params, two_blob_dataset
 
@@ -549,3 +550,70 @@ def test_range_bounds_are_exact(name, rule, build, inside, outside):
     build(inside)
     with pytest.raises(ValueError, match=_refusal(name, rule, outside)):
         build(outside)
+
+
+# Every count setting: (test id, name in its messages, least value, build from a value).
+_COUNT_SETTINGS = [
+    ("input_dim", "input_dim", 1, lambda v: pf.ModelSpec(v, ((4, 0.0),), 0.0, 2)),
+    ("output_classes", "output_classes", 1, lambda v: pf.ModelSpec(3, ((4, 0.0),), 0.0, v)),
+    ("units", "hidden layer units", 1, lambda v: pf.ModelSpec(3, ((v, 0.0),), 0.0, 2)),
+    ("epochs", "epochs", 1, lambda v: pf.TrainConfig(epochs=v)),
+    ("batch_size", "batch_size", 1, lambda v: pf.TrainConfig(batch_size=v)),
+    ("n_samples", "n_samples", 1, lambda v: _report(n_samples=v)),
+    ("rounds", "rounds", 1, lambda v: pf.FederationConfig(rounds=v, trigger_round=1)),
+    *((key, key, 1, lambda v, key=key: pf.FederationConfig(**{key: v}))
+      for key in ("trigger_round", "gmm_components", "gmm_max_components",
+                  "global_prototypes_per_class")),
+    ("federation-seed", "seed", 0, lambda v: pf.FederationConfig(seed=v)),
+    ("n_classes", "n_classes", 1, lambda v: pf.SyntheticSpec(v, 3, 1, 0.1, 10, seed=0)),
+    ("dims", "dims", 1, lambda v: pf.SyntheticSpec(2, v, 1, 0.1, 10, seed=0)),
+    ("clusters_per_class", "clusters_per_class", 1,
+     lambda v: pf.SyntheticSpec(2, 3, v, 0.1, 10, seed=0)),
+    ("samples_per_class", "samples_per_class", 1,
+     lambda v: pf.SyntheticSpec(2, 3, 1, 0.1, v, seed=0)),
+    ("synthetic-seed", "seed", 0, lambda v: pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=v)),
+    ("plan-n_clients", "n_clients", 1, lambda v: pf.build_partition_plan("iid", (4, 4), v)),
+    ("run-n_clients", "n_clients", 1,
+     lambda v: RunSpec(CsvSource("data"), "iid", v, pf.FederationConfig(), ("fedavg",), "out")),
+    ("n_clusters", "n_clusters", 1, lambda v: pf.minibatch_kmeans(np.eye(2), v, 0)),
+    ("n_prototypes", "n_prototypes", 1, pf.choose_cluster_count),
+    ("class_id", "class ids", 0, lambda v: pf.Prototypes({v: [[0.0]]})),
+    ("n_components", "n_components", 1, lambda v: pf.em_fit(np.eye(2), v, 0)),
+    ("k_max", "k_max", 1, lambda v: pf.select_k_bic(np.eye(2), v, 0)),
+]
+
+
+@pytest.mark.parametrize("name, least, build, value, shape", [
+    pytest.param(name, least, build, value, shape, id=f"{key}-{suffix}")
+    for key, name, least, build in _COUNT_SETTINGS
+    for value, shape, suffix in (
+        (math.nan, "an integer", "nan"), (math.inf, "an integer", "inf"),
+        (-math.inf, "an integer", "-inf"), (1.5, "an integer", "fraction"),
+        (least - 1, f">= {least}", "below"),
+    )
+])
+def test_count_refuses_a_non_integer_or_a_value_below_its_bound(name, least, build, value, shape):
+    # operator.index refuses every float, so NaN, infinities and fractions all fail as non-integers.
+    with pytest.raises(ValueError, match=_refusal(name, shape, value)):
+        build(value)
+
+
+@pytest.mark.parametrize("least, build", [
+    pytest.param(least, build, id=key) for key, _, least, build in _COUNT_SETTINGS
+])
+def test_count_takes_its_bound_as_a_numpy_integer(least, build):
+    build(np.int64(least))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: pf.ModelSpec(2, ((4.7, 0.0),), 0.0, 2), "hidden layer units must be an integer, got 4.7"),
+    (lambda: pf.FederationConfig(hidden=((4.7, 1e-3),)),
+     "hidden layer units must be an integer, got 4.7"),
+    (lambda: pf.Prototypes({1.5: [[0.0]]}), "class ids must be an integer, got 1.5"),
+    (lambda: pf.FederationConfig(rounds=float("nan")), "rounds must be an integer, got nan"),
+], ids=["model-units", "federation-units", "class-id", "nan-rounds"])
+def test_fractional_count_is_refused_not_truncated(build, message):
+    # int() used to turn 4.7 units into 4 and class 1.5 into 1, and a NaN
+    # rounds count failed the trigger_round check instead.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
