@@ -33,7 +33,7 @@ from .federation import (
     run_federation,
     split_clients,
 )
-from .network import DEFAULT_DROPOUT_P, EvalReport, ModelSpec, TrainConfig
+from .network import EvalReport, ModelSpec, TrainConfig
 
 # Output column name of each EvalReport score, in column order.
 _SCORES = {"accuracy": "accuracy", "precision": "macro_precision", "recall": "macro_recall",
@@ -95,7 +95,7 @@ class RunSpec:
 # Defaults of optional keys whose dataclass field has none.
 _DEFAULTS = {
     SyntheticSpec: {"clusters_per_class": 1, "seed": 0},
-    ModelSpec: {"dropout_p": DEFAULT_DROPOUT_P},
+    ModelSpec: {"dropout_p": FederationConfig.dropout_p},
 }
 # Fields the CLI fills itself instead of reading them from their own section.
 _FILLED = {
@@ -104,7 +104,12 @@ _FILLED = {
     ModelSpec: ("input_dim", "output_classes"),
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
-_SCALARS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
+# Federation keys that no longer configure anything, each accepted only at
+# the one value every run now has. The benchmark's workload configs still
+# write them; delete this table once ROADMAP item 1a drops them there.
+_RETIRED = {"eval_weighting": "test_size", "global_prototypes_per_class": None,
+            "aggregate_running_stats": True}
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +217,13 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     part = _read(_require(raw, "partition", "config"), "partition", RunSpec)
 
     fed = _require(raw, "federation", "config")
-    base = _read(fed, "federation", FederationConfig, extra=("strategies", "train", "aug", "model"))
+    base = _read(fed, "federation", FederationConfig,
+                 extra=("strategies", "train", "aug", "model", *_RETIRED))
+    for key, value in _RETIRED.items():
+        # Compared as JSON text, so 1 is not taken for true.
+        given, kept = json.dumps(fed.get(key, value)), json.dumps(value)
+        if given != kept:
+            raise ValueError(f"federation.{key}: retired, accepts only {kept}, got {given}")
     strategies = _convert(
         _require(fed, "strategies", "federation"), "tuple[str, ...]", "federation", "strategies"
     )

@@ -110,18 +110,12 @@ class Prototypes:
         return sum(rows.size for rows in self.by_class.values())
 
 
-def aggregate_prototypes(
-    uploads: Sequence[Prototypes],
-    seed: int = 0,
-    cluster_count: int | None = None,
-) -> Prototypes:
+def aggregate_prototypes(uploads: Sequence[Prototypes], seed: int = 0) -> Prototypes:
     """Join uploaded prototypes by class and recluster each class's rows.
 
-    ``cluster_count`` fixes the centroids per class (capped by the points
-    received); None picks them with ``choose_cluster_count``.
-
-    Points are sorted lexicographically before clustering, so the result does
-    not depend on the order clients are listed in. Classes seen by a single
+    ``choose_cluster_count`` picks each class's number of centroids. Points
+    are sorted lexicographically before clustering, so the result does not
+    depend on the order clients are listed in. Classes seen by a single
     client still yield centroids, which is how disjoint silos learn about
     classes they do not hold.
     """
@@ -133,6 +127,6 @@ def aggregate_prototypes(
     for class_id in classes:
         pts = np.concatenate([u.by_class[class_id] for u in uploads if class_id in u.by_class])
         pts = pts[np.lexsort(pts.T[::-1])]
-        k = choose_cluster_count(len(pts)) if cluster_count is None else min(cluster_count, len(pts))
+        k = choose_cluster_count(len(pts))
         centroids[class_id] = minibatch_kmeans(pts, k, np.random.SeedSequence([seed, class_id]))
     return Prototypes(centroids, noise_sigma=max(u.noise_sigma for u in uploads))

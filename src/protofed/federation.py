@@ -13,16 +13,7 @@ from .augment import AugmentationPolicy, augment
 from .clustering import Prototypes, aggregate_prototypes
 from .datasets import Dataset, min_max_scale, stratified_split
 from .mixtures import em_fit, perturb, select_k_bic
-from .network import (
-    DEFAULT_DROPOUT_P,
-    EvalReport,
-    ModelParams,
-    ModelSpec,
-    TrainConfig,
-    build_model,
-    evaluate,
-    train_local,
-)
+from .network import EvalReport, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train_local
 
 STRATEGIES = ("fedavg", "fedprox", "fedp3e")
 
@@ -64,14 +55,11 @@ class FederationConfig:
     trigger_round: int = 6
     noise_sigma: float = 0.01
     hidden: tuple[tuple[int, float], ...] = ((128, 1e-3), (64, 1e-3))
-    dropout_p: float = DEFAULT_DROPOUT_P
+    dropout_p: float = 0.5
     train_fraction: float = 0.8
     scale_mode: str = "local"
-    eval_weighting: str = "test_size"
     gmm_components: int | None = None
     gmm_max_components: int = 5
-    global_prototypes_per_class: int | None = None
-    aggregate_running_stats: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -86,11 +74,9 @@ class FederationConfig:
         check_range("train_fraction", self.train_fraction, "in (0, 1)")
         if self.scale_mode not in ("local", "none"):
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
-        if self.eval_weighting not in ("test_size", "uniform"):
-            raise ValueError(f"unknown eval_weighting {self.eval_weighting!r}")
-        for name in ("gmm_components", "gmm_max_components", "global_prototypes_per_class"):
-            if getattr(self, name) is not None:
-                check_range(name, getattr(self, name), "integer >= 1")
+        if self.gmm_components is not None:
+            check_range("gmm_components", self.gmm_components, "integer >= 1")
+        check_range("gmm_max_components", self.gmm_max_components, "integer >= 1")
         check_range("seed", self.seed, "integer >= 0")
 
 
@@ -178,11 +164,8 @@ def _int_seed(master: int, *fields: int) -> int:
     return int(np.random.SeedSequence([master, *fields]).generate_state(1)[0])
 
 
-def _combine_reports(reports: Sequence[EvalReport], weighting: str) -> EvalReport:
-    if weighting == "test_size":
-        weights = np.array([r.n_samples for r in reports], dtype=np.float64)
-    else:
-        weights = np.ones(len(reports))
+def _combine_reports(reports: Sequence[EvalReport]) -> EvalReport:
+    weights = np.array([r.n_samples for r in reports], dtype=np.float64)
     weights = weights / weights.sum()
 
     def mean(name: str) -> float:
@@ -271,8 +254,7 @@ def _exchange(
             ps = _client_prototypes(train, cfg, r, k)
             uploads.append(perturb(ps, cfg.noise_sigma, _int_seed(cfg.seed, _SEED_NOISE, r, k)))
     with _failing_at(f"round {r}"):
-        gp = aggregate_prototypes(uploads, seed=_int_seed(cfg.seed, _SEED_AGG, r),
-                                  cluster_count=cfg.global_prototypes_per_class)
+        gp = aggregate_prototypes(uploads, seed=_int_seed(cfg.seed, _SEED_AGG, r))
     for k, train in enumerate(train_sets):
         with _failing_at(f"round {r}, client {k}"):
             train_sets[k] = augment(train, gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, r, k))
@@ -289,10 +271,7 @@ def _train(cfg: FederationConfig, train_cfg: TrainConfig, global_params: ModelPa
             updated, _ = train_local(global_params, train, train_cfg, seed, w_global=global_params)
         updates.append((updated, train.n_samples))
     with _failing_at(f"round {r}"):
-        aggregated = fedavg_aggregate(updates)
-    if cfg.aggregate_running_stats:
-        return aggregated
-    return ModelParams(aggregated.spec, aggregated.flat, global_params.stats.copy())
+        return fedavg_aggregate(updates)
 
 
 def run_federation(
@@ -329,7 +308,7 @@ def run_federation(
                 reports.append(evaluate(global_params, test))
         history.append(RoundMetrics(
             round_index=r,
-            global_report=_combine_reports(reports, cfg.eval_weighting),
+            global_report=_combine_reports(reports),
             client_reports=tuple(reports),
             model_upload_floats=len(clients) * global_params.trainable_count,
             proto_upload_floats=uploads,

@@ -20,8 +20,6 @@ from .datasets import Dataset
 
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99
-# Dropout rate of the default architecture and of a config that omits it.
-DEFAULT_DROPOUT_P = 0.5
 
 _Layout = tuple[tuple[str, tuple[int, ...]], ...]
 

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference checks, tiny data builders and a memory probe."""
+"""Shared test utilities: finite-difference checks, tiny data builders, a segment oracle and a memory probe."""
 
 from __future__ import annotations
 
@@ -132,6 +132,32 @@ def write_nbaiot_layout(root, seed, devices=3, rows=60):
                      + rng.normal(0.0, 1.0, size=(rows, n_cols))) * magnitude
             lines = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in block)
             (root / f"{device}.{capture}.csv").write_text(header + lines, encoding="utf-8")
+
+
+def on_some_segment(row, protos, tol=1e-9):
+    """True when row = a + coeff (b - a) for one prototype pair, coeff in [0,1]."""
+    n = protos.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            a, b = protos[i], protos[j]
+            span = b - a
+            coeffs = []
+            consistent = True
+            for d in range(len(a)):
+                if abs(span[d]) < tol:
+                    if abs(row[d] - a[d]) > tol:
+                        consistent = False
+                        break
+                else:
+                    coeffs.append((row[d] - a[d]) / span[d])
+            if not consistent or not coeffs:
+                continue
+            lam = coeffs[0]
+            if all(abs(c - lam) <= tol for c in coeffs) and -tol <= lam <= 1 + tol:
+                return True
+    return False
 
 
 def traced_peak_bytes(call):

@@ -13,7 +13,7 @@ import numpy as np
 
 import protofed as pf
 from protofed.cli import _metrics_csv, parse_config
-from helpers import SEVERE_FIXTURE, fd_max_relative_error, randomized_params
+from helpers import SEVERE_FIXTURE, fd_max_relative_error, on_some_segment, randomized_params
 
 # Committed fixture for the severe / IID trend experiments.
 TREND_DATA = pf.SyntheticSpec(
@@ -247,7 +247,7 @@ def test_criterion_7_smote_geometry():
     synthetic = out.features[1000:]
     budget_1000 = synthetic.shape[0]
 
-    on_segment = sum(_segment_member(row, protos) for row in synthetic)
+    on_segment = sum(on_some_segment(row, protos) for row in synthetic)
     small = pf.Dataset(rng.random((37, 8)), np.zeros(37, dtype=int), ("a", "b"))
     out_small = pf.augment(small, gp, pf.AugmentationPolicy(0.10, "missing_only"), 72)
     budget_37 = out_small.n_samples - 37
@@ -258,31 +258,6 @@ def test_criterion_7_smote_geometry():
         f"segment-membership {on_segment}/{budget_1000}, "
         f"budgets: 1000->{budget_1000}, 37->{budget_37}",
     )
-
-
-def _segment_member(row, protos, tol=1e-9):
-    n = protos.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = protos[i], protos[j]
-            span = b - a
-            coeffs = []
-            fits = True
-            for d in range(len(a)):
-                if abs(span[d]) < tol:
-                    if abs(row[d] - a[d]) > tol:
-                        fits = False
-                        break
-                else:
-                    coeffs.append((row[d] - a[d]) / span[d])
-            if not fits or not coeffs:
-                continue
-            lam = coeffs[0]
-            if all(abs(c - lam) <= tol for c in coeffs) and -tol <= lam <= 1 + tol:
-                return True
-    return False
 
 
 def test_criterion_8_aggregation_oracle_and_determinism():

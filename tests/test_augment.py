@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.augment import ELIGIBILITY_RULES
+from helpers import on_some_segment
 
 
 def make_local(counts, dims=3, seed=0, n_classes=None):
@@ -106,7 +107,7 @@ class TestAugment:
         synthetic = out.features[200:]
         assert len(synthetic) == 20
         for row in synthetic:
-            assert _on_some_segment(row, protos)
+            assert on_some_segment(row, protos)
 
     def test_label_conservation(self):
         local = make_local([300, 60, 40])
@@ -154,29 +155,3 @@ class TestAugment:
             pf.AugmentationPolicy(0.0, "below_mean_count")
         with pytest.raises(ValueError, match="eligibility"):
             pf.AugmentationPolicy(0.1, "sometimes")
-
-
-def _on_some_segment(row, protos, tol=1e-9):
-    """True when row = a + coeff (b - a) for one prototype pair, coeff in [0,1]."""
-    n = protos.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = protos[i], protos[j]
-            span = b - a
-            coeffs = []
-            consistent = True
-            for d in range(len(a)):
-                if abs(span[d]) < tol:
-                    if abs(row[d] - a[d]) > tol:
-                        consistent = False
-                        break
-                else:
-                    coeffs.append((row[d] - a[d]) / span[d])
-            if not consistent or not coeffs:
-                continue
-            lam = coeffs[0]
-            if all(abs(c - lam) <= tol for c in coeffs) and -tol <= lam <= 1 + tol:
-                return True
-    return False

@@ -144,9 +144,7 @@ class TestParseConfig:
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
             hidden=((7, 0.002), (5, 0.0)), dropout_p=0.25,
-            train_fraction=0.7, scale_mode="none", eval_weighting="uniform",
-            gmm_components=2, gmm_max_components=4, global_prototypes_per_class=3,
-            aggregate_running_stats=False, seed=8,
+            train_fraction=0.7, scale_mode="none", gmm_components=2, gmm_max_components=4, seed=8,
         )
         spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere")
         for obj in (spec, federation, train, federation.aug):
@@ -164,14 +162,22 @@ class TestParseConfig:
                           "adam_beta2": 0.99, "adam_epsilon": 1e-6, "prox_mu": 0.3},
                 "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
                 "model": {"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25},
-                "train_fraction": 0.7, "scale_mode": "none", "eval_weighting": "uniform",
-                "gmm_components": 2, "gmm_max_components": 4, "global_prototypes_per_class": 3,
-                "aggregate_running_stats": False,
+                "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2, "gmm_max_components": 4,
             },
         }
         path = tmp_path / "every_field.json"
         path.write_text(json.dumps(config))
         assert parse_config(path) == spec
+
+    def test_retired_keys_parse_at_their_old_values(self, tmp_path):
+        # The benchmark's workload configs still write these keys.
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"].update(eval_weighting="test_size", global_prototypes_per_class=None,
+                                 aggregate_running_stats=True)
+        retired = tmp_path / "retired.json"
+        retired.write_text(json.dumps(raw))
+        assert parse_config(retired) == parse_config(path)
 
     @pytest.mark.parametrize("section", ["train", "aug"])
     def test_seed_is_not_a_training_or_augmentation_key(self, tmp_path, section):
@@ -680,8 +686,6 @@ class TestMain:
         ("federation", "rounds", None, "federation.rounds: expected int, got null"),
         ("federation", "strategies", [], "federation.strategies must list at least one strategy"),
         ("federation", "train", 5, "federation.train: expected object, got 5"),
-        ("federation", "aggregate_running_stats", "false",
-         'federation.aggregate_running_stats: expected bool, got "false"'),
         # knobs outside the protocol, now gone
         ("partition", "quotas", [[40, 0, 0], [0, 40, 0], [0, 0, 40]], "unknown key 'quotas' in partition"),
         ("federation", "scale_mode", "global", "unknown scale_mode 'global'"),
@@ -700,7 +704,7 @@ class TestMain:
         # the model section's rules are ModelSpec's, checked by FederationConfig
         ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1, got 0"),
         ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
-    ], ids=["rounds-null", "strategies-empty", "train-number", "bool-string", "quotas-table",
+    ], ids=["rounds-null", "strategies-empty", "train-number", "quotas-table",
             "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
             "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan",
             "hidden-zero-units", "dropout-one"])
@@ -719,9 +723,7 @@ class TestMain:
         assert f"error: {expected}" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("gmm_components", 0), ("global_prototypes_per_class", 0), ("global_prototypes_per_class", -1),
-    ])
+    @pytest.mark.parametrize("key, value", [("gmm_components", 0)])
     def test_non_positive_prototype_count_is_a_usage_error(self, tmp_path, capsys, key, value):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -729,6 +731,21 @@ class TestMain:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("eval_weighting", "uniform"), ("global_prototypes_per_class", 3),
+        ("aggregate_running_stats", False), ("aggregate_running_stats", 1),
+    ])
+    def test_retired_key_off_its_old_value_is_a_usage_error(self, tmp_path, capsys, key, value):
+        # 1 == True in Python, yet JSON's 1 is not true.
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["federation"][key] = value
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: federation.{key}: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_zero_clients_is_a_usage_error(self, tmp_path, capsys):

@@ -118,17 +118,6 @@ class TestAggregatePrototypes:
         # nine received prototypes -> four global centroids
         assert gp.by_class[0].shape == (4, 4)
 
-    def test_cluster_count_override(self):
-        rng = np.random.default_rng(7)
-        uploads = [proto_set({0: rng.random((3, 4))}) for _ in range(3)]
-        gp = pf.aggregate_prototypes(uploads, seed=7, cluster_count=2)
-        assert gp.by_class[0].shape == (2, 4)
-
-    def test_zero_cluster_count_is_not_the_heuristic(self):
-        uploads = [proto_set({0: [[0.1, 0.2], [0.3, 0.4]]})]
-        with pytest.raises(ValueError, match="^n_clusters must be >= 1, got 0$"):
-            pf.aggregate_prototypes(uploads, seed=0, cluster_count=0)
-
     def test_sigma_taken_from_uploads(self):
         ps = proto_set({0: [[0.1, 0.2]]}, sigma=0.04)
         gp = pf.aggregate_prototypes([ps], seed=0)

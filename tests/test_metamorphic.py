@@ -1,10 +1,15 @@
 """Metamorphic properties of whole federated runs, compared round by round with ``==``.
 
 fedp3e is FedAvg plus a one-shot prototype exchange, so before that exchange,
-or when it never fires, its history is FedAvg's. Local min-max scaling maps a
-column multiplied by a power of two to the same bits, so no strategy can tell
-the two inputs apart, the exchange included.
+or when it never fires, its history is FedAvg's. FedAvg over one client weights
+its update by 1, so it is that client's local training chained round to round.
+Local min-max scaling maps a column multiplied by a power of two to the same
+bits, so no strategy can tell the two inputs apart, the exchange included. The
+server reclusters the uploaded prototypes without regard to which client sent
+which.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.datasets import SCENARIOS
-from protofed.federation import STRATEGIES
+from protofed.federation import STRATEGIES, _SEED_INIT, _SEED_TRAIN, _int_seed
 
 DIMS = 4
 
@@ -73,3 +78,37 @@ def test_power_of_two_column_scales_leave_every_history_equal(run, strategy, exp
     history = _history(cfg, shards, strategy)
     assert history == _history(cfg, scaled, strategy)
     assert (pf.exchange_round(history) == 1) == (strategy == "fedp3e")
+
+
+@settings(max_examples=6, deadline=None)
+@given(runs())
+def test_one_client_fedavg_equals_chained_local_training(run):
+    cfg, shards = run
+    [(train, test)] = pf.split_clients(cfg, shards[:1])
+    history = _history(cfg, shards[:1], "fedavg")
+    spec = pf.ModelSpec(train.n_features, cfg.hidden, cfg.dropout_p, train.n_classes)
+    params = pf.build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
+    local = replace(cfg.train, prox_mu=0.0)
+    for metrics in history:
+        seed = _int_seed(cfg.seed, _SEED_TRAIN, metrics.round_index, 0)
+        params, _ = pf.train_local(params, train, local, seed)
+        assert metrics.client_reports == (pf.evaluate(params, test),)
+
+
+_ROW = st.lists(st.floats(-1.0, 1.0), min_size=DIMS, max_size=DIMS)
+_UPLOAD = st.builds(pf.Prototypes, st.dictionaries(st.integers(0, 2), st.lists(_ROW, min_size=1, max_size=3),
+                                                   min_size=1), st.floats(0.0, 0.1))
+_TWO_ORDERS = st.lists(_UPLOAD, min_size=1, max_size=4).flatmap(
+    lambda uploads: st.tuples(st.just(uploads), st.permutations(uploads)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_TWO_ORDERS, st.integers(0, 2**32 - 1))
+def test_aggregate_prototypes_ignores_the_order_of_the_uploads(orders, seed):
+    uploads, shuffled = orders
+    gp = pf.aggregate_prototypes(uploads, seed)
+    other = pf.aggregate_prototypes(shuffled, seed)
+    assert gp.noise_sigma == other.noise_sigma
+    assert gp.by_class.keys() == other.by_class.keys()
+    for class_id, rows in gp.by_class.items():
+        assert np.array_equal(rows, other.by_class[class_id])

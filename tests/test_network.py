@@ -562,8 +562,7 @@ _COUNT_SETTINGS = [
     ("n_samples", "n_samples", 1, lambda v: _report(n_samples=v)),
     ("rounds", "rounds", 1, lambda v: pf.FederationConfig(rounds=v, trigger_round=1)),
     *((key, key, 1, lambda v, key=key: pf.FederationConfig(**{key: v}))
-      for key in ("trigger_round", "gmm_components", "gmm_max_components",
-                  "global_prototypes_per_class")),
+      for key in ("trigger_round", "gmm_components", "gmm_max_components")),
     ("federation-seed", "seed", 0, lambda v: pf.FederationConfig(seed=v)),
     ("n_classes", "n_classes", 1, lambda v: pf.SyntheticSpec(v, 3, 1, 0.1, 10, seed=0)),
     ("dims", "dims", 1, lambda v: pf.SyntheticSpec(2, v, 1, 0.1, 10, seed=0)),
@@ -590,6 +589,8 @@ _COUNT_SETTINGS = [
         (math.nan, "an integer", "nan"), (math.inf, "an integer", "inf"),
         (-math.inf, "an integer", "-inf"), (1.5, "an integer", "fraction"),
         (least - 1, f">= {least}", "below"),
+        # Only gmm_components may be None, which leaves K to BIC.
+        *[(None, "an integer", "none")] * (key != "gmm_components"),
     )
 ])
 def test_count_refuses_a_non_integer_or_a_value_below_its_bound(name, least, build, value, shape):
