@@ -8,7 +8,6 @@ import io
 import json
 import sys
 from dataclasses import MISSING, Field, dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 
 from ._checks import check_range
@@ -112,7 +111,6 @@ _RETIRED = {"eval_weighting": "test_size", "global_prototypes_per_class": None,
             "aggregate_running_stats": True}
 
 
-@lru_cache(maxsize=None)
 def _own_fields(cls: type) -> dict[str, Field]:
     """JSON key -> field, for each field ``cls`` reads from its own section."""
     return {f.name: f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}

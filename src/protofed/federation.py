@@ -92,28 +92,31 @@ def check_strategy(strategy: str, cfg: FederationConfig) -> None:
 class RoundMetrics:
     """Everything measured in one round, including protocol float counts.
 
-    ``model_upload_floats`` counts the model downloads too: every client
-    receives one global model of the size it uploads. ``proto_upload_floats``
+    ``model_floats`` is the size of one model update; every client uploads
+    one and receives one global model of that size. ``proto_upload_floats``
     holds one count per client (zeros unless the exchange ran this round);
     ``proto_download_floats`` is the per-client broadcast payload size.
     """
 
     round_index: int
-    global_report: EvalReport
     client_reports: tuple[EvalReport, ...]
-    model_upload_floats: int
+    model_floats: int
     proto_upload_floats: tuple[int, ...]
     proto_download_floats: int
     exchange_triggered: bool
+
+    @property
+    def global_report(self) -> EvalReport:
+        """The client reports' mean, weighted by test-set size."""
+        return _combine_reports(self.client_reports)
 
     @property
     def n_clients(self) -> int:
         return len(self.client_reports)
 
     @property
-    def model_floats(self) -> int:
-        """Floats in one client's model update: the model size."""
-        return self.model_upload_floats // self.n_clients
+    def model_upload_floats(self) -> int:
+        return self.n_clients * self.model_floats
 
     @property
     def uploaded_floats(self) -> int:
@@ -268,7 +271,7 @@ def _train(cfg: FederationConfig, train_cfg: TrainConfig, global_params: ModelPa
     for k, train in enumerate(train_sets):
         seed = _int_seed(cfg.seed, _SEED_TRAIN, r, k)
         with _failing_at(f"round {r}, client {k}"):
-            updated, _ = train_local(global_params, train, train_cfg, seed, w_global=global_params)
+            updated, _ = train_local(global_params, train, train_cfg, seed)
         updates.append((updated, train.n_samples))
     with _failing_at(f"round {r}"):
         return fedavg_aggregate(updates)
@@ -308,9 +311,8 @@ def run_federation(
                 reports.append(evaluate(global_params, test))
         history.append(RoundMetrics(
             round_index=r,
-            global_report=_combine_reports(reports),
             client_reports=tuple(reports),
-            model_upload_floats=len(clients) * global_params.trainable_count,
+            model_floats=global_params.trainable_count,
             proto_upload_floats=uploads,
             proto_download_floats=download,
             exchange_triggered=exchange,

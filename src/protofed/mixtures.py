@@ -29,7 +29,6 @@ class GmmModel:
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    log_likelihood: float
     log_likelihood_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -45,6 +44,11 @@ class GmmModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
+
+    @property
+    def log_likelihood(self) -> float:
+        """The fitted model's log-likelihood: the history's last entry."""
+        return self.log_likelihood_history[-1]
 
     @property
     def n_components(self) -> int:
@@ -125,7 +129,6 @@ def em_fit(
         weights=weights,
         means=means,
         covariances=covs,
-        log_likelihood=history[-1],
         log_likelihood_history=tuple(history),
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -53,7 +53,6 @@ class ModelSpec:
         return (self.input_dim, *(u for u, _ in self.hidden), self.output_classes)
 
 
-@lru_cache(maxsize=64)
 def _layout(spec: ModelSpec) -> tuple[_Layout, _Layout]:
     """(name, shape) of each trainable tensor and each running statistic.
 
@@ -293,14 +292,9 @@ def _check_batch(spec: ModelSpec, batch: np.ndarray) -> None:
         )
 
 
-def _check_targets(
-    spec: ModelSpec, labels: np.ndarray, prox_mu: float, w_global: ModelParams | None
-) -> None:
+def _check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= spec.output_classes):
         raise ValueError("labels outside the model's class range")
-    check_range("prox_mu", prox_mu, ">= 0")
-    if prox_mu > 0 and w_global is None:
-        raise ValueError("prox_mu > 0 requires w_global")
 
 
 def loss_and_grads(
@@ -320,7 +314,10 @@ def loss_and_grads(
     """
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_targets(params.spec, labels, prox_mu, w_global)
+    _check_labels(params.spec, labels)
+    check_range("prox_mu", prox_mu, ">= 0")
+    if prox_mu > 0 and w_global is None:
+        raise ValueError("prox_mu > 0 requires w_global")
     _check_batch(params.spec, batch)
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -406,19 +403,19 @@ def train_local(
     ds: Dataset,
     config: TrainConfig,
     seed: int,
-    w_global: ModelParams | None = None,
 ) -> tuple[ModelParams, list[float]]:
     """Train for ``config.epochs`` epochs of mini-batches shuffled from ``seed``.
 
-    Returns the updated parameters and one mean loss per epoch. The input
-    ``params`` is not mutated; a fresh Adam state is used per call. A
-    non-finite batch loss raises FloatingPointError naming the epoch and the
-    batch, both counted from 1.
+    Returns the updated parameters and one mean loss per epoch. The proximal
+    term, when ``config.prox_mu > 0``, pulls toward ``params``: the model the
+    client received. The input ``params`` is not mutated; a fresh Adam state
+    is used per call. A non-finite batch loss raises FloatingPointError
+    naming the epoch and the batch, both counted from 1.
     """
     if ds.n_samples == 0:
         raise ValueError("cannot train on an empty dataset")
     spec = params.spec
-    _check_targets(spec, ds.labels, config.prox_mu, w_global)
+    _check_labels(spec, ds.labels)
     _check_batch(spec, ds.features)
     work = params.copy()
     grad = ModelParams(spec)
@@ -442,7 +439,7 @@ def train_local(
                 stop = min(start + config.batch_size, n)
                 mask = None if masks is None else masks[start:stop]
                 loss = _loss_and_grad(work, grad, features[start:stop], labels[start:stop],
-                                      config.prox_mu, w_global, True, mask)
+                                      config.prox_mu, params, True, mask)
                 if not math.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss {loss} in epoch {epoch}, batch {batch_index}"
@@ -486,7 +483,7 @@ def evaluate(params: ModelParams, ds: Dataset) -> EvalReport:
     """
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _check_targets(params.spec, ds.labels, 0.0, None)
+    _check_labels(params.spec, ds.labels)
     _check_batch(params.spec, ds.features)
     # A diverged model is reported by the loss check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,7 @@ import protofed as pf
 import protofed.cli as cli
 import protofed.mixtures as mixtures
 import protofed.network as network
-from helpers import two_blob_dataset
+from helpers import two_blob_dataset, write_nbaiot_layout
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,13 +79,15 @@ def test_select_k_bic_fits_through_the_module_attribute_once_per_k(monkeypatch, 
     assert calls == list(range(1, min(k_max, n) + 1))
 
 
-def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_path):
-    # Every probe of a trace-mode child reads the real arguments and results
-    # of one tiny fedp3e run; a probe that reads a missing field fails the run.
+def traced_fedp3e_run(tmp_path, data):
+    """Tracer stats of one tiny fedp3e run over the config ``data`` section.
+
+    Every probe of a trace-mode child reads the real arguments and results;
+    a probe that reads a missing field fails the run.
+    """
     config = {
         "seed": 0,
-        "data": {"synthetic": {"n_classes": 3, "dims": 4, "cluster_spread": 0.05,
-                               "samples_per_class": 30, "seed": 0}},
+        "data": data,
         "partition": {"scenario": "severe", "n_clients": 3},
         "federation": {
             "strategies": ["fedp3e"], "rounds": 1, "trigger_round": 1, "gmm_components": None,
@@ -107,6 +109,19 @@ def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_p
     assert stats["mixtures.em_fit"].counts["iters"] > 0
     federation_counts = stats["federation.run_federation"].counts
     assert federation_counts["model_floats"] > 0 and federation_counts["proto_up_floats"] > 0
+    return stats
+
+
+def test_run_federation_passes_datasets_and_configs_where_probes_read_them(tmp_path):
+    traced_fedp3e_run(tmp_path, {"synthetic": {"n_classes": 3, "dims": 4, "cluster_spread": 0.05,
+                                               "samples_per_class": 30, "seed": 0}})
+
+
+def test_load_csv_dir_probe_counts_the_rows_loaded(tmp_path):
+    # nbaiot9 reads its data through cli.load_csv_dir, which a synthetic run never calls.
+    write_nbaiot_layout(tmp_path / "nbaiot", seed=8, devices=1, rows=12)
+    stats = traced_fedp3e_run(tmp_path, {"csv_dir": {"path": str(tmp_path / "nbaiot")}})
+    assert stats["datasets.load_csv_dir"].counts["rows"] == 5 * 12  # five captures of 12 rows
 
 
 def test_clients_are_split_once_per_run_and_trained_once_per_strategy(tmp_path):

@@ -111,6 +111,13 @@ class TestParseConfig:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
 
+    def test_top_level_array_is_a_usage_error_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top-level config must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_data_requires_exactly_one_source(self, tmp_path):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -704,10 +711,11 @@ class TestMain:
         # the model section's rules are ModelSpec's, checked by FederationConfig
         ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1, got 0"),
         ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
+        ("partition", "scenario", "extreme", f"unknown scenario 'extreme'; expected one of {SCENARIOS}"),
     ], ids=["rounds-null", "strategies-empty", "train-number", "quotas-table",
             "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
             "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan",
-            "hidden-zero-units", "dropout-one"])
+            "hidden-zero-units", "dropout-one", "scenario-extreme"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -721,6 +729,21 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {expected}" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key", [("config", "federation"), ("data.synthetic", "dims")],
+                             ids=["federation", "dims"])
+    def test_missing_required_key_is_a_usage_error(self, tmp_path, capsys, section, key):
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        target = raw
+        if section != "config":
+            for name in section.split("."):
+                target = target[name]
+        del target[key]
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: missing key {key!r} in {section}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("gmm_components", 0)])

@@ -140,6 +140,15 @@ class TestLoadCsvDir:
         with pytest.raises(FileNotFoundError):
             pf.load_csv_dir(tmp_path / "nope")
 
+    @pytest.mark.parametrize("name, message", [
+        ("benign.txt", "^no CSV files found under "),
+        ("benign.csv", "^benign.csv: empty file$"),
+    ], ids=["no-csv-file", "zero-byte-csv"])
+    def test_directory_with_nothing_to_read_is_rejected(self, tmp_path, name, message):
+        (tmp_path / name).write_bytes(b"")
+        with pytest.raises(ValueError, match=message):
+            pf.load_csv_dir(tmp_path)
+
     def test_unmatched_file_name(self, tmp_path):
         write_csv(tmp_path / "mystery.csv", [[1, 2, 3]])
         with pytest.raises(ValueError, match="mystery.csv: file name contains none of benign, gafgyt, mirai"):
@@ -323,6 +332,10 @@ class TestPartition:
                         assert plan == three_branch_plan(scenario, counts, n_clients), (
                             scenario, counts, n_clients)
                         assert all(type(q) is int for row in plan for q in row)
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown scenario 'extreme'; expected one of \("):
+            pf.build_partition_plan("extreme", [5, 5], 2)
 
     def test_negative_quota_rejected(self):
         with pytest.raises(ValueError, match="client 0: quotas must be non-negative"):

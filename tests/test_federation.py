@@ -143,9 +143,8 @@ def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
     report = pf.EvalReport(accuracy, accuracy, accuracy, accuracy, 0.5, 100)
     return pf.RoundMetrics(
         round_index=round_index,
-        global_report=report,
         client_reports=(report,) * n_clients,
-        model_upload_floats=n_clients * 100,
+        model_floats=100,
         proto_upload_floats=(0,) * n_clients,
         proto_download_floats=0,
         exchange_triggered=exchanged,
@@ -470,7 +469,7 @@ class TestProxDeviation:
             drifts = {}
             for mu in (0.1, 2.0):
                 config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, prox_mu=mu)
-                trained, _ = pf.train_local(anchor, ds, config, seed, w_global=anchor)
+                trained, _ = pf.train_local(anchor, ds, config, seed)
                 drifts[mu] = np.linalg.norm(trained.flat - anchor.flat)
             if drifts[2.0] > drifts[0.1]:
                 violations += 1

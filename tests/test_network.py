@@ -223,15 +223,15 @@ class TestTrainLocal:
         assert history[-1] < history[0]
 
     def test_huge_mu_contracts_toward_anchor(self):
+        # the anchor is the model train_local starts from
         ds = two_blob_dataset(20, 3, 0.1, seed=4)
-        spec = pf.ModelSpec(3, ((4, 0.0),), 0.0, 2)
-        start = randomized_params(spec, 5)
-        anchor = pf.build_model(spec, seed=6)
-        before = np.linalg.norm(start.flat - anchor.flat)
-        config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.001, prox_mu=1e6)
-        trained, _ = pf.train_local(start, ds, config, 7, w_global=anchor)
-        after = np.linalg.norm(trained.flat - anchor.flat)
-        assert after <= before
+        start = randomized_params(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), 5)
+        drift = {}
+        for mu in (0.0, 1e6):
+            config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.001, prox_mu=mu)
+            trained, _ = pf.train_local(start, ds, config, 7)
+            drift[mu] = np.linalg.norm(trained.flat - start.flat)
+        assert drift[1e6] < drift[0.0]
 
     def test_two_runs_identical(self):
         ds = two_blob_dataset(20, 3, 0.1, seed=8)
@@ -248,7 +248,7 @@ class TestTrainLocal:
         start = randomized_params(pf.ModelSpec(3, ((4, 0.01),), 0.3, 2), 0)
         flat, stats = start.flat.copy(), start.stats.copy()
         config = pf.TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, prox_mu=0.1)
-        trained, _ = pf.train_local(start, ds, config, 11, w_global=start)
+        trained, _ = pf.train_local(start, ds, config, 11)
         assert np.array_equal(start.flat, flat) and np.array_equal(start.stats, stats)
         assert not np.array_equal(trained.flat, flat)
         assert not np.array_equal(trained.stats, stats)
@@ -266,12 +266,14 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="empty"):
             pf.train_local(start, ds, pf.TrainConfig(), 0)
 
-    def test_matches_a_per_batch_loop_with_dropout_and_a_short_last_batch(self):
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.5])
+    def test_matches_a_per_batch_loop_with_dropout_and_a_short_last_batch(self, prox_mu):
         ds = two_blob_dataset(20, 3, 0.1, seed=8)  # 40 rows: batches of 16, 16 and 8
         start = randomized_params(pf.ModelSpec(3, ((6, 0.01), (4, 0.01)), 0.3, 2), 2)
-        config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
+        config = pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, prox_mu=prox_mu)
         trained, history = pf.train_local(start, ds, config, 5)
-        # oracle: gather each batch's rows and draw its dropout mask batch by batch
+        # oracle: gather each batch's rows and draw its dropout mask batch by
+        # batch; the proximal term anchors at the model training started from
         spec, p = start.spec, start.spec.dropout_p
         work, grad = start.copy(), pf.ModelParams(spec)
         stats, batch_stats = work.stats, grad.stats
@@ -285,7 +287,7 @@ class TestTrainLocal:
                 idx = order[begin : begin + config.batch_size]
                 mask = (rng.random((idx.size, spec.hidden[0][0])) >= p) / (1.0 - p)
                 loss = _loss_and_grad(work, grad, ds.features[idx], ds.labels[idx],
-                                      0.0, None, True, mask)
+                                      prox_mu, start, True, mask)
                 stats *= BN_MOMENTUM
                 batch_stats *= 1.0 - BN_MOMENTUM
                 stats += batch_stats
