@@ -22,6 +22,7 @@ from .datasets import (
     synthesize,
 )
 from .federation import (
+    GMM_MAX_COMPONENTS,
     STRATEGIES,
     FederationConfig,
     RoundMetrics,
@@ -32,7 +33,7 @@ from .federation import (
     run_federation,
     split_clients,
 )
-from .network import EvalReport, ModelSpec, TrainConfig
+from .network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EvalReport, ModelSpec, TrainConfig
 
 # Output column name of each EvalReport score, in column order.
 _SCORES = {"accuracy": "accuracy", "precision": "macro_precision", "recall": "macro_recall",
@@ -104,11 +105,13 @@ _FILLED = {
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
 _SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
-# Federation keys that no longer configure anything, each accepted only at
+# Keys per section that no longer configure anything, each accepted only at
 # the one value every run now has. The benchmark's workload configs still
 # write them; delete this table once ROADMAP item 1a drops them there.
-_RETIRED = {"eval_weighting": "test_size", "global_prototypes_per_class": None,
-            "aggregate_running_stats": True}
+_RETIRED = {"federation": {"eval_weighting": "test_size", "global_prototypes_per_class": None,
+                           "aggregate_running_stats": True, "gmm_max_components": GMM_MAX_COMPONENTS},
+            "federation.train": {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
+                                 "adam_epsilon": ADAM_EPSILON}}
 
 
 def _own_fields(cls: type) -> dict[str, Field]:
@@ -159,9 +162,10 @@ def _convert(value, hint: str, section: str, key: str):
 def _read(obj, section: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
     """Field values of ``cls`` given in, or defaulted for, a JSON section.
 
-    ``extra`` names the other keys the section holds.
+    ``extra`` names the other keys the section holds; retired keys pass at their one value.
     """
-    _check_keys(obj, section, cls, extra=extra)
+    retired = _RETIRED.get(section, {})
+    _check_keys(obj, section, cls, extra=(*extra, *retired))
     defaults = _DEFAULTS.get(cls, {})
     values = {}
     for key, f in _own_fields(cls).items():
@@ -171,6 +175,11 @@ def _read(obj, section: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
             values[f.name] = defaults[f.name]
         elif f.default is MISSING:
             raise ValueError(f"missing key {key!r} in {section}")
+    for key, value in retired.items():
+        # Compared as JSON text, so 1 is not taken for true.
+        given, kept = json.dumps(obj.get(key, value)), json.dumps(value)
+        if given != kept:
+            raise ValueError(f"{section}.{key}: retired, accepts only {kept}, got {given}")
     return values
 
 
@@ -207,7 +216,7 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level config must be a JSON object")
     _check_keys(raw, "config", extra=("seed", "output_dir", "data", "partition", "federation"))
-    seed = _convert(raw.get("seed", 0), "int", "config", "seed")
+    seed = _convert(raw.get("seed", FederationConfig.seed), "int", "config", "seed")
     configured = _convert(raw.get("output_dir", "runs"), "str", "config", "output_dir")
     if output_dir is None:
         output_dir = configured
@@ -215,13 +224,7 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     part = _read(_require(raw, "partition", "config"), "partition", RunSpec)
 
     fed = _require(raw, "federation", "config")
-    base = _read(fed, "federation", FederationConfig,
-                 extra=("strategies", "train", "aug", "model", *_RETIRED))
-    for key, value in _RETIRED.items():
-        # Compared as JSON text, so 1 is not taken for true.
-        given, kept = json.dumps(fed.get(key, value)), json.dumps(value)
-        if given != kept:
-            raise ValueError(f"federation.{key}: retired, accepts only {kept}, got {given}")
+    base = _read(fed, "federation", FederationConfig, extra=("strategies", "train", "aug", "model"))
     strategies = _convert(
         _require(fed, "strategies", "federation"), "tuple[str, ...]", "federation", "strategies"
     )

@@ -16,6 +16,7 @@ from .mixtures import em_fit, perturb, select_k_bic
 from .network import EvalReport, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train_local
 
 STRATEGIES = ("fedavg", "fedprox", "fedp3e")
+GMM_MAX_COMPONENTS = 5
 
 # Purpose tags for deriving per-(round, client) sub-seeds.
 _SEED_SPLIT = 1
@@ -59,7 +60,6 @@ class FederationConfig:
     train_fraction: float = 0.8
     scale_mode: str = "local"
     gmm_components: int | None = None
-    gmm_max_components: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,7 +76,6 @@ class FederationConfig:
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
         if self.gmm_components is not None:
             check_range("gmm_components", self.gmm_components, "integer >= 1")
-        check_range("gmm_max_components", self.gmm_max_components, "integer >= 1")
         check_range("seed", self.seed, "integer >= 0")
 
 
@@ -194,7 +193,7 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
             k = min(cfg.gmm_components, rows.shape[0])
             model = em_fit(rows, k, seed)
         else:
-            _, model = select_k_bic(rows, cfg.gmm_max_components, seed)
+            _, model = select_k_bic(rows, GMM_MAX_COMPONENTS, seed)
         means[int(class_id)] = model.means
     return Prototypes(means)
 

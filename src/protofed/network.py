@@ -20,6 +20,9 @@ from .datasets import Dataset
 
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-7
 
 _Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -334,16 +337,11 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 32
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-7
     prox_mu: float = 0.0
 
     def __post_init__(self) -> None:
-        # beta = 1 makes the bias correction 0/0; epsilon = 0 makes a zero gradient's step 0/0.
         for name, rule in (("epochs", "integer >= 1"), ("batch_size", "integer >= 1"),
-                           ("learning_rate", "> 0"), ("adam_beta1", "in [0, 1)"),
-                           ("adam_beta2", "in [0, 1)"), ("adam_epsilon", "> 0"), ("prox_mu", ">= 0")):
+                           ("learning_rate", "> 0"), ("prox_mu", ">= 0")):
             check_range(name, getattr(self, name), rule)
 
 
@@ -375,7 +373,7 @@ def adam_step(
         raise ValueError(f"shape mismatch: grad {grad.shape} vs params {params.flat.shape}")
     state.t += 1
     t = state.t
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     # Each line keeps the elementwise order of
     #   m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad * grad
     #   flat -= lr * m_hat / (sqrt(v_hat) + epsilon)
@@ -392,7 +390,7 @@ def adam_step(
     step *= config.learning_rate
     denom = v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
-    denom += config.adam_epsilon
+    denom += ADAM_EPSILON
     step /= denom
     flat -= step
     return params, state

@@ -42,6 +42,25 @@ def test_workload_configs_parse_at_the_default_seed(tmp_path, monkeypatch, workl
     assert spec.federation.seed == raw["seed"] == 11
 
 
+def test_every_retired_key_is_still_written_by_a_workload(tmp_path, monkeypatch):
+    # cli._RETIRED exists only for these configs: an entry none of them
+    # writes at its value is one to delete.
+    workloads = load_perfbench("workloads")
+    monkeypatch.setattr(workloads, "write_nbaiot_dir", lambda seed, root, separation: None)
+    written = set()
+    for name in workloads.WORKLOADS:
+        (tmp_path / name).mkdir()
+        raw = json.loads(workloads.write_config(name, 11, tmp_path / name).read_text(encoding="utf-8"))
+        for section, table in cli._RETIRED.items():
+            obj = raw
+            for part in section.split("."):
+                obj = obj.get(part, {})
+            written.update((section, key, json.dumps(obj[key])) for key in table if key in obj)
+    for section, table in cli._RETIRED.items():
+        for key, value in table.items():
+            assert (section, key, json.dumps(value)) in written, f"{section}.{key}"
+
+
 def test_every_traced_target_resolves_to_a_callable():
     targets = load_child().targets("trace")
     assert targets

@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import protofed as pf
@@ -37,6 +37,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+# Each retired key: its section and the one value it still takes.
+RETIRED = [
+    ("federation", "eval_weighting", "test_size"),
+    ("federation", "global_prototypes_per_class", None),
+    ("federation", "aggregate_running_stats", True),
+    ("federation", "gmm_max_components", 5),
+    ("federation.train", "adam_beta1", 0.9),
+    ("federation.train", "adam_beta2", 0.999),
+    ("federation.train", "adam_epsilon", 1e-7),
+]
+
+
+def _section(raw: dict, section: str) -> dict:
+    """The object at a dotted section path of a JSON config."""
+    for name in section.split("."):
+        raw = raw[name]
+    return raw
 
 
 def minimal_config(tmp_path, **overrides):
@@ -68,7 +87,7 @@ class TestParseConfig:
         cfg = spec.federation
         assert cfg.threshold == 0.97
         assert cfg.trigger_round == 2
-        assert cfg.train.adam_beta1 == 0.9
+        assert cfg.train.prox_mu == 0.0
         assert cfg.aug.target_fraction == 0.10
 
     def test_threshold_invariant_message(self, tmp_path):
@@ -145,13 +164,12 @@ class TestParseConfig:
         # Every key is given a value other than its default, so a key the
         # reader skipped or misnamed leaves its field unequal to the expected one.
         section, data = data
-        train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, adam_beta1=0.8,
-                               adam_beta2=0.99, adam_epsilon=1e-6, prox_mu=0.3)
+        train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, prox_mu=0.3)
         federation = pf.FederationConfig(
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
             hidden=((7, 0.002), (5, 0.0)), dropout_p=0.25,
-            train_fraction=0.7, scale_mode="none", gmm_components=2, gmm_max_components=4, seed=8,
+            train_fraction=0.7, scale_mode="none", gmm_components=2, seed=8,
         )
         spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere")
         for obj in (spec, federation, train, federation.aug):
@@ -165,11 +183,10 @@ class TestParseConfig:
             "federation": {
                 "strategies": ["fedprox", "fedp3e"], "rounds": 7, "threshold": 0.9,
                 "trigger_round": 3, "noise_sigma": 0.02,
-                "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "adam_beta1": 0.8,
-                          "adam_beta2": 0.99, "adam_epsilon": 1e-6, "prox_mu": 0.3},
+                "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "prox_mu": 0.3},
                 "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
                 "model": {"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25},
-                "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2, "gmm_max_components": 4,
+                "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2,
             },
         }
         path = tmp_path / "every_field.json"
@@ -178,13 +195,19 @@ class TestParseConfig:
 
     def test_retired_keys_parse_at_their_old_values(self, tmp_path):
         # The benchmark's workload configs still write these keys.
+        assert {(section, key) for section, key, _ in RETIRED} == {
+            (section, key) for section, table in cli._RETIRED.items() for key in table}
         path = minimal_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["federation"].update(eval_weighting="test_size", global_prototypes_per_class=None,
-                                 aggregate_running_stats=True)
-        retired = tmp_path / "retired.json"
-        retired.write_text(json.dumps(raw))
-        assert parse_config(retired) == parse_config(path)
+        expected = parse_config(path)
+        every = json.loads(path.read_text())
+        for section, key, value in RETIRED:
+            raw = json.loads(path.read_text())
+            for target in (raw, every):
+                _section(target, section)[key] = value
+            path.write_text(json.dumps(raw))
+            assert parse_config(path) == expected, f"{section}.{key}"
+        path.write_text(json.dumps(every))
+        assert parse_config(path) == expected
 
     @pytest.mark.parametrize("section", ["train", "aug"])
     def test_seed_is_not_a_training_or_augmentation_key(self, tmp_path, section):
@@ -697,10 +720,10 @@ class TestMain:
         ("partition", "quotas", [[40, 0, 0], [0, 40, 0], [0, 0, 40]], "unknown key 'quotas' in partition"),
         ("federation", "scale_mode", "global", "unknown scale_mode 'global'"),
         ("federation", "aug", {"eligible_classes": "all"}, "unknown eligibility rule 'all'"),
-        # Adam's step is 0/0 at these values, so training would only fail later
-        ("federation.train", "adam_beta1", 1.0, "adam_beta1 must be in [0, 1), got 1.0"),
-        ("federation.train", "adam_beta2", 1.0, "adam_beta2 must be in [0, 1), got 1.0"),
-        ("federation.train", "adam_epsilon", 0, "adam_epsilon must be > 0, got 0.0"),
+        # a retired key is accepted only in its own section
+        ("federation", "adam_beta1", 0.9, "unknown key 'adam_beta1' in federation"),
+        ("federation.train", "gmm_max_components", 5,
+         "unknown key 'gmm_max_components' in federation.train"),
         # json.loads takes these literals, and each passes its key's range check
         ("federation.train", "prox_mu", math.nan, "federation.train.prox_mu: expected float, got NaN"),
         ("federation.train", "learning_rate", math.nan,
@@ -713,18 +736,15 @@ class TestMain:
         ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
         ("partition", "scenario", "extreme", f"unknown scenario 'extreme'; expected one of {SCENARIOS}"),
     ], ids=["rounds-null", "strategies-empty", "train-number", "quotas-table",
-            "scale-mode-global", "eligible-all", "beta1-one", "beta2-one", "epsilon-zero",
-            "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan", "noise-sigma-inf", "hidden-nan",
-            "hidden-zero-units", "dropout-one", "scenario-extreme"])
+            "scale-mode-global", "eligible-all", "retired-beta1-in-federation",
+            "retired-gmm-max-in-train", "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan",
+            "noise-sigma-inf", "hidden-nan", "hidden-zero-units", "dropout-one", "scenario-extreme"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
         raw["federation"]["strategies"] = ["fedavg", "fedprox"]
         raw["federation"]["train"]["prox_mu"] = 0.1
-        target = raw
-        for name in section.split("."):
-            target = target[name]
-        target[key] = value
+        _section(raw, section)[key] = value
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -756,19 +776,21 @@ class TestMain:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("eval_weighting", "uniform"), ("global_prototypes_per_class", 3),
-        ("aggregate_running_stats", False), ("aggregate_running_stats", 1),
+    @pytest.mark.parametrize("section, key, kept, value", [
+        pytest.param(section, key, kept, value, id=f"{key}-{value}")
+        for (section, key, kept), value in [*zip(RETIRED, ("uniform", 3, False, 4, 0.8, 0.99, 1e-6)),
+                                            (RETIRED[2], 1)]
     ])
-    def test_retired_key_off_its_old_value_is_a_usage_error(self, tmp_path, capsys, key, value):
+    def test_retired_key_off_its_old_value_is_a_usage_error(self, tmp_path, capsys, section, key,
+                                                            kept, value):
         # 1 == True in Python, yet JSON's 1 is not true.
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
-        raw["federation"][key] = value
+        _section(raw, section)[key] = value
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: federation.{key}: ") and len(err.splitlines()) == 1
+        expected = f"{section}.{key}: retired, accepts only {json.dumps(kept)}, got {json.dumps(value)}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "out").exists()
 
     def test_zero_clients_is_a_usage_error(self, tmp_path, capsys):
@@ -861,26 +883,21 @@ class TestMain:
 def small_configs(draw):
     """A tiny run config over every scenario, scale mode and strategy.
 
-    Adam's values fall on both sides of their bounds, a training value may
-    be NaN, and fedprox may come without a proximal weight, so some configs
-    are usage errors.
+    A training value may fall below its bound or be NaN, and fedprox may
+    come without a proximal weight, so some configs are usage errors.
     """
     rounds = draw(st.integers(1, 2))
-    adam = {"adam_beta1": draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])),
-            "adam_beta2": draw(st.sampled_from([0.0, 0.9, 0.999, 0.999999])),
-            "adam_epsilon": draw(st.sampled_from([1e-300, 1e-7, 1.0]))}
-    beyond = {"adam_beta1": [1.0, 1.5, -0.1], "adam_beta2": [1.0, -0.1], "adam_epsilon": [0.0, -1e-7]}
-    key = draw(st.sampled_from([None, None, None, *beyond]))
-    if key is not None:
-        adam[key] = draw(st.sampled_from(beyond[key]))
     train = {
         "epochs": 1,
         "batch_size": draw(st.sampled_from([4, 32])),
         "learning_rate": draw(st.sampled_from([0.005, 0.5, 10.0])),
-        **adam,
         "prox_mu": draw(st.sampled_from([0.0, 0.1, 0.1])),
     }
-    key = draw(st.sampled_from([None, None, None, None, "learning_rate", "prox_mu", *adam]))
+    beyond = {"learning_rate": [0.0, -0.1], "batch_size": [0], "prox_mu": [-0.1]}
+    key = draw(st.sampled_from([None, None, None, *beyond]))
+    if key is not None:
+        train[key] = draw(st.sampled_from(beyond[key]))
+    key = draw(st.sampled_from([None, None, None, None, "learning_rate", "prox_mu"]))
     if key is not None:
         train[key] = math.nan
     return {
@@ -928,10 +945,8 @@ class TestExitContract:
     @given(small_configs())
     def test_generated_configs_keep_the_exit_contract(self, config):
         train = config["federation"]["train"]
-        usage_error = (
-            not (0.0 <= train["adam_beta1"] < 1.0 and 0.0 <= train["adam_beta2"] < 1.0)
-            or train["adam_epsilon"] <= 0
-            or any(map(math.isnan, train.values()))
+        usage_error = (  # NaN fails every comparison
+            not (train["learning_rate"] > 0 and train["batch_size"] >= 1 and train["prox_mu"] >= 0)
             or ("fedprox" in config["federation"]["strategies"] and train["prox_mu"] == 0)
         )
         with tempfile.TemporaryDirectory() as tmp:
@@ -943,6 +958,7 @@ class TestExitContract:
             for name, data in earlier.items():
                 (used / name).write_bytes(data)
             code, err = _run_main(path, out)
+            event(f"exit {code}")
             assert "Traceback" not in err
             if usage_error or code == 2:
                 assert code == 2, err

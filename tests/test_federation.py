@@ -414,9 +414,7 @@ class TestRunFederation:
         with pytest.raises(ValueError, match=message):
             pf.run_federation(small_config(), severe_clients(), strategy)
 
-    @pytest.mark.parametrize("key, value", [
-        ("gmm_components", 0), ("gmm_max_components", 0),
-    ])
+    @pytest.mark.parametrize("key, value", [("gmm_components", 0)])
     def test_non_positive_prototype_counts_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
             small_config(**{key: value})

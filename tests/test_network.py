@@ -181,7 +181,7 @@ class TestAdamStep:
         params = pf.build_model(spec, seed=0)
         params.tensors["w_out"][...] = np.array([[0.0]])
         grads = np.array([1.0, 0.0])  # w_out, b_out
-        config = pf.TrainConfig(learning_rate=0.1, adam_epsilon=1e-7)
+        config = pf.TrainConfig(learning_rate=0.1)
         stepped, _ = pf.adam_step(params, grads, init_adam(params), config)
         assert stepped.tensors["w_out"][0, 0] == pytest.approx(-0.1, abs=1e-6)
 
@@ -479,9 +479,6 @@ def _protos(noise_sigma=0.0):
 # Every float setting: (test id, name in its messages, range rule, build from a value).
 _FLOAT_SETTINGS = [
     ("learning_rate", "learning_rate", "> 0", lambda v: pf.TrainConfig(learning_rate=v)),
-    ("adam_beta1", "adam_beta1", "in [0, 1)", lambda v: pf.TrainConfig(adam_beta1=v)),
-    ("adam_beta2", "adam_beta2", "in [0, 1)", lambda v: pf.TrainConfig(adam_beta2=v)),
-    ("adam_epsilon", "adam_epsilon", "> 0", lambda v: pf.TrainConfig(adam_epsilon=v)),
     ("prox_mu", "prox_mu", ">= 0", lambda v: pf.TrainConfig(prox_mu=v)),
     ("l2", "l2 coefficients", ">= 0", lambda v: pf.ModelSpec(3, ((4, v),), 0.0, 2)),
     ("dropout_p", "dropout_p", "in [0, 1)", lambda v: pf.ModelSpec(3, ((4, 0.0),), v, 2)),
@@ -564,7 +561,7 @@ _COUNT_SETTINGS = [
     ("n_samples", "n_samples", 1, lambda v: _report(n_samples=v)),
     ("rounds", "rounds", 1, lambda v: pf.FederationConfig(rounds=v, trigger_round=1)),
     *((key, key, 1, lambda v, key=key: pf.FederationConfig(**{key: v}))
-      for key in ("trigger_round", "gmm_components", "gmm_max_components")),
+      for key in ("trigger_round", "gmm_components")),
     ("federation-seed", "seed", 0, lambda v: pf.FederationConfig(seed=v)),
     ("n_classes", "n_classes", 1, lambda v: pf.SyntheticSpec(v, 3, 1, 0.1, 10, seed=0)),
     ("dims", "dims", 1, lambda v: pf.SyntheticSpec(2, v, 1, 0.1, 10, seed=0)),
