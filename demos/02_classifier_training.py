@@ -36,7 +36,8 @@ print(f"\nanalytic dL/dw1[0,0] = {grads['w1'][0, 0]:+.8f}")
 print(f"finite-difference    = {fd:+.8f}")
 
 # Local training: 15 epochs of shuffled mini-batches with Adam.
-data = pf.synthesize(pf.SyntheticSpec(2, 6, 1, 0.05, 200, seed=3))
+data = pf.synthesize(pf.SyntheticSpec(n_classes=2, dims=6, cluster_spread=0.05,
+                                      samples_per_class=200, seed=3))
 spec = pf.ModelSpec(6, ((16, 1e-3), (8, 1e-3)), 0.5, 2)
 start = pf.build_model(spec, seed=4)
 config = pf.TrainConfig(epochs=15, batch_size=32, learning_rate=0.005)

@@ -6,7 +6,8 @@ Run with: python demos/04_strategy_comparison.py
 
 import protofed as pf
 
-data = pf.synthesize(pf.SyntheticSpec(3, 12, 1, 0.05, 200, seed=42))
+data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=12, cluster_spread=0.05,
+                                      samples_per_class=200, seed=42))
 plan = pf.build_partition_plan("severe", data.class_counts(), n_clients=3)
 shards = pf.partition(data, plan, seed=0)
 print("severe non-IID silos:", [s.class_counts().tolist() for s in shards])

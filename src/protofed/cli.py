@@ -33,7 +33,7 @@ from .federation import (
     run_federation,
     split_clients,
 )
-from .network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EvalReport, ModelSpec, TrainConfig
+from .network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EvalReport, TrainConfig
 
 # Output column name of each EvalReport score, in column order.
 _SCORES = {"accuracy": "accuracy", "precision": "macro_precision", "recall": "macro_recall",
@@ -63,7 +63,7 @@ class RunSpec:
     n_clients: int
     federation: FederationConfig
     strategies: tuple[str, ...]
-    output_dir: str
+    output_dir: str = "runs"
 
     def __post_init__(self) -> None:
         if not self.strategies:
@@ -92,16 +92,12 @@ class RunSpec:
             raise ValueError(f"output_dir {self.output_dir!r}: {str(existing)!r} is not a directory")
 
 
-# Defaults of optional keys whose dataclass field has none.
-_DEFAULTS = {
-    SyntheticSpec: {"clusters_per_class": 1, "seed": 0},
-    ModelSpec: {"dropout_p": FederationConfig.dropout_p},
-}
+# The FederationConfig fields that the federation.model section holds.
+_MODEL = ("hidden", "dropout_p")
 # Fields the CLI fills itself instead of reading them from their own section.
 _FILLED = {
     RunSpec: ("data", "federation", "strategies", "output_dir"),
-    FederationConfig: ("seed", "train", "aug", "hidden", "dropout_p"),
-    ModelSpec: ("input_dim", "output_classes"),
+    FederationConfig: ("seed", "train", "aug", *_MODEL),
 }
 # JSON types accepted per scalar annotation; bool is not an int here.
 _SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -114,19 +110,22 @@ _RETIRED = {"federation": {"eval_weighting": "test_size", "global_prototypes_per
                                  "adam_epsilon": ADAM_EPSILON}}
 
 
-def _own_fields(cls: type) -> dict[str, Field]:
-    """JSON key -> field, for each field ``cls`` reads from its own section."""
-    return {f.name: f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
+def _own_fields(cls: type, names: tuple[str, ...] | None = None) -> dict[str, Field]:
+    """JSON key -> field, for each field ``cls`` reads from its own section,
+    or for each field ``names`` lists."""
+    if names is None:
+        return {f.name: f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
+    return {f.name: f for f in fields(cls) if f.name in names}
 
 
-def _check_keys(obj, section: str, *classes: type, extra: tuple[str, ...] = ()) -> None:
-    """Reject ``obj`` unless it is an object holding only keys the classes read."""
+def _check_keys(obj, section: str, keys: tuple[str, ...]) -> None:
+    """Reject ``obj`` unless it is an object holding only ``keys``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{section}: expected object, got {json.dumps(obj)}")
     repeated = getattr(obj, "repeated", None)
     if repeated is not None:
         raise ValueError(f"duplicate key {repeated!r} in {section}")
-    unknown = sorted(set(obj).difference(extra, *map(_own_fields, classes)))
+    unknown = sorted(set(obj).difference(keys))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {section}")
 
@@ -159,20 +158,20 @@ def _convert(value, hint: str, section: str, key: str):
     raise ValueError(f"{section}.{key}: expected {hint}, got {json.dumps(value)}")
 
 
-def _read(obj, section: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
-    """Field values of ``cls`` given in, or defaulted for, a JSON section.
+def _read(obj, section: str, cls: type, extra: tuple[str, ...] = (),
+          names: tuple[str, ...] | None = None) -> dict:
+    """Field values of ``cls`` given in a JSON section; a key left out takes
+    its field's default. ``names`` picks the fields as ``_own_fields`` does.
 
     ``extra`` names the other keys the section holds; retired keys pass at their one value.
     """
     retired = _RETIRED.get(section, {})
-    _check_keys(obj, section, cls, extra=(*extra, *retired))
-    defaults = _DEFAULTS.get(cls, {})
+    own = _own_fields(cls, names)
+    _check_keys(obj, section, (*own, *extra, *retired))
     values = {}
-    for key, f in _own_fields(cls).items():
+    for key, f in own.items():
         if key in obj:
-            values[f.name] = _convert(obj[key], f.type, section, key)
-        elif f.name in defaults:
-            values[f.name] = defaults[f.name]
+            values[key] = _convert(obj[key], f.type, section, key)
         elif f.default is MISSING:
             raise ValueError(f"missing key {key!r} in {section}")
     for key, value in retired.items():
@@ -215,9 +214,9 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
         raise ValueError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level config must be a JSON object")
-    _check_keys(raw, "config", extra=("seed", "output_dir", "data", "partition", "federation"))
+    _check_keys(raw, "config", ("seed", "output_dir", "data", "partition", "federation"))
     seed = _convert(raw.get("seed", FederationConfig.seed), "int", "config", "seed")
-    configured = _convert(raw.get("output_dir", "runs"), "str", "config", "output_dir")
+    configured = _convert(raw.get("output_dir", RunSpec.output_dir), "str", "config", "output_dir")
     if output_dir is None:
         output_dir = configured
     data = _parse_data(_require(raw, "data", "config"))
@@ -232,13 +231,13 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
     aug = AugmentationPolicy(**_read(fed.get("aug", {}), "federation.aug", AugmentationPolicy))
     model = fed.get("model")
     if model is not None:
-        base.update(_read(model, "federation.model", ModelSpec))
+        base.update(_read(model, "federation.model", FederationConfig, names=_MODEL))
     federation = FederationConfig(seed=seed, train=train, aug=aug, **base)
     return RunSpec(data=data, federation=federation, strategies=strategies, output_dir=output_dir, **part)
 
 
 def _parse_data(section) -> SyntheticSpec | CsvSource:
-    _check_keys(section, "data", extra=("synthetic", "csv_dir"))
+    _check_keys(section, "data", ("synthetic", "csv_dir"))
     if ("synthetic" in section) == ("csv_dir" in section):
         raise ValueError("data must define exactly one of 'synthetic' or 'csv_dir'")
     if "synthetic" in section:

@@ -348,10 +348,10 @@ class SyntheticSpec:
 
     n_classes: int
     dims: int
-    clusters_per_class: int
     cluster_spread: float
     samples_per_class: int
-    seed: int
+    clusters_per_class: int = 1
+    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, rule in (("n_classes", "integer >= 1"), ("dims", "integer >= 1"),

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference checks, tiny data builders, a segment oracle and a memory probe."""
+"""Shared test utilities: finite-difference checks, tiny data generators, a segment oracle,
+a memory probe and the run spec a JSON config states."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import protofed as pf
+from protofed.cli import CsvSource, RunSpec
 from protofed.datasets import N_FEATURES
 from protofed.network import loss_and_grads
 
@@ -170,3 +172,24 @@ def traced_peak_bytes(call):
     finally:
         tracemalloc.stop()
     return result, peak - before
+
+
+def stated_spec(raw: dict) -> RunSpec:
+    """The run spec a complete JSON config states, built key by key from its
+    own values, so a schema change that moves or re-defaults a key shows."""
+    source = raw["data"]
+    data = (pf.SyntheticSpec(**source["synthetic"]) if "synthetic" in source
+            else CsvSource(source["csv_dir"]["path"]))
+    fed, model, train = raw["federation"], raw["federation"]["model"], raw["federation"]["train"]
+    federation = pf.FederationConfig(
+        rounds=fed["rounds"],
+        train=pf.TrainConfig(epochs=train["epochs"], batch_size=train["batch_size"],
+                             learning_rate=train["learning_rate"], prox_mu=train["prox_mu"]),
+        aug=pf.AugmentationPolicy(fed["aug"]["target_fraction"], fed["aug"]["eligible_classes"]),
+        threshold=fed["threshold"], trigger_round=fed["trigger_round"], noise_sigma=fed["noise_sigma"],
+        hidden=tuple(tuple(layer) for layer in model["hidden"]), dropout_p=model["dropout_p"],
+        train_fraction=fed["train_fraction"], scale_mode=fed["scale_mode"],
+        gmm_components=fed["gmm_components"], seed=raw["seed"],
+    )
+    return RunSpec(data, raw["partition"]["scenario"], raw["partition"]["n_clients"], federation,
+                   tuple(fed["strategies"]), raw["output_dir"])

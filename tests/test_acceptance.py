@@ -61,7 +61,8 @@ def test_criterion_1_model_fidelity():
 
 def _comm_cost_run() -> list[pf.RoundMetrics]:
     """Two-round run where every client holds 3 classes and uploads 3x3 prototypes."""
-    data = pf.synthesize(pf.SyntheticSpec(3, FULL_SCALE_D_X, 1, 0.05, 60, seed=4))
+    data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=FULL_SCALE_D_X, cluster_spread=0.05,
+                                          samples_per_class=60, seed=4))
     plan = pf.build_partition_plan("iid", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=4)
     cfg = pf.FederationConfig(
@@ -283,7 +284,8 @@ def test_criterion_8_aggregation_oracle_and_determinism():
                 oracle_ok = False
 
     # two identical fedp3e runs hash to identical metrics CSVs
-    data = pf.synthesize(pf.SyntheticSpec(3, 8, 1, 0.05, 90, seed=81))
+    data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=8, cluster_spread=0.05,
+                                          samples_per_class=90, seed=81))
     plan = pf.build_partition_plan("severe", data.class_counts(), 3)
     shards = pf.partition(data, plan, seed=81)
     cfg = pf.FederationConfig(

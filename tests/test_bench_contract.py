@@ -13,7 +13,7 @@ import protofed as pf
 import protofed.cli as cli
 import protofed.mixtures as mixtures
 import protofed.network as network
-from helpers import two_blob_dataset, write_nbaiot_layout
+from helpers import stated_spec, two_blob_dataset, write_nbaiot_layout
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,7 +31,8 @@ def load_child():
 
 @pytest.mark.parametrize("workload", ["severe3", "light12", "nbaiot9"])
 def test_workload_configs_parse_at_the_default_seed(tmp_path, monkeypatch, workload):
-    # A schema change that rejects these configs would fail every benchmark run.
+    # A schema change that rejects these configs would fail every benchmark
+    # run, and one that reads them differently would change what it measures.
     workloads = load_perfbench("workloads")
     # writing nbaiot9's CSV files takes about a second; parsing never reads them
     monkeypatch.setattr(workloads, "write_nbaiot_dir", lambda seed, root, separation: None)
@@ -40,6 +41,7 @@ def test_workload_configs_parse_at_the_default_seed(tmp_path, monkeypatch, workl
     spec = cli.parse_config(path)
     assert spec.strategies == tuple(raw["federation"]["strategies"])
     assert spec.federation.seed == raw["seed"] == 11
+    assert spec == stated_spec(raw)
 
 
 def test_every_retired_key_is_still_written_by_a_workload(tmp_path, monkeypatch):

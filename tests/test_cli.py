@@ -11,7 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,7 @@ from protofed.cli import (
     run,
 )
 from protofed.datasets import CLASS_NAMES, SCENARIOS
-from helpers import write_nbaiot_layout
+from helpers import stated_spec, write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,6 +49,15 @@ RETIRED = [
     ("federation.train", "adam_beta2", 0.999),
     ("federation.train", "adam_epsilon", 1e-7),
 ]
+
+
+# A data section whose every key differs from its default, and the source it parses to.
+SYNTHETIC = ({"synthetic": {"n_classes": 2, "dims": 5, "clusters_per_class": 2, "cluster_spread": 0.2,
+                            "samples_per_class": 30, "seed": 9}},
+             pf.SyntheticSpec(n_classes=2, dims=5, cluster_spread=0.2, samples_per_class=30,
+                              clusters_per_class=2, seed=9))
+# The same for a model section, and the hidden layers it parses to.
+MODEL = ({"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25}, ((7, 0.002), (5, 0.0)))
 
 
 def _section(raw: dict, section: str) -> dict:
@@ -147,23 +156,28 @@ class TestParseConfig:
 
     def test_committed_severe_fixture_parses_to_three_strategies(self):
         spec = parse_config(FIXTURES / "severe_nonidd.json")
+        assert spec == stated_spec(json.loads((FIXTURES / "severe_nonidd.json").read_text()))
         assert spec.strategies == ("fedavg", "fedprox", "fedp3e")
         assert spec.scenario == "severe"
         assert spec.federation.rounds == 20
         assert spec.federation.train.prox_mu == 0.1
         assert spec.federation.seed == 11
 
-    # Each case is a data section and the source it parses to.
+    # Each case is a data section and the source it parses to, then a model
+    # section and the hidden layers it parses to. A key left out parses to
+    # its field's default.
     @pytest.mark.parametrize("data", [
-        ({"synthetic": {"n_classes": 2, "dims": 5, "clusters_per_class": 2, "cluster_spread": 0.2,
-                        "samples_per_class": 30, "seed": 9}},
-         pf.SyntheticSpec(2, 5, 2, 0.2, 30, seed=9)),
-        ({"csv_dir": {"path": "captures"}}, CsvSource("captures")),
+        (*SYNTHETIC, *MODEL),
+        ({"csv_dir": {"path": "captures"}}, CsvSource("captures"), *MODEL),
+        ({"synthetic": {"n_classes": 2, "dims": 5, "cluster_spread": 0.2, "samples_per_class": 30}},
+         pf.SyntheticSpec(n_classes=2, dims=5, cluster_spread=0.2, samples_per_class=30,
+                          clusters_per_class=1, seed=0), *MODEL),
+        (*SYNTHETIC, {"dropout_p": 0.25}, pf.FederationConfig().hidden),
     ])
     def test_every_field_round_trips(self, tmp_path, data):
-        # Every key is given a value other than its default, so a key the
+        # Every other key is given a value other than its default, so a key the
         # reader skipped or misnamed leaves its field unequal to the expected one.
-        section, data = data
+        section, data, model, hidden = data
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, prox_mu=0.3)
         federation = pf.FederationConfig(
             rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
@@ -185,13 +199,13 @@ class TestParseConfig:
                 "trigger_round": 3, "noise_sigma": 0.02,
                 "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "prox_mu": 0.3},
                 "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
-                "model": {"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25},
+                "model": model,
                 "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2,
             },
         }
         path = tmp_path / "every_field.json"
         path.write_text(json.dumps(config))
-        assert parse_config(path) == spec
+        assert parse_config(path) == replace(spec, federation=replace(federation, hidden=hidden))
 
     def test_retired_keys_parse_at_their_old_values(self, tmp_path):
         # The benchmark's workload configs still write these keys.
@@ -237,7 +251,7 @@ class TestParseConfig:
             "federation": section(pf.FederationConfig, strategies=None,
                                   train=section(pf.TrainConfig),
                                   aug=section(pf.AugmentationPolicy),
-                                  model=section(pf.ModelSpec)),
+                                  model=dict.fromkeys(cli._MODEL)),
         }
         # Each documented value parses, one data source at a time.
         for source in schema["data"]:
@@ -879,38 +893,43 @@ class TestMain:
         assert (tmp_path / "out" / "summary.json").exists() == valid
 
 
+# Training values that are usage errors: below their bound, NaN, or no
+# proximal weight, which only a run that lists fedprox refuses.
+BAD_TRAINING_VALUES = [("learning_rate", 0.0), ("learning_rate", -0.1), ("batch_size", 0),
+                       ("prox_mu", -0.1), ("learning_rate", math.nan), ("prox_mu", math.nan),
+                       ("prox_mu", 0.0)]
+
+
 @st.composite
 def small_configs(draw):
     """A tiny run config over every scenario, scale mode and strategy.
 
-    A training value may fall below its bound or be NaN, and fedprox may
-    come without a proximal weight, so some configs are usage errors.
+    About one config in five sets one training value from
+    ``BAD_TRAINING_VALUES``, so most configs run and each exit code occurs.
     """
     rounds = draw(st.integers(1, 2))
     train = {
         "epochs": 1,
         "batch_size": draw(st.sampled_from([4, 32])),
         "learning_rate": draw(st.sampled_from([0.005, 0.5, 10.0])),
-        "prox_mu": draw(st.sampled_from([0.0, 0.1, 0.1])),
+        "prox_mu": 0.1,
     }
-    beyond = {"learning_rate": [0.0, -0.1], "batch_size": [0], "prox_mu": [-0.1]}
-    key = draw(st.sampled_from([None, None, None, *beyond]))
-    if key is not None:
-        train[key] = draw(st.sampled_from(beyond[key]))
-    key = draw(st.sampled_from([None, None, None, None, "learning_rate", "prox_mu"]))
-    if key is not None:
-        train[key] = math.nan
+    if draw(st.integers(0, 4)) == 4:
+        key, value = draw(st.sampled_from(BAD_TRAINING_VALUES))
+        train[key] = value
+    # A prefix of a permutation, where a list of unique strategies would
+    # reject draws and waste examples.
+    strategies = draw(st.permutations(federation.STRATEGIES))[:draw(st.integers(1, 3))]
     return {
         "seed": draw(st.integers(0, 1000)),
         "data": {"synthetic": {"n_classes": draw(st.integers(2, 4)), "dims": 3,
                                "cluster_spread": draw(st.sampled_from([0.05, 1.0])),
-                               "samples_per_class": draw(st.integers(4, 30)),
+                               "samples_per_class": draw(st.integers(12, 40)),
                                "seed": draw(st.integers(0, 1000))}},
         "partition": {"scenario": draw(st.sampled_from(pf.datasets.SCENARIOS)),
                       "n_clients": draw(st.integers(1, 7))},
         "federation": {
-            "strategies": draw(st.lists(st.sampled_from(federation.STRATEGIES),
-                                        min_size=1, max_size=3, unique=True)),
+            "strategies": strategies,
             "rounds": rounds,
             "trigger_round": draw(st.integers(1, rounds)),
             "train": train,
@@ -982,6 +1001,7 @@ class TestExitContract:
 
 class TestRunSpecValidation:
     def test_needs_at_least_one_config(self):
-        data = pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=0)
+        data = pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=0.1,
+                                samples_per_class=10, seed=0)
         with pytest.raises(ValueError, match="at least one strategy"):
             RunSpec(data, "iid", 2, pf.FederationConfig(), (), "out")

@@ -349,19 +349,22 @@ class TestPartition:
 
 class TestSynthesize:
     def test_counts_balanced(self):
-        ds = pf.synthesize(pf.SyntheticSpec(3, 10, 2, 0.05, 200, seed=7))
+        ds = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=10, cluster_spread=0.05,
+                                            samples_per_class=200, clusters_per_class=2, seed=7))
         assert ds.n_samples == 600
         assert ds.class_counts().tolist() == [200, 200, 200]
 
     def test_deterministic_per_seed(self):
-        spec = pf.SyntheticSpec(2, 5, 2, 0.1, 50, seed=13)
+        spec = pf.SyntheticSpec(n_classes=2, dims=5, cluster_spread=0.1,
+                                samples_per_class=50, clusters_per_class=2, seed=13)
         first = pf.synthesize(spec)
         second = pf.synthesize(spec)
         assert np.array_equal(first.features, second.features)
         assert np.array_equal(first.labels, second.labels)
 
     def test_nearest_centroid_separates_tight_classes(self):
-        ds = pf.synthesize(pf.SyntheticSpec(2, 8, 1, 0.01, 150, seed=3))
+        ds = pf.synthesize(pf.SyntheticSpec(n_classes=2, dims=8, cluster_spread=0.01,
+                                            samples_per_class=150, seed=3))
         centroids = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(2)])
         d2 = ((ds.features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         accuracy = (d2.argmin(axis=1) == ds.labels).mean()
@@ -369,9 +372,9 @@ class TestSynthesize:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="cluster_spread"):
-            pf.SyntheticSpec(2, 3, 1, 0.0, 10, seed=0)
+            pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=0.0, samples_per_class=10, seed=0)
         with pytest.raises(ValueError, match="n_classes"):
-            pf.SyntheticSpec(0, 3, 1, 0.1, 10, seed=0)
+            pf.SyntheticSpec(n_classes=0, dims=3, cluster_spread=0.1, samples_per_class=10, seed=0)
 
 
 class TestDatasetInvariants:

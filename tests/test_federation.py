@@ -28,7 +28,8 @@ def scalar_params(values, seed=0):
 
 
 def severe_shards(n_per_class=60, dims=6, seed=0):
-    data = pf.synthesize(pf.SyntheticSpec(3, dims, 1, 0.05, n_per_class, seed=seed))
+    data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=dims, cluster_spread=0.05,
+                                          samples_per_class=n_per_class, seed=seed))
     plan = pf.build_partition_plan("severe", data.class_counts(), 3)
     return pf.partition(data, plan, seed=seed)
 
@@ -219,7 +220,8 @@ class TestClientPrototypes:
         script = """
 import sys
 import protofed as pf
-data = pf.synthesize(pf.SyntheticSpec(3, 4, 1, 0.05, 30, seed=0))
+data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=4, cluster_spread=0.05,
+                                      samples_per_class=30, seed=0))
 shards = pf.partition(data, pf.build_partition_plan("severe", data.class_counts(), 3), seed=0)
 cfg = pf.FederationConfig(rounds=1, trigger_round=1, threshold=1.0, gmm_components=None,
                           train=pf.TrainConfig(epochs=1), hidden=((4, 0.0),), dropout_p=0.0,
@@ -428,7 +430,8 @@ class TestRunFederation:
         cfg = pf.FederationConfig(rounds=1, trigger_round=1, hidden=((4, 0.0),), dropout_p=0.0,
                                   train=pf.TrainConfig(epochs=1), scale_mode="none", seed=0)
         for n_classes, dims in ((3, 6), (2, 9)):
-            data = pf.synthesize(pf.SyntheticSpec(n_classes, dims, 1, 0.05, 20, seed=dims))
+            data = pf.synthesize(pf.SyntheticSpec(n_classes=n_classes, dims=dims, cluster_spread=0.05,
+                                                  samples_per_class=20, seed=dims))
             shards = pf.partition(data, pf.build_partition_plan("iid", data.class_counts(), 2), seed=0)
             history = pf.run_federation(cfg, pf.split_clients(cfg, shards), "fedavg")
             spec = pf.ModelSpec(dims, cfg.hidden, cfg.dropout_p, n_classes)

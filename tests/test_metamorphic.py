@@ -36,7 +36,8 @@ def runs(draw, **overrides):
         seed=draw(st.integers(0, 2**16)),
     )
     cfg.update(overrides)
-    data = pf.synthesize(pf.SyntheticSpec(3, DIMS, 1, 0.1, 24, seed=draw(st.integers(0, 2**16))))
+    data = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=DIMS, cluster_spread=0.1,
+                                          samples_per_class=24, seed=draw(st.integers(0, 2**16))))
     plan = pf.build_partition_plan(draw(st.sampled_from(SCENARIOS)), data.class_counts(), 3)
     return pf.FederationConfig(**cfg), pf.partition(data, plan, seed=cfg["seed"])
 

@@ -492,7 +492,8 @@ _FLOAT_SETTINGS = [
      lambda v: pf.FederationConfig(train_fraction=v)),
     ("split-train_fraction", "train_fraction", "in (0, 1)",
      lambda v: pf.stratified_split(two_blob_dataset(4, 2, 0.1, seed=0), v, seed=0)),
-    ("cluster_spread", "cluster_spread", "> 0", lambda v: pf.SyntheticSpec(2, 3, 1, v, 10, seed=0)),
+    ("cluster_spread", "cluster_spread", "> 0",
+     lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=v, samples_per_class=10)),
     ("target_fraction", "target_fraction", "in (0, 1]",
      lambda v: pf.AugmentationPolicy(target_fraction=v)),
     ("coeff", "interpolation coefficient", "in [0, 1]",
@@ -563,13 +564,17 @@ _COUNT_SETTINGS = [
     *((key, key, 1, lambda v, key=key: pf.FederationConfig(**{key: v}))
       for key in ("trigger_round", "gmm_components")),
     ("federation-seed", "seed", 0, lambda v: pf.FederationConfig(seed=v)),
-    ("n_classes", "n_classes", 1, lambda v: pf.SyntheticSpec(v, 3, 1, 0.1, 10, seed=0)),
-    ("dims", "dims", 1, lambda v: pf.SyntheticSpec(2, v, 1, 0.1, 10, seed=0)),
+    ("n_classes", "n_classes", 1,
+     lambda v: pf.SyntheticSpec(n_classes=v, dims=3, cluster_spread=0.1, samples_per_class=10)),
+    ("dims", "dims", 1,
+     lambda v: pf.SyntheticSpec(n_classes=2, dims=v, cluster_spread=0.1, samples_per_class=10)),
     ("clusters_per_class", "clusters_per_class", 1,
-     lambda v: pf.SyntheticSpec(2, 3, v, 0.1, 10, seed=0)),
+     lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=0.1, samples_per_class=10,
+                                clusters_per_class=v)),
     ("samples_per_class", "samples_per_class", 1,
-     lambda v: pf.SyntheticSpec(2, 3, 1, 0.1, v, seed=0)),
-    ("synthetic-seed", "seed", 0, lambda v: pf.SyntheticSpec(2, 3, 1, 0.1, 10, seed=v)),
+     lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=0.1, samples_per_class=v)),
+    ("synthetic-seed", "seed", 0,
+     lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=0.1, samples_per_class=10, seed=v)),
     ("plan-n_clients", "n_clients", 1, lambda v: pf.build_partition_plan("iid", (4, 4), v)),
     ("run-n_clients", "n_clients", 1,
      lambda v: RunSpec(CsvSource("data"), "iid", v, pf.FederationConfig(), ("fedavg",), "out")),
