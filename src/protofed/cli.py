@@ -92,13 +92,6 @@ class RunSpec:
             raise ValueError(f"output_dir {self.output_dir!r}: {str(existing)!r} is not a directory")
 
 
-# The FederationConfig fields that the federation.model section holds.
-_MODEL = ("hidden", "dropout_p")
-# Fields the CLI fills itself instead of reading them from their own section.
-_FILLED = {
-    RunSpec: ("data", "federation", "strategies", "output_dir"),
-    FederationConfig: ("seed", "train", "aug", *_MODEL),
-}
 # JSON types accepted per scalar annotation; bool is not an int here.
 _SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
 # Keys per section that no longer configure anything, each accepted only at
@@ -110,12 +103,30 @@ _RETIRED = {"federation": {"eval_weighting": "test_size", "global_prototypes_per
                                  "adam_epsilon": ADAM_EPSILON}}
 
 
-def _own_fields(cls: type, names: tuple[str, ...] | None = None) -> dict[str, Field]:
-    """JSON key -> field, for each field ``cls`` reads from its own section,
-    or for each field ``names`` lists."""
-    if names is None:
-        return {f.name: f for f in fields(cls) if f.name not in _FILLED.get(cls, ())}
-    return {f.name: f for f in fields(cls) if f.name in names}
+def _fields(cls: type, *names: str) -> dict[str, Field]:
+    """JSON key -> field of ``cls`` in field order, for each of ``names``, or for every field."""
+    return {f.name: f for f in fields(cls) if not names or f.name in names}
+
+
+class _OneOf(dict):
+    """A section that holds exactly one of its keys."""
+
+
+# The JSON layout of a run config: each key of a section names the field it
+# sets or a nested section. A dict section's keys set its parent's fields; a
+# dataclass section, or a _OneOf section's one source, is built and sets its
+# parent's field of the same name. The sections at the top are required.
+_LAYOUT = {
+    **_fields(FederationConfig, "seed"), **_fields(RunSpec, "output_dir"),
+    "data": _OneOf(synthetic=SyntheticSpec, csv_dir=CsvSource),
+    "partition": _fields(RunSpec, "scenario", "n_clients"),
+    "federation": {
+        **_fields(FederationConfig, "rounds", "threshold", "trigger_round", "noise_sigma",
+                  "train_fraction", "scale_mode", "gmm_components"),
+        **_fields(RunSpec, "strategies"), "train": TrainConfig, "aug": AugmentationPolicy,
+        "model": _fields(FederationConfig, "hidden", "dropout_p"),
+    },
+}
 
 
 def _check_keys(obj, section: str, keys: tuple[str, ...]) -> None:
@@ -128,12 +139,6 @@ def _check_keys(obj, section: str, keys: tuple[str, ...]) -> None:
     unknown = sorted(set(obj).difference(keys))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {section}")
-
-
-def _require(obj: dict, key: str, section: str):
-    if key not in obj:
-        raise ValueError(f"missing key {key!r} in {section}")
-    return obj[key]
 
 
 def _convert(value, hint: str, section: str, key: str):
@@ -158,27 +163,35 @@ def _convert(value, hint: str, section: str, key: str):
     raise ValueError(f"{section}.{key}: expected {hint}, got {json.dumps(value)}")
 
 
-def _read(obj, section: str, cls: type, extra: tuple[str, ...] = (),
-          names: tuple[str, ...] | None = None) -> dict:
-    """Field values of ``cls`` given in a JSON section; a key left out takes
-    its field's default. ``names`` picks the fields as ``_own_fields`` does.
-
-    ``extra`` names the other keys the section holds; retired keys pass at their one value.
-    """
+def _walk(obj, layout: dict, section: str = "config") -> dict:
+    """Field name -> value for each key a JSON section and its nested sections give."""
     retired = _RETIRED.get(section, {})
-    own = _own_fields(cls, names)
-    _check_keys(obj, section, (*own, *extra, *retired))
-    values = {}
-    for key, f in own.items():
-        if key in obj:
-            values[key] = _convert(obj[key], f.type, section, key)
-        elif f.default is MISSING:
-            raise ValueError(f"missing key {key!r} in {section}")
+    _check_keys(obj, section, (*layout, *retired))
     for key, value in retired.items():
         # Compared as JSON text, so 1 is not taken for true.
         given, kept = json.dumps(obj.get(key, value)), json.dumps(value)
         if given != kept:
             raise ValueError(f"{section}.{key}: retired, accepts only {kept}, got {given}")
+    if isinstance(layout, _OneOf):
+        if len(obj) != 1:
+            raise ValueError(f"{section} must define exactly one of {' or '.join(map(repr, layout))}")
+        layout = {key: layout[key] for key in obj}
+    values = {}
+    for key, entry in layout.items():
+        leaf = isinstance(entry, Field)
+        if key not in obj and (entry.default is MISSING if leaf else section == "config"):
+            raise ValueError(f"missing key {key!r} in {section}")
+        if leaf:
+            if key in obj:
+                values[key] = _convert(obj[key], entry.type, section, key)
+            continue
+        inner = key if section == "config" else f"{section}.{key}"
+        if isinstance(entry, type):
+            values[key] = entry(**_walk(obj.get(key, {}), _fields(entry), inner))
+        elif isinstance(entry, _OneOf):
+            (values[key],) = _walk(obj.get(key, {}), entry, inner).values()
+        else:
+            values.update(_walk(obj.get(key, {}), entry, inner))
     return values
 
 
@@ -195,7 +208,7 @@ class _Object(dict):
 
 
 def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
-    """Load and validate a JSON run configuration.
+    """Load and validate a JSON run configuration laid out as ``_LAYOUT``.
 
     Unknown and duplicated keys are rejected at every level, every value is
     checked against its field's type, and every invariant violation is
@@ -214,35 +227,12 @@ def parse_config(path: str | Path, output_dir: str | None = None) -> RunSpec:
         raise ValueError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level config must be a JSON object")
-    _check_keys(raw, "config", ("seed", "output_dir", "data", "partition", "federation"))
-    seed = _convert(raw.get("seed", FederationConfig.seed), "int", "config", "seed")
-    configured = _convert(raw.get("output_dir", RunSpec.output_dir), "str", "config", "output_dir")
-    if output_dir is None:
-        output_dir = configured
-    data = _parse_data(_require(raw, "data", "config"))
-    part = _read(_require(raw, "partition", "config"), "partition", RunSpec)
-
-    fed = _require(raw, "federation", "config")
-    base = _read(fed, "federation", FederationConfig, extra=("strategies", "train", "aug", "model"))
-    strategies = _convert(
-        _require(fed, "strategies", "federation"), "tuple[str, ...]", "federation", "strategies"
-    )
-    train = TrainConfig(**_read(fed.get("train", {}), "federation.train", TrainConfig))
-    aug = AugmentationPolicy(**_read(fed.get("aug", {}), "federation.aug", AugmentationPolicy))
-    model = fed.get("model")
-    if model is not None:
-        base.update(_read(model, "federation.model", FederationConfig, names=_MODEL))
-    federation = FederationConfig(seed=seed, train=train, aug=aug, **base)
-    return RunSpec(data=data, federation=federation, strategies=strategies, output_dir=output_dir, **part)
-
-
-def _parse_data(section) -> SyntheticSpec | CsvSource:
-    _check_keys(section, "data", ("synthetic", "csv_dir"))
-    if ("synthetic" in section) == ("csv_dir" in section):
-        raise ValueError("data must define exactly one of 'synthetic' or 'csv_dir'")
-    if "synthetic" in section:
-        return SyntheticSpec(**_read(section["synthetic"], "data.synthetic", SyntheticSpec))
-    return CsvSource(**_read(section["csv_dir"], "data.csv_dir", CsvSource))
+    values = _walk(raw, _LAYOUT)
+    if output_dir is not None:
+        values["output_dir"] = output_dir
+    own = _fields(FederationConfig)
+    federation = FederationConfig(**{k: v for k, v in values.items() if k in own})
+    return RunSpec(federation=federation, **{k: v for k, v in values.items() if k not in own})
 
 
 def _load_dataset(spec: RunSpec) -> Dataset:

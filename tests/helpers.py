@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference checks, tiny data generators, a segment oracle,
-a memory probe and the run spec a JSON config states."""
+a memory probe, the run spec a JSON config states and the arithmetic a run uses."""
 
 from __future__ import annotations
 
+import ctypes
 import tracemalloc
 from pathlib import Path
 
@@ -193,3 +194,23 @@ def stated_spec(raw: dict) -> RunSpec:
     )
     return RunSpec(data, raw["partition"]["scenario"], raw["partition"]["n_clients"], federation,
                    tuple(fed["strategies"]), raw["output_dir"])
+
+
+def arithmetic() -> str:
+    """The floating-point arithmetic this process runs on: numpy's version, the
+    SIMD groups numpy dispatches to on this CPU, and the kernel core that
+    numpy's bundled OpenBLAS chose at load time (``unknown`` where no such
+    library reports one). Output bytes depend on all three."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    simd = [name for name in getattr(umath, "__cpu_dispatch__", features) if features.get(name)]
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return f"numpy {np.__version__}, SIMD groups {' '.join(simd) or 'none'}, OpenBLAS core {core}"

@@ -11,7 +11,8 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import Field, fields, replace
 from pathlib import Path
 
 import pytest
@@ -31,12 +32,20 @@ from protofed.cli import (
     run,
 )
 from protofed.datasets import CLASS_NAMES, SCENARIOS
-from helpers import stated_spec, write_nbaiot_layout
+from helpers import arithmetic, stated_spec, write_nbaiot_layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def pinned_on() -> str:
+    """The message of a failed byte gate. Output bytes pin the arithmetic as
+    well as the program, so a mismatch under other arithmetic does not by
+    itself show a fault in the program."""
+    return (f"this run: {arithmetic()}; the pinned hashes hold under OpenBLAS's SkylakeX "
+            f"kernels and numpy's X86_V4 loops")
 
 
 # Each retired key: its section and the one value it still takes.
@@ -65,6 +74,16 @@ def _section(raw: dict, section: str) -> dict:
     for name in section.split("."):
         raw = raw[name]
     return raw
+
+
+def layout_leaves(layout, path=()):
+    """(key path, field) for each key of a ``cli._LAYOUT`` section that sets a
+    field; a dataclass section's keys are its fields."""
+    for key, entry in (cli._fields(layout) if isinstance(layout, type) else layout).items():
+        if isinstance(entry, Field):
+            yield (*path, key), entry
+        else:
+            yield from layout_leaves(entry, (*path, key))
 
 
 def minimal_config(tmp_path, **overrides):
@@ -237,27 +256,28 @@ class TestParseConfig:
         block = readme.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
         schema = json.loads(re.sub(r"\s*//.*", "", block))
 
-        def tree(obj):
-            return {k: tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+        def leaves(obj, path=()):
+            for key, value in obj.items():
+                yield from leaves(value, (*path, key)) if isinstance(value, dict) else [(*path, key)]
 
-        def section(*classes, **sections):
-            return {**{key: None for cls in classes for key in cli._own_fields(cls)}, **sections}
-
-        assert tree(schema) == {
-            "seed": None, "output_dir": None,
-            "data": {"synthetic": section(pf.SyntheticSpec),
-                     "csv_dir": section(CsvSource)},
-            "partition": section(RunSpec),
-            "federation": section(pf.FederationConfig, strategies=None,
-                                  train=section(pf.TrainConfig),
-                                  aug=section(pf.AugmentationPolicy),
-                                  model=dict.fromkeys(cli._MODEL)),
-        }
+        assert sorted(leaves(schema)) == sorted(path for path, _ in layout_leaves(cli._LAYOUT))
         # Each documented value parses, one data source at a time.
         for source in schema["data"]:
             path = tmp_path / f"{source}.json"
             path.write_text(json.dumps({**schema, "data": {source: schema["data"][source]}}))
             parse_config(path)
+
+    def test_layout_wires_each_field_exactly_once(self):
+        # A field added to a config dataclass but not to the JSON layout
+        # would keep its default in every run, whatever a config says.
+        classes = (pf.TrainConfig, pf.AugmentationPolicy, pf.SyntheticSpec, CsvSource,
+                   pf.FederationConfig, RunSpec)
+        owner = {f: cls.__name__ for cls in classes for f in fields(cls)}
+        # Set by a nested section, or by parse_config from the others.
+        built = {("FederationConfig", "train"), ("FederationConfig", "aug"),
+                 ("RunSpec", "data"), ("RunSpec", "federation")}
+        wired = Counter((owner[f], f.name) for _, f in layout_leaves(cli._LAYOUT))
+        assert wired == Counter({(name, f.name) for f, name in owner.items()} - built)
 
     def test_readme_schema_lists_the_scenarios_in_order(self):
         block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("\n```", 1)[0]
@@ -579,7 +599,7 @@ class TestMain:
         expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["severe3"]
         out, _ = severe_run
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert got == expected
+        assert got == expected, pinned_on()
 
     def test_shared_class_exchange_reproduces_pinned_hashes(self, tmp_path):
         # Under the light partition every client holds every class, so each
@@ -603,7 +623,7 @@ class TestMain:
             "comparison.csv": "456cd161ecf58c4596c91e22c7602f741ca6877a1f2531ad1dca73f46c5ea208",
             "metrics_fedp3e.csv": "73886958af4726bd214a95754829e7efd8c020b3da4eb081c87b122dcd6abd30",
             "summary.json": "f75f3d90d2cfa84069a1c72583cdb2b2cb3a8832e090badfc6b7831c69092b6a",
-        }
+        }, pinned_on()
 
     def test_csv_dir_exchange_reproduces_pinned_hashes(self, tmp_path):
         # The CSV loader and 115-dimensional EM on the path a real N-BaIoT run
@@ -627,7 +647,7 @@ class TestMain:
             "comparison.csv": "aaa6a4f417ba400edc470084a25aa37f0f16817d9c2a093bd65ffc6cdce36d3e",
             "metrics_fedp3e.csv": "8c9d45227f09ce26e3dcc407197dc3ea69bfc12adb8b36c2d5c9e90abd93530f",
             "summary.json": "5e1798feb4c865640d1b00e5baaab07daf8e6bdb6998114b5a5ef40886e6097e",
-        }
+        }, pinned_on()
 
     def test_light_partition_twelve_clients_reproduces_pinned_hashes(self, tmp_path):
         # The benchmark's light12 shape cut to the fixture's six-round
@@ -647,7 +667,7 @@ class TestMain:
             "metrics_fedavg.csv": "f0cd9384bb4fd0d22ecc54452e32d637db33ae9a3ae7312a4f6398a48036aaf6",
             "metrics_fedprox.csv": "e30b4f5df3df07c8a28598d6fa29db4463e2eda130dee0b0a4d6d49404c8581d",
             "summary.json": "a82c5edf321488ceadb66680cfaaff99bfd15e740f94ea753755ef670a6b7e9d",
-        }
+        }, pinned_on()
 
     def test_loaded_dataset_released_before_first_run(self, tmp_path, monkeypatch):
         # neither the loaded matrix nor the client shards outlive the split
@@ -749,10 +769,15 @@ class TestMain:
         ("federation.model", "hidden", [[0, 0.001]], "hidden layer units must be >= 1, got 0"),
         ("federation.model", "dropout_p", 1.0, "dropout_p must be in [0, 1)"),
         ("partition", "scenario", "extreme", f"unknown scenario 'extreme'; expected one of {SCENARIOS}"),
+        # a section given as null is not left out
+        ("federation", "train", None, "federation.train: expected object, got null"),
+        ("federation", "aug", None, "federation.aug: expected object, got null"),
+        ("federation", "model", None, "federation.model: expected object, got null"),
     ], ids=["rounds-null", "strategies-empty", "train-number", "quotas-table",
             "scale-mode-global", "eligible-all", "retired-beta1-in-federation",
             "retired-gmm-max-in-train", "prox-mu-nan", "learning-rate-nan", "noise-sigma-nan",
-            "noise-sigma-inf", "hidden-nan", "hidden-zero-units", "dropout-one", "scenario-extreme"])
+            "noise-sigma-inf", "hidden-nan", "hidden-zero-units", "dropout-one", "scenario-extreme",
+            "train-null", "aug-null", "model-null"])
     def test_mistyped_value_is_a_usage_error(self, tmp_path, capsys, section, key, value, expected):
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -765,15 +790,19 @@ class TestMain:
         assert f"error: {expected}" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section, key", [("config", "federation"), ("data.synthetic", "dims")],
-                             ids=["federation", "dims"])
+    # Every key without a default, listed here rather than read from the
+    # layout, so the reader's rule for what is required is checked against it.
+    @pytest.mark.parametrize("section, key", [pytest.param(section, key, id=key) for section, key in [
+        ("config", "data"), ("config", "partition"), ("config", "federation"),
+        ("partition", "scenario"), ("partition", "n_clients"), ("federation", "strategies"),
+        ("data.synthetic", "n_classes"), ("data.synthetic", "dims"), ("data.synthetic", "cluster_spread"),
+        ("data.synthetic", "samples_per_class"), ("data.csv_dir", "path"),
+    ]])
     def test_missing_required_key_is_a_usage_error(self, tmp_path, capsys, section, key):
-        path = minimal_config(tmp_path)
+        csv_dir = {"data": {"csv_dir": {"path": "captures"}}} if section == "data.csv_dir" else {}
+        path = minimal_config(tmp_path, **csv_dir)
         raw = json.loads(path.read_text())
-        target = raw
-        if section != "config":
-            for name in section.split("."):
-                target = target[name]
+        target = raw if section == "config" else _section(raw, section)
         del target[key]
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
