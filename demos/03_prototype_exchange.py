@@ -45,7 +45,7 @@ print(f"\nserver received {received} prototypes for class 1, "
 # Client side again: a silo that never saw class 1 synthesizes samples for it
 # by interpolating between global prototypes.
 local = pf.Dataset(rng.random((200, 5)), np.zeros(200, dtype=int), ("benign", "attack"))
-augmented = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), seed=4)
+augmented = pf.augment(local, gp, 0.10, 0.01, seed=4)
 added = augmented.n_samples - local.n_samples
 print(f"\naugmentation: {local.n_samples} -> {augmented.n_samples} rows "
       f"({added} synthetic, labels {sorted(set(augmented.labels[200:].tolist()))})")

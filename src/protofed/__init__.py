@@ -10,7 +10,7 @@ Library layout:
     cli         JSON-config experiment runner
 """
 
-from .augment import AugmentationPolicy, augment, smote_pair
+from .augment import augment, smote_pair
 from .clustering import (
     Prototypes,
     aggregate_prototypes,
@@ -59,7 +59,6 @@ from .network import (
 
 __all__ = [
     "AdamState",
-    "AugmentationPolicy",
     "Dataset",
     "EvalReport",
     "FederationConfig",

@@ -11,7 +11,6 @@ from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 from ._checks import check_range
-from .augment import AugmentationPolicy
 from .datasets import (
     Dataset,
     SCENARIOS,
@@ -48,7 +47,7 @@ class CsvSource:
 
     def __post_init__(self) -> None:
         if not self.path:  # Path("") is the working directory, which no one means to read.
-            raise ValueError("data.csv_dir.path must not be empty")
+            raise ValueError("path must not be empty")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,8 @@ _SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
 _RETIRED = {"federation": {"eval_weighting": "test_size", "global_prototypes_per_class": None,
                            "aggregate_running_stats": True, "gmm_max_components": GMM_MAX_COMPONENTS},
             "federation.train": {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
-                                 "adam_epsilon": ADAM_EPSILON}}
+                                 "adam_epsilon": ADAM_EPSILON},
+            "federation.aug": {"eligible_classes": "below_mean_count"}}
 
 
 def _fields(cls: type, *names: str) -> dict[str, Field]:
@@ -123,7 +123,8 @@ _LAYOUT = {
     "federation": {
         **_fields(FederationConfig, "rounds", "threshold", "trigger_round", "noise_sigma",
                   "train_fraction", "scale_mode", "gmm_components"),
-        **_fields(RunSpec, "strategies"), "train": TrainConfig, "aug": AugmentationPolicy,
+        **_fields(RunSpec, "strategies"), "train": TrainConfig,
+        "aug": _fields(FederationConfig, "target_fraction"),
         "model": _fields(FederationConfig, "hidden", "dropout_p"),
     },
 }
@@ -187,7 +188,12 @@ def _walk(obj, layout: dict, section: str = "config") -> dict:
             continue
         inner = key if section == "config" else f"{section}.{key}"
         if isinstance(entry, type):
-            values[key] = entry(**_walk(obj.get(key, {}), _fields(entry), inner))
+            given = _walk(obj.get(key, {}), _fields(entry), inner)
+            # Range messages name the bare field, and two sections share "seed".
+            try:
+                values[key] = entry(**given)
+            except ValueError as err:
+                raise ValueError(f"{inner}: {err}") from None
         elif isinstance(entry, _OneOf):
             (values[key],) = _walk(obj.get(key, {}), entry, inner).values()
         else:

@@ -82,16 +82,12 @@ def choose_cluster_count(n_prototypes: int) -> int:
 class Prototypes:
     """Class-wise prototype rows, as a client uploads them or the server broadcasts them.
 
-    ``by_class`` maps each class id to a (k, d) array with one prototype per
-    row. ``noise_sigma`` records the perturbation level the rows carry (used
-    by single-prototype augmentation).
+    ``by_class`` maps each class id to a (k, d) array with one prototype per row.
     """
 
     by_class: dict[int, np.ndarray]
-    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        check_range("noise_sigma", self.noise_sigma, ">= 0")
         frozen: dict[int, np.ndarray] = {}
         for class_id, rows in self.by_class.items():
             check_range("class ids", class_id, "integer >= 0")
@@ -129,4 +125,4 @@ def aggregate_prototypes(uploads: Sequence[Prototypes], seed: int = 0) -> Protot
         pts = pts[np.lexsort(pts.T[::-1])]
         k = choose_cluster_count(len(pts))
         centroids[class_id] = minibatch_kmeans(pts, k, np.random.SeedSequence([seed, class_id]))
-    return Prototypes(centroids, noise_sigma=max(u.noise_sigma for u in uploads))
+    return Prototypes(centroids)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._checks import check_range
-from .augment import AugmentationPolicy, augment
+from .augment import augment
 from .clustering import Prototypes, aggregate_prototypes
 from .datasets import Dataset, min_max_scale, stratified_split
 from .mixtures import em_fit, perturb, select_k_bic
@@ -46,12 +46,14 @@ class FederationConfig:
     """The protocol knobs of a run, shared by every strategy it compares.
 
     ``hidden`` and ``dropout_p`` are the model's design choices, as in
-    ``ModelSpec``; the data set its input and output sizes.
+    ``ModelSpec``; the data set its input and output sizes. fedp3e's
+    augmentation budget is ``target_fraction`` of each train set, and it
+    jitters a class's lone prototype at the upload level ``noise_sigma``.
     """
 
     rounds: int = 20
     train: TrainConfig = TrainConfig()
-    aug: AugmentationPolicy = AugmentationPolicy()
+    target_fraction: float = 0.10
     threshold: float = 0.97
     trigger_round: int = 6
     noise_sigma: float = 0.01
@@ -66,6 +68,7 @@ class FederationConfig:
         # ModelSpec states the architecture's rules; any input and output size will do.
         object.__setattr__(self, "hidden", ModelSpec(1, self.hidden, self.dropout_p, 1).hidden)
         check_range("rounds", self.rounds, "integer >= 1")
+        check_range("target_fraction", self.target_fraction, "in (0, 1]")
         check_range("threshold", self.threshold, "in (0, 1]")
         check_range("trigger_round", self.trigger_round, "integer >= 1")
         if self.trigger_round > self.rounds:
@@ -231,8 +234,9 @@ def check_round_one_exchange(
     """Reject a fedp3e run whose round-1 exchange must fail, before any strategy trains.
 
     At ``trigger_round == 1`` the exchange always fires, and a class with no
-    row in any client's train split gets no prototypes, yet every eligibility
-    rule selects it for augmentation. A later exchange may never fire.
+    row in any client's train split gets no prototypes, yet it is below every
+    client's mean class count, so augmentation selects it. A later exchange
+    may never fire.
     """
     if "fedp3e" not in strategies or cfg.trigger_round != 1:
         return
@@ -259,7 +263,8 @@ def _exchange(
         gp = aggregate_prototypes(uploads, seed=_int_seed(cfg.seed, _SEED_AGG, r))
     for k, train in enumerate(train_sets):
         with _failing_at(f"round {r}, client {k}"):
-            train_sets[k] = augment(train, gp, cfg.aug, _int_seed(cfg.seed, _SEED_AUG, r, k))
+            seed = _int_seed(cfg.seed, _SEED_AUG, r, k)
+            train_sets[k] = augment(train, gp, cfg.target_fraction, cfg.noise_sigma, seed)
     return tuple(ps.floats for ps in uploads), gp.floats
 
 

@@ -208,4 +208,4 @@ def perturb(ps: Prototypes, sigma: float, seed: int) -> Prototypes:
             for row in rows
         ]
         noisy[class_id] = rows + np.array(noise)
-    return Prototypes(noisy, sigma)
+    return Prototypes(noisy)

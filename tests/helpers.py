@@ -186,7 +186,7 @@ def stated_spec(raw: dict) -> RunSpec:
         rounds=fed["rounds"],
         train=pf.TrainConfig(epochs=train["epochs"], batch_size=train["batch_size"],
                              learning_rate=train["learning_rate"], prox_mu=train["prox_mu"]),
-        aug=pf.AugmentationPolicy(fed["aug"]["target_fraction"], fed["aug"]["eligible_classes"]),
+        target_fraction=fed["aug"]["target_fraction"],
         threshold=fed["threshold"], trigger_round=fed["trigger_round"], noise_sigma=fed["noise_sigma"],
         hidden=tuple(tuple(layer) for layer in model["hidden"]), dropout_p=model["dropout_p"],
         train_fraction=fed["train_fraction"], scale_mode=fed["scale_mode"],

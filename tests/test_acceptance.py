@@ -242,15 +242,15 @@ def test_criterion_6_em_bic_oracle():
 def test_criterion_7_smote_geometry():
     rng = np.random.default_rng(70)
     protos = rng.random((5, 8))
-    gp = pf.Prototypes({1: protos}, noise_sigma=0.01)
+    gp = pf.Prototypes({1: protos})
     local = pf.Dataset(rng.random((1000, 8)), np.zeros(1000, dtype=int), ("a", "b"))
-    out = pf.augment(local, gp, pf.AugmentationPolicy(0.10, "missing_only"), 71)
+    out = pf.augment(local, gp, 0.10, 0.01, 71)
     synthetic = out.features[1000:]
     budget_1000 = synthetic.shape[0]
 
     on_segment = sum(on_some_segment(row, protos) for row in synthetic)
     small = pf.Dataset(rng.random((37, 8)), np.zeros(37, dtype=int), ("a", "b"))
-    out_small = pf.augment(small, gp, pf.AugmentationPolicy(0.10, "missing_only"), 72)
+    out_small = pf.augment(small, gp, 0.10, 0.01, 72)
     budget_37 = out_small.n_samples - 37
 
     ok = budget_1000 == 100 and on_segment == budget_1000 and budget_37 == 4

@@ -57,6 +57,7 @@ RETIRED = [
     ("federation.train", "adam_beta1", 0.9),
     ("federation.train", "adam_beta2", 0.999),
     ("federation.train", "adam_epsilon", 1e-7),
+    ("federation.aug", "eligible_classes", "below_mean_count"),
 ]
 
 
@@ -70,9 +71,9 @@ MODEL = ({"hidden": [[7, 0.002], [5, 0.0]], "dropout_p": 0.25}, ((7, 0.002), (5,
 
 
 def _section(raw: dict, section: str) -> dict:
-    """The object at a dotted section path of a JSON config."""
+    """The object at a dotted section path of a JSON config, added empty where it is left out."""
     for name in section.split("."):
-        raw = raw[name]
+        raw = raw.setdefault(name, {})
     return raw
 
 
@@ -116,7 +117,7 @@ class TestParseConfig:
         assert cfg.threshold == 0.97
         assert cfg.trigger_round == 2
         assert cfg.train.prox_mu == 0.0
-        assert cfg.aug.target_fraction == 0.10
+        assert cfg.target_fraction == 0.10
 
     def test_threshold_invariant_message(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -199,13 +200,13 @@ class TestParseConfig:
         section, data, model, hidden = data
         train = pf.TrainConfig(epochs=3, batch_size=9, learning_rate=0.02, prox_mu=0.3)
         federation = pf.FederationConfig(
-            rounds=7, train=train, aug=pf.AugmentationPolicy(0.2, "missing_only"), threshold=0.9,
+            rounds=7, train=train, target_fraction=0.2, threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
             hidden=((7, 0.002), (5, 0.0)), dropout_p=0.25,
             train_fraction=0.7, scale_mode="none", gmm_components=2, seed=8,
         )
         spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere")
-        for obj in (spec, federation, train, federation.aug):
+        for obj in (spec, federation, train):
             for f in fields(obj):
                 assert getattr(obj, f.name) != f.default, f.name
         config = {
@@ -217,7 +218,7 @@ class TestParseConfig:
                 "strategies": ["fedprox", "fedp3e"], "rounds": 7, "threshold": 0.9,
                 "trigger_round": 3, "noise_sigma": 0.02,
                 "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "prox_mu": 0.3},
-                "aug": {"target_fraction": 0.2, "eligible_classes": "missing_only"},
+                "aug": {"target_fraction": 0.2},
                 "model": model,
                 "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2,
             },
@@ -270,12 +271,10 @@ class TestParseConfig:
     def test_layout_wires_each_field_exactly_once(self):
         # A field added to a config dataclass but not to the JSON layout
         # would keep its default in every run, whatever a config says.
-        classes = (pf.TrainConfig, pf.AugmentationPolicy, pf.SyntheticSpec, CsvSource,
-                   pf.FederationConfig, RunSpec)
+        classes = (pf.TrainConfig, pf.SyntheticSpec, CsvSource, pf.FederationConfig, RunSpec)
         owner = {f: cls.__name__ for cls in classes for f in fields(cls)}
         # Set by a nested section, or by parse_config from the others.
-        built = {("FederationConfig", "train"), ("FederationConfig", "aug"),
-                 ("RunSpec", "data"), ("RunSpec", "federation")}
+        built = {("FederationConfig", "train"), ("RunSpec", "data"), ("RunSpec", "federation")}
         wired = Counter((owner[f], f.name) for _, f in layout_leaves(cli._LAYOUT))
         assert wired == Counter({(name, f.name) for f, name in owner.items()} - built)
 
@@ -355,7 +354,20 @@ class TestParseConfig:
         monkeypatch.chdir(tmp_path)
         path = minimal_config(tmp_path, data={"csv_dir": {"path": ""}})
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err == "error: data.csv_dir.path must not be empty\n"
+        assert capsys.readouterr().err == "error: data.csv_dir: path must not be empty\n"
+
+    @pytest.mark.parametrize("section, expected", [
+        ("", "seed must be >= 0, got -1"),
+        ("data.synthetic", "data.synthetic: seed must be >= 0, got -1"),
+    ], ids=["top-level", "data.synthetic"])
+    def test_seed_range_message_names_its_section(self, tmp_path, capsys, section, expected):
+        # Both sections have a seed, so only the section tells the two apart.
+        path = minimal_config(tmp_path)
+        raw = json.loads(path.read_text())
+        (_section(raw, section) if section else raw)["seed"] = -1
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_duplicate_strategy_rejected(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -753,7 +765,8 @@ class TestMain:
         # knobs outside the protocol, now gone
         ("partition", "quotas", [[40, 0, 0], [0, 40, 0], [0, 0, 40]], "unknown key 'quotas' in partition"),
         ("federation", "scale_mode", "global", "unknown scale_mode 'global'"),
-        ("federation", "aug", {"eligible_classes": "all"}, "unknown eligibility rule 'all'"),
+        ("federation.aug", "eligible_classes", "all",
+         'federation.aug.eligible_classes: retired, accepts only "below_mean_count", got "all"'),
         # a retired key is accepted only in its own section
         ("federation", "adam_beta1", 0.9, "unknown key 'adam_beta1' in federation"),
         ("federation.train", "gmm_max_components", 5,
@@ -821,7 +834,8 @@ class TestMain:
 
     @pytest.mark.parametrize("section, key, kept, value", [
         pytest.param(section, key, kept, value, id=f"{key}-{value}")
-        for (section, key, kept), value in [*zip(RETIRED, ("uniform", 3, False, 4, 0.8, 0.99, 1e-6)),
+        for (section, key, kept), value in [*zip(RETIRED, ("uniform", 3, False, 4, 0.8, 0.99, 1e-6,
+                                                           "missing_only")),
                                             (RETIRED[2], 1)]
     ])
     def test_retired_key_off_its_old_value_is_a_usage_error(self, tmp_path, capsys, section, key,
@@ -934,7 +948,9 @@ def small_configs(draw):
     """A tiny run config over every scenario, scale mode and strategy.
 
     About one config in five sets one training value from
-    ``BAD_TRAINING_VALUES``, so most configs run and each exit code occurs.
+    ``BAD_TRAINING_VALUES``, and one in ten moves the retired
+    ``eligible_classes`` off its one value, so most configs run and each exit
+    code occurs.
     """
     rounds = draw(st.integers(1, 2))
     train = {
@@ -949,6 +965,7 @@ def small_configs(draw):
     # A prefix of a permutation, where a list of unique strategies would
     # reject draws and waste examples.
     strategies = draw(st.permutations(federation.STRATEGIES))[:draw(st.integers(1, 3))]
+    eligible = "missing_only" if draw(st.integers(0, 9)) == 9 else "below_mean_count"
     return {
         "seed": draw(st.integers(0, 1000)),
         "data": {"synthetic": {"n_classes": draw(st.integers(2, 4)), "dims": 3,
@@ -962,7 +979,7 @@ def small_configs(draw):
             "rounds": rounds,
             "trigger_round": draw(st.integers(1, rounds)),
             "train": train,
-            "aug": {"eligible_classes": draw(st.sampled_from(["missing_only", "below_mean_count"]))},
+            "aug": {"eligible_classes": eligible},
             "model": {"hidden": [[4, 0.001]], "dropout_p": draw(st.sampled_from([0.0, 0.5]))},
             "scale_mode": draw(st.sampled_from(["local", "none"])),
         },
@@ -996,6 +1013,7 @@ class TestExitContract:
         usage_error = (  # NaN fails every comparison
             not (train["learning_rate"] > 0 and train["batch_size"] >= 1 and train["prox_mu"] >= 0)
             or ("fedprox" in config["federation"]["strategies"] and train["prox_mu"] == 0)
+            or config["federation"]["aug"]["eligible_classes"] != "below_mean_count"
         )
         with tempfile.TemporaryDirectory() as tmp:
             path, out, used = Path(tmp) / "config.json", Path(tmp) / "out", Path(tmp) / "used"

@@ -66,8 +66,8 @@ class TestChooseClusterCount:
             pf.choose_cluster_count(0)
 
 
-def proto_set(by_class, sigma=0.01):
-    return pf.Prototypes(by_class, sigma)
+def proto_set(by_class):
+    return pf.Prototypes(by_class)
 
 
 class TestAggregatePrototypes:
@@ -118,11 +118,6 @@ class TestAggregatePrototypes:
         # nine received prototypes -> four global centroids
         assert gp.by_class[0].shape == (4, 4)
 
-    def test_sigma_taken_from_uploads(self):
-        ps = proto_set({0: [[0.1, 0.2]]}, sigma=0.04)
-        gp = pf.aggregate_prototypes([ps], seed=0)
-        assert gp.noise_sigma == 0.04
-
     def test_empty_uploads_rejected(self):
         with pytest.raises(ValueError, match="no prototypes"):
             pf.aggregate_prototypes([], seed=0)
@@ -132,9 +127,7 @@ class TestGlobalPrototypesWire:
     """The server-to-client direction: prototypes as the server broadcasts them."""
 
     def test_float_count(self):
-        protos = pf.Prototypes(
-            {0: np.array([[0.1, 0.2], [0.3, 0.4]]), 2: np.array([[0.5, 0.6]])}, noise_sigma=0.01
-        )
+        protos = pf.Prototypes({0: np.array([[0.1, 0.2], [0.3, 0.4]]), 2: np.array([[0.5, 0.6]])})
         assert protos.floats == 3 * 2
 
     def test_invariants_enforced(self):
@@ -142,12 +135,6 @@ class TestGlobalPrototypesWire:
             pf.Prototypes({0: np.empty((0, 2))})
         with pytest.raises(ValueError, match="non-empty"):
             pf.Prototypes({0: np.zeros(2)})
-        with pytest.raises(ValueError, match="noise_sigma"):
-            pf.Prototypes({0: np.zeros((1, 2))}, noise_sigma=-0.01)
-
-    def test_nan_noise_sigma_rejected(self):
-        with pytest.raises(ValueError, match="^noise_sigma must be >= 0, got nan$"):
-            pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=float("nan"))
 
     def test_arrays_are_read_only_copies(self):
         rows = np.zeros((2, 3))

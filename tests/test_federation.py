@@ -207,12 +207,41 @@ class TestClientPrototypes:
         cfg = small_config(gmm_components=2)
         protos = federation._client_prototypes(train, cfg, round_index=2, client=1)
         assert tuple(sorted(protos.by_class)) == (0, 1, 3)
-        assert protos.noise_sigma == 0.0
         for class_id, rows in protos.by_class.items():
             seed = federation._int_seed(cfg.seed, federation._SEED_GMM, 2, 1, class_id)
             class_rows = train.features[labels == class_id]
             model = pf.em_fit(class_rows, min(2, class_rows.shape[0]), seed)
             assert np.array_equal(rows, model.means)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_lone_prototypes_are_jittered_at_the_config_noise_sigma(self, monkeypatch, sigma):
+        # One component per class and one class per client leave each class
+        # one global prototype, so every synthetic row is that row plus noise.
+        broadcast = []
+
+        def recording_aggregate(uploads, seed):
+            broadcast.append(pf.aggregate_prototypes(uploads, seed))
+            return broadcast[-1]
+
+        monkeypatch.setattr(federation, "aggregate_prototypes", recording_aggregate)
+        cfg = small_config(gmm_components=1, noise_sigma=sigma)
+        train_sets = [train for train, _ in pf.split_clients(cfg, severe_shards())]
+        before = [train.n_samples for train in train_sets]
+        federation._exchange(cfg, train_sets, 2)
+        (gp,) = broadcast
+        assert all(rows.shape[0] == 1 for rows in gp.by_class.values())
+        assert all(train.n_samples > n for train, n in zip(train_sets, before))
+        synthetic = np.vstack([train.features[n:] for train, n in zip(train_sets, before)])
+        labels = np.concatenate([train.labels[n:] for train, n in zip(train_sets, before)])
+        centers = np.vstack([gp.by_class[int(label)] for label in labels])
+        if sigma == 0.0:
+            assert synthetic.tobytes() == centers.tobytes()
+        else:
+            deviations = synthetic - centers
+            assert deviations.all()
+            assert np.abs(deviations).max() <= 5 * sigma
+            # A lower level would keep the rows closer than this.
+            assert np.abs(deviations).max() > sigma
 
     def test_exchange_does_not_import_numpy_ma(self):
         # numpy.ma adds about a MiB to a run's resident memory, and np.unique imports it.

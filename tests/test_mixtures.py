@@ -239,7 +239,6 @@ class TestPerturb:
         assert list(out.by_class) == list(ps.by_class)
         for class_id, before in ps.by_class.items():
             assert np.array_equal(before, out.by_class[class_id])
-        assert out.noise_sigma == 0.0
 
     def test_noise_std_matches_sigma(self):
         # chi-square bounds for the sample std over 10,000 draws at sigma=0.01
@@ -271,10 +270,6 @@ class TestPerturb:
         # Blamed on the prototypes before: NaN noise made them non-finite.
         with pytest.raises(ValueError, match="^sigma must be >= 0, got nan$"):
             pf.perturb(pf.Prototypes({0: np.zeros((2, 3))}), float("nan"), seed=0)
-
-    def test_sigma_recorded(self):
-        out = pf.perturb(self.make_set(), 0.25, seed=1)
-        assert out.noise_sigma == 0.25
 
 
 class TestPrototypeSetWire:

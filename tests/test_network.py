@@ -472,8 +472,13 @@ def _report(**scores):
     return pf.EvalReport(**{**values, **scores})
 
 
-def _protos(noise_sigma=0.0):
-    return pf.Prototypes({0: np.zeros((2, 3))}, noise_sigma=noise_sigma)
+def _protos():
+    return pf.Prototypes({0: np.zeros((2, 3))})
+
+
+def _augment(target_fraction=0.1, noise_sigma=0.0):
+    local = pf.Dataset(np.zeros((4, 3)), np.array([1, 1, 1, 0]), ("a", "b"))
+    return pf.augment(local, _protos(), target_fraction, noise_sigma, 0)
 
 
 # Every float setting: (test id, name in its messages, range rule, build from a value).
@@ -488,17 +493,19 @@ _FLOAT_SETTINGS = [
     ("mean_loss", "mean_loss", ">= 0", lambda v: _report(mean_loss=v)),
     ("threshold", "threshold", "in (0, 1]", lambda v: pf.FederationConfig(threshold=v)),
     ("federation-noise_sigma", "noise_sigma", ">= 0", lambda v: pf.FederationConfig(noise_sigma=v)),
+    ("federation-target_fraction", "target_fraction", "in (0, 1]",
+     lambda v: pf.FederationConfig(target_fraction=v)),
     ("federation-train_fraction", "train_fraction", "in (0, 1)",
      lambda v: pf.FederationConfig(train_fraction=v)),
     ("split-train_fraction", "train_fraction", "in (0, 1)",
      lambda v: pf.stratified_split(two_blob_dataset(4, 2, 0.1, seed=0), v, seed=0)),
     ("cluster_spread", "cluster_spread", "> 0",
      lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=v, samples_per_class=10)),
-    ("target_fraction", "target_fraction", "in (0, 1]",
-     lambda v: pf.AugmentationPolicy(target_fraction=v)),
+    ("target_fraction", "target_fraction", "in (0, 1]", lambda v: _augment(target_fraction=v)),
     ("coeff", "interpolation coefficient", "in [0, 1]",
      lambda v: pf.smote_pair(np.zeros(2), np.ones(2), v)),
-    ("prototypes-noise_sigma", "noise_sigma", ">= 0", _protos),
+    # The level at which augment jitters a class's lone prototype.
+    ("prototypes-noise_sigma", "noise_sigma", ">= 0", lambda v: _augment(noise_sigma=v)),
     ("sigma", "sigma", ">= 0", lambda v: pf.perturb(_protos(), v, 0)),
 ]
 
