@@ -45,7 +45,6 @@ from .mixtures import (
     select_k_bic,
 )
 from .network import (
-    AdamState,
     EvalReport,
     ModelParams,
     ModelSpec,
@@ -58,7 +57,6 @@ from .network import (
 )
 
 __all__ = [
-    "AdamState",
     "Dataset",
     "EvalReport",
     "FederationConfig",

@@ -23,6 +23,7 @@ from .datasets import (
 from .federation import (
     GMM_MAX_COMPONENTS,
     STRATEGIES,
+    TRAIN_FRACTION,
     FederationConfig,
     RoundMetrics,
     check_round_one_exchange,
@@ -97,7 +98,8 @@ _SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
 # the one value every run now has. The benchmark's workload configs still
 # write them; delete this table once ROADMAP item 1a drops them there.
 _RETIRED = {"federation": {"eval_weighting": "test_size", "global_prototypes_per_class": None,
-                           "aggregate_running_stats": True, "gmm_max_components": GMM_MAX_COMPONENTS},
+                           "aggregate_running_stats": True, "gmm_max_components": GMM_MAX_COMPONENTS,
+                           "train_fraction": TRAIN_FRACTION},
             "federation.train": {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
                                  "adam_epsilon": ADAM_EPSILON},
             "federation.aug": {"eligible_classes": "below_mean_count"}}
@@ -122,7 +124,7 @@ _LAYOUT = {
     "partition": _fields(RunSpec, "scenario", "n_clients"),
     "federation": {
         **_fields(FederationConfig, "rounds", "threshold", "trigger_round", "noise_sigma",
-                  "train_fraction", "scale_mode", "gmm_components"),
+                  "scale_mode", "gmm_components"),
         **_fields(RunSpec, "strategies"), "train": TrainConfig,
         "aug": _fields(FederationConfig, "target_fraction"),
         "model": _fields(FederationConfig, "hidden", "dropout_p"),

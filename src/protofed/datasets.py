@@ -248,25 +248,13 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     check_range("train_fraction", train_fraction, "in (0, 1)")
     if ds.n_samples == 0:
         raise ValueError("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for class_id in range(ds.n_classes):
-        idx = np.flatnonzero(ds.labels == class_id)
-        if idx.size == 0:
-            continue
-        if idx.size < 2:
-            raise ValueError(
-                f"class {ds.class_names[class_id]!r} has {idx.size} sample(s); "
-                "need at least 2 to split"
-            )
-        perm = rng.permutation(idx)
-        n_train = max(1, math.floor(train_fraction * idx.size))
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx))
-    return ds.select(train), ds.select(test)
+    counts = ds.class_counts().tolist()
+    if 1 in counts:
+        raise ValueError(f"class {ds.class_names[counts.index(1)]!r} has 1 sample(s); "
+                         "need at least 2 to split")
+    n_train = [max(1, math.floor(train_fraction * n)) if n else 0 for n in counts]
+    train, test = _cut(ds, [n_train, np.subtract(counts, n_train)], seed)
+    return ds.select(np.sort(train)), ds.select(np.sort(test))
 
 
 def build_partition_plan(
@@ -319,27 +307,29 @@ def partition(ds: Dataset, quotas: Sequence[Sequence[int]], seed: int) -> list[D
                              f"but dataset has {ds.n_classes}")
         if min(row) < 0:
             raise ValueError(f"client {k}: quotas must be non-negative")
-    rng = np.random.default_rng(seed)
-    pools: list[np.ndarray] = []
-    for class_id in range(ds.n_classes):
-        idx = np.flatnonzero(ds.labels == class_id)
+    for class_id, available in enumerate(ds.class_counts().tolist()):
         need = sum(row[class_id] for row in quotas)
-        if need > idx.size:
+        if need > available:
             raise ValueError(
                 f"unsatisfiable quota for class {ds.class_names[class_id]!r}: "
-                f"requested {need}, available {idx.size} (short {need - idx.size})"
+                f"requested {need}, available {available} (short {need - available})"
             )
-        pools.append(rng.permutation(idx))
-    cursors = [0] * ds.n_classes
-    shards: list[Dataset] = []
-    for row in quotas:
-        taken: list[np.ndarray] = []
-        for class_id, quota in enumerate(row):
-            start = cursors[class_id]
-            taken.append(pools[class_id][start : start + quota])
-            cursors[class_id] = start + quota
-        shards.append(ds.select(np.concatenate(taken)))
-    return shards
+    return [ds.select(idx) for idx in _cut(ds, quotas, seed)]
+
+
+def _cut(ds: Dataset, quotas: Sequence[Sequence[int]], seed: int) -> list[np.ndarray]:
+    """Row indices of each quota row: ``quotas[k][c]`` rows of each class ``c``.
+
+    Each class's rows are shuffled once, by one generator seeded with
+    ``seed`` in class order, and cut into consecutive runs in quota-row
+    order, so no row lands in two runs. A class of 0 or 1 rows draws nothing
+    from the generator.
+    """
+    rng = np.random.default_rng(seed)
+    ends = np.cumsum(np.reshape(quotas, (-1, ds.n_classes)), axis=0)
+    runs = [np.split(rng.permutation(np.flatnonzero(ds.labels == class_id)), ends[:, class_id])
+            for class_id in range(ds.n_classes)]
+    return [np.concatenate([pieces[k] for pieces in runs]) for k in range(len(ends))]
 
 
 @dataclass(frozen=True)

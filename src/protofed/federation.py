@@ -17,6 +17,8 @@ from .network import EvalReport, ModelParams, ModelSpec, TrainConfig, build_mode
 
 STRATEGIES = ("fedavg", "fedprox", "fedp3e")
 GMM_MAX_COMPONENTS = 5
+# Each client's share of its own rows that goes to its train split.
+TRAIN_FRACTION = 0.8
 
 # Purpose tags for deriving per-(round, client) sub-seeds.
 _SEED_SPLIT = 1
@@ -59,7 +61,6 @@ class FederationConfig:
     noise_sigma: float = 0.01
     hidden: tuple[tuple[int, float], ...] = ((128, 1e-3), (64, 1e-3))
     dropout_p: float = 0.5
-    train_fraction: float = 0.8
     scale_mode: str = "local"
     gmm_components: int | None = None
     seed: int = 0
@@ -74,7 +75,6 @@ class FederationConfig:
         if self.trigger_round > self.rounds:
             raise ValueError(f"trigger_round must be <= rounds ({self.rounds}), got {self.trigger_round}")
         check_range("noise_sigma", self.noise_sigma, ">= 0")
-        check_range("train_fraction", self.train_fraction, "in (0, 1)")
         if self.scale_mode not in ("local", "none"):
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
         if self.gmm_components is not None:
@@ -153,11 +153,11 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
 def should_trigger_exchange(history: list[RoundMetrics], cfg: FederationConfig) -> bool:
     """Decide, at the start of round len(history)+1, whether to exchange.
 
-    True exactly at the trigger round, with no prior exchange, and with the
+    True exactly at the trigger round, so at most once per run, and with the
     mean global accuracy of all earlier rounds below the threshold (an empty
     history counts as accuracy 0). Only the fedp3e strategy asks.
     """
-    if len(history) + 1 != cfg.trigger_round or any(m.exchange_triggered for m in history):
+    if len(history) + 1 != cfg.trigger_round:
         return False
     if not history:
         return True
@@ -196,7 +196,7 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
             k = min(cfg.gmm_components, rows.shape[0])
             model = em_fit(rows, k, seed)
         else:
-            _, model = select_k_bic(rows, GMM_MAX_COMPONENTS, seed)
+            model = select_k_bic(rows, GMM_MAX_COMPONENTS, seed)
         means[int(class_id)] = model.means
     return Prototypes(means)
 
@@ -224,7 +224,7 @@ def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tup
         if cfg.scale_mode == "local":
             ds = min_max_scale(ds)
         with _failing_at(f"client {k}"):
-            clients.append(stratified_split(ds, cfg.train_fraction, _int_seed(cfg.seed, _SEED_SPLIT, k)))
+            clients.append(stratified_split(ds, TRAIN_FRACTION, _int_seed(cfg.seed, _SEED_SPLIT, k)))
     return clients
 
 

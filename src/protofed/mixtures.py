@@ -166,8 +166,8 @@ def bic_score(model: GmmModel, n_samples: int) -> float:
     return p * math.log(n_samples) - 2.0 * model.log_likelihood
 
 
-def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> tuple[int, GmmModel]:
-    """Fit K = 1..min(k_max, n) mixtures and keep the BIC argmin.
+def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> GmmModel:
+    """Fit K = 1..min(k_max, n) mixtures and return the BIC argmin.
 
     Ties break toward smaller K, and fewer than two samples force K = 1.
     Candidate fits use child seeds spawned from ``seed`` in K order, so the
@@ -179,13 +179,13 @@ def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> tuple[int, GmmModel]:
     check_range("k_max", k_max, "integer >= 1")
     k_hi = 1 if X.shape[0] < 2 else min(k_max, X.shape[0])
     children = np.random.SeedSequence(seed).spawn(k_hi)
-    best_k, best_model, best_bic = 0, None, np.inf
+    best_model, best_bic = None, np.inf
     for k in range(1, k_hi + 1):
         model = em_fit(X, k, children[k - 1])
         score = bic_score(model, X.shape[0])
         if score < best_bic:
-            best_k, best_model, best_bic = k, model, score
-    return best_k, best_model
+            best_model, best_bic = model, score
+    return best_model
 
 
 def _entry_seed(seed: int, class_id: int, row: np.ndarray) -> np.random.SeedSequence:

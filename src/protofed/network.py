@@ -345,40 +345,22 @@ class TrainConfig:
             check_range(name, getattr(self, name), rule)
 
 
-@dataclass
-class AdamState:
-    """First and second moment estimates, laid out like ``ModelParams.flat``."""
+def adam_step(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              learning_rate: float) -> None:
+    """Adam's ``t``-th bias-corrected update of ``flat``, in place.
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def init_adam(params: ModelParams) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
-
-
-def adam_step(
-    params: ModelParams,
-    grad: np.ndarray,
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of the flat trainable vector, in place.
-
-    Like an optimizer's ``step()``, it updates ``params.flat`` and ``state``
-    (m, v and t) in place and returns the same two objects.
+    Like an optimizer's ``step()``, it updates ``flat`` and the moment
+    estimates ``m`` and ``v`` (laid out like ``flat``) in place; ``t``
+    counts steps from 1.
     """
-    if grad.shape != params.flat.shape:
-        raise ValueError(f"shape mismatch: grad {grad.shape} vs params {params.flat.shape}")
-    state.t += 1
-    t = state.t
+    if grad.shape != flat.shape:
+        raise ValueError(f"shape mismatch: grad {grad.shape} vs params {flat.shape}")
+    check_range("t", t, "integer >= 1")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     # Each line keeps the elementwise order of
     #   m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad * grad
     #   flat -= lr * m_hat / (sqrt(v_hat) + epsilon)
     # so the result is bit for bit that of the out-of-place expressions.
-    flat, m, v = params.flat, state.m, state.v
     step = grad * (1.0 - b1)
     m *= b1
     m += step
@@ -387,13 +369,12 @@ def adam_step(
     v *= b2
     v += step
     np.divide(m, 1.0 - b1**t, out=step)
-    step *= config.learning_rate
+    step *= learning_rate
     denom = v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPSILON
     step /= denom
     flat -= step
-    return params, state
 
 
 def train_local(
@@ -418,7 +399,8 @@ def train_local(
     work = params.copy()
     grad = ModelParams(spec)
     stats, batch_stats = work.stats, grad.stats
-    state = init_adam(work)
+    m, v = np.zeros_like(work.flat), np.zeros_like(work.flat)
+    t = 0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = ds.n_samples
     history: list[float] = []
@@ -447,7 +429,8 @@ def train_local(
                 stats *= BN_MOMENTUM
                 batch_stats *= 1.0 - BN_MOMENTUM
                 stats += batch_stats
-                adam_step(work, grad.flat, state, config)
+                t += 1
+                adam_step(work.flat, grad.flat, m, v, t, config.learning_rate)
                 total += loss * (stop - start)
             history.append(total / n)
     return work, history

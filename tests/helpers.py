@@ -189,8 +189,7 @@ def stated_spec(raw: dict) -> RunSpec:
         target_fraction=fed["aug"]["target_fraction"],
         threshold=fed["threshold"], trigger_round=fed["trigger_round"], noise_sigma=fed["noise_sigma"],
         hidden=tuple(tuple(layer) for layer in model["hidden"]), dropout_p=model["dropout_p"],
-        train_fraction=fed["train_fraction"], scale_mode=fed["scale_mode"],
-        gmm_components=fed["gmm_components"], seed=raw["seed"],
+        scale_mode=fed["scale_mode"], gmm_components=fed["gmm_components"], seed=raw["seed"],
     )
     return RunSpec(data, raw["partition"]["scenario"], raw["partition"]["n_clients"], federation,
                    tuple(fed["strategies"]), raw["output_dir"])

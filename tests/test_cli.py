@@ -54,6 +54,7 @@ RETIRED = [
     ("federation", "global_prototypes_per_class", None),
     ("federation", "aggregate_running_stats", True),
     ("federation", "gmm_max_components", 5),
+    ("federation", "train_fraction", 0.8),
     ("federation.train", "adam_beta1", 0.9),
     ("federation.train", "adam_beta2", 0.999),
     ("federation.train", "adam_epsilon", 1e-7),
@@ -203,7 +204,7 @@ class TestParseConfig:
             rounds=7, train=train, target_fraction=0.2, threshold=0.9,
             trigger_round=3, noise_sigma=0.02,
             hidden=((7, 0.002), (5, 0.0)), dropout_p=0.25,
-            train_fraction=0.7, scale_mode="none", gmm_components=2, seed=8,
+            scale_mode="none", gmm_components=2, seed=8,
         )
         spec = RunSpec(data, "light", 2, federation, ("fedprox", "fedp3e"), "elsewhere")
         for obj in (spec, federation, train):
@@ -220,7 +221,7 @@ class TestParseConfig:
                 "train": {"epochs": 3, "batch_size": 9, "learning_rate": 0.02, "prox_mu": 0.3},
                 "aug": {"target_fraction": 0.2},
                 "model": model,
-                "train_fraction": 0.7, "scale_mode": "none", "gmm_components": 2,
+                "scale_mode": "none", "gmm_components": 2,
             },
         }
         path = tmp_path / "every_field.json"
@@ -834,8 +835,8 @@ class TestMain:
 
     @pytest.mark.parametrize("section, key, kept, value", [
         pytest.param(section, key, kept, value, id=f"{key}-{value}")
-        for (section, key, kept), value in [*zip(RETIRED, ("uniform", 3, False, 4, 0.8, 0.99, 1e-6,
-                                                           "missing_only")),
+        for (section, key, kept), value in [*zip(RETIRED, ("uniform", 3, False, 4, 0.7, 0.8, 0.99,
+                                                           1e-6, "missing_only")),
                                             (RETIRED[2], 1)]
     ])
     def test_retired_key_off_its_old_value_is_a_usage_error(self, tmp_path, capsys, section, key,

@@ -347,6 +347,100 @@ class TestPartition:
             pf.partition(self.make_ds([5, 5]), quotas, seed=0)
 
 
+def reference_stratified_split(ds, train_fraction, seed):
+    """stratified_split's own per-class loop, from before it shared partition's cut."""
+    if ds.n_samples == 0:
+        raise ValueError("cannot split an empty dataset")
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for class_id in range(ds.n_classes):
+        idx = np.flatnonzero(ds.labels == class_id)
+        if idx.size == 0:
+            continue
+        if idx.size < 2:
+            raise ValueError(
+                f"class {ds.class_names[class_id]!r} has {idx.size} sample(s); "
+                "need at least 2 to split"
+            )
+        perm = rng.permutation(idx)
+        n_train = max(1, math.floor(train_fraction * idx.size))
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
+    return ds.select(np.sort(np.concatenate(train_idx))), ds.select(np.sort(np.concatenate(test_idx)))
+
+
+def reference_partition(ds, quotas, seed):
+    """partition's own per-class loop, from before it shared stratified_split's cut."""
+    rng = np.random.default_rng(seed)
+    pools = []
+    for class_id in range(ds.n_classes):
+        idx = np.flatnonzero(ds.labels == class_id)
+        need = sum(row[class_id] for row in quotas)
+        if need > idx.size:
+            raise ValueError(
+                f"unsatisfiable quota for class {ds.class_names[class_id]!r}: "
+                f"requested {need}, available {idx.size} (short {need - idx.size})"
+            )
+        pools.append(rng.permutation(idx))
+    cursors = [0] * ds.n_classes
+    shards = []
+    for row in quotas:
+        taken = []
+        for class_id, quota in enumerate(row):
+            taken.append(pools[class_id][cursors[class_id] : cursors[class_id] + quota])
+            cursors[class_id] += quota
+        shards.append(ds.select(np.concatenate(taken)))
+    return shards
+
+
+def outcome(split, *args):
+    """The bytes of each Dataset ``split`` returns, or the error it raises."""
+    try:
+        parts = split(*args)
+    except ValueError as err:
+        return str(err)
+    return [(part.features.tobytes(), part.labels.tobytes()) for part in parts]
+
+
+@st.composite
+def shuffled_classes(draw):
+    """A Dataset of classes with 0, 1 or many rows, its labels in a drawn order
+    and each row's features unique."""
+    counts = draw(st.lists(st.one_of(st.just(0), st.just(1), st.integers(2, 30)),
+                           min_size=1, max_size=4))
+    labels = np.repeat(np.arange(len(counts)), counts)
+    labels = np.random.default_rng(draw(st.integers(0, 1000))).permutation(labels)
+    features = np.arange(2.0 * labels.size).reshape(-1, 2)
+    return pf.Dataset(features, labels, tuple(f"c{i}" for i in range(len(counts))))
+
+
+class TestSharedCut:
+    """partition and stratified_split, sharing one per-class cut, give the
+    bytes and errors of the per-class loops each used to run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_classes(), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_partition_matches_its_reference_loop(self, ds, n_clients, seed, data):
+        # Each class's quotas are the gaps between sorted cuts in [0, count],
+        # so they fit, until a drawn excess is added to one of them.
+        columns = []
+        for count in ds.class_counts().tolist():
+            cuts = sorted(data.draw(st.lists(st.integers(0, count), min_size=n_clients,
+                                             max_size=n_clients)))
+            columns.append(np.diff([0, *cuts]).tolist())
+        quotas = [list(row) for row in zip(*columns)]
+        if quotas:
+            excess = data.draw(st.integers(0, 2))
+            quotas[0][data.draw(st.integers(0, ds.n_classes - 1))] += excess
+        assert outcome(pf.partition, ds, quotas, seed) == outcome(reference_partition, ds, quotas, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_classes(), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+    def test_stratified_split_matches_its_reference_loop(self, ds, train_fraction, seed):
+        assert (outcome(pf.stratified_split, ds, train_fraction, seed)
+                == outcome(reference_stratified_split, ds, train_fraction, seed))
+
+
 class TestSynthesize:
     def test_counts_balanced(self):
         ds = pf.synthesize(pf.SyntheticSpec(n_classes=3, dims=10, cluster_spread=0.05,

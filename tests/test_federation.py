@@ -140,7 +140,7 @@ class TestScaleClients:
             pf.split_clients(small_config(), [shards[0], one_row, shards[2]])
 
 
-def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
+def fake_metrics(round_index, accuracy, n_clients=3):
     report = pf.EvalReport(accuracy, accuracy, accuracy, accuracy, 0.5, 100)
     return pf.RoundMetrics(
         round_index=round_index,
@@ -148,7 +148,7 @@ def fake_metrics(round_index, accuracy, exchanged=False, n_clients=3):
         model_floats=100,
         proto_upload_floats=(0,) * n_clients,
         proto_download_floats=0,
-        exchange_triggered=exchanged,
+        exchange_triggered=False,
     )
 
 
@@ -179,10 +179,6 @@ class TestShouldTriggerExchange:
 
     def test_only_fires_at_trigger_round(self):
         history = [fake_metrics(t, 0.5) for t in range(1, 7)]  # next round is 7
-        assert pf.should_trigger_exchange(history, self.config()) is False
-
-    def test_never_fires_twice(self):
-        history = [fake_metrics(t, 0.5, exchanged=(t == 3)) for t in range(1, 6)]
         assert pf.should_trigger_exchange(history, self.config()) is False
 
     def test_other_strategies_never_fire(self, monkeypatch):

@@ -179,15 +179,13 @@ class TestWholeFitOracle:
 
 class TestSelectKBic:
     def test_single_sample_forces_one_component(self):
-        k, model = pf.select_k_bic(np.array([[0.5, 0.5]]), k_max=5, seed=0)
-        assert k == 1
+        model = pf.select_k_bic(np.array([[0.5, 0.5]]), k_max=5, seed=0)
         assert model.n_components == 1
 
     def test_tight_blob_selects_one(self):
         rng = np.random.default_rng(6)
         x = blob(rng, 0.0, 0.2, 500, 2)
-        k, _ = pf.select_k_bic(x, k_max=5, seed=3)
-        assert k == 1
+        assert pf.select_k_bic(x, k_max=5, seed=3).n_components == 1
 
     def test_three_blobs_select_three(self):
         rng = np.random.default_rng(7)
@@ -196,8 +194,7 @@ class TestSelectKBic:
             blob(rng, (2.0, 0.0), 0.08, 200, 2),
             blob(rng, (0.0, 2.0), 0.08, 200, 2),
         ])
-        k, _ = pf.select_k_bic(x, k_max=5, seed=3)
-        assert k == 3
+        assert pf.select_k_bic(x, k_max=5, seed=3).n_components == 3
 
     def test_matches_brute_force_bic_table(self):
         rng = np.random.default_rng(8)
@@ -205,7 +202,7 @@ class TestSelectKBic:
             x = rng.random((rng.integers(20, 60), 2)) * rng.uniform(0.5, 2.0)
             seed = int(rng.integers(0, 1000))
             k_max = 4
-            picked_k, picked_model = pf.select_k_bic(x, k_max=k_max, seed=seed)
+            picked_model = pf.select_k_bic(x, k_max=k_max, seed=seed)
             # independent table: refit each candidate and recompute the score
             children = np.random.SeedSequence(seed).spawn(min(k_max, x.shape[0]))
             table = []
@@ -213,7 +210,7 @@ class TestSelectKBic:
                 model = pf.em_fit(x, k, children[k - 1])
                 p = (k - 1) + k * x.shape[1] + k * x.shape[1]
                 table.append(p * np.log(x.shape[0]) - 2.0 * model.log_likelihood)
-            assert picked_k == int(np.argmin(table)) + 1
+            assert picked_model.n_components == int(np.argmin(table)) + 1
             assert pf.bic_score(picked_model, x.shape[0]) == pytest.approx(min(table))
 
     def test_free_parameter_count(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.cli import CsvSource, RunSpec
-from protofed.network import BN_MOMENTUM, _loss_and_grad, init_adam, loss_and_grads
+from protofed.network import BN_MOMENTUM, _loss_and_grad, loss_and_grads
 from helpers import fd_max_relative_error, randomized_params, two_blob_dataset
 
 REFERENCE_SPEC = pf.ModelSpec(115, ((128, 1e-3), (64, 1e-3)), 0.5, 3)
@@ -153,25 +153,30 @@ class TestLossAndGrads:
         assert fd_max_relative_error(spec_dropout, seed=3, mode="train", dropout_mask=mask) <= 1e-4
 
 
+def _adam_step(params, grad, t=1, learning_rate=1e-4):
+    """One Adam step of ``params.flat`` from zero moments; returns the moments."""
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    pf.adam_step(params.flat, grad, m, v, t, learning_rate)
+    return m, v
+
+
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         before = params.flat.copy()
-        grads = np.zeros_like(params.flat)
-        stepped, state = pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
-        assert np.array_equal(stepped.flat, before)
-        assert state.t == 1
+        m, v = _adam_step(params, np.zeros_like(params.flat))
+        assert np.array_equal(params.flat, before)
+        assert not m.any() and not v.any()
 
-    def test_steps_in_place_and_returns_its_arguments(self):
+    def test_steps_in_place_and_returns_none(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         flat, stats = params.flat, params.stats.copy()
-        state = init_adam(params)
-        m, v = state.m, state.v
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
         grads = np.linspace(-1.0, 1.0, params.flat.size)
         for t in (1, 2):
-            stepped, new_state = pf.adam_step(params, grads, state, pf.TrainConfig())
-            assert stepped is params and new_state is state and state.t == t
-        assert params.flat is flat and state.m is m and state.v is v
+            assert pf.adam_step(params.flat, grads, m, v, t, 1e-4) is None
+        assert params.flat is flat
+        assert m.any() and v.any()
         assert np.array_equal(params.stats, stats)
         assert not np.array_equal(params.flat, pf.build_model(params.spec, seed=0).flat)
 
@@ -181,15 +186,14 @@ class TestAdamStep:
         params = pf.build_model(spec, seed=0)
         params.tensors["w_out"][...] = np.array([[0.0]])
         grads = np.array([1.0, 0.0])  # w_out, b_out
-        config = pf.TrainConfig(learning_rate=0.1)
-        stepped, _ = pf.adam_step(params, grads, init_adam(params), config)
-        assert stepped.tensors["w_out"][0, 0] == pytest.approx(-0.1, abs=1e-6)
+        _adam_step(params, grads, learning_rate=0.1)
+        assert params.tensors["w_out"][0, 0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):
         params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
         grads = np.zeros(params.flat.size + 1)  # b1 one entry too long
         with pytest.raises(ValueError, match="shape mismatch"):
-            pf.adam_step(params, grads, init_adam(params), pf.TrainConfig())
+            _adam_step(params, grads)
 
 
 class TestTrainLocal:
@@ -202,13 +206,13 @@ class TestTrainLocal:
         assert len(history) == 3
         # oracle: replay the same three full-batch steps by hand
         work = start.copy()
-        state = init_adam(work)
+        m, v = np.zeros_like(work.flat), np.zeros_like(work.flat)
         rng = np.random.default_rng(np.random.SeedSequence(9))
-        for _ in range(3):
+        for t in (1, 2, 3):
             order = rng.permutation(ds.n_samples)
             _, grads = loss_and_grads(work, ds.features[order], ds.labels[order], mode="train")
             grads = np.concatenate([g.ravel() for g in grads.values()])
-            work, state = pf.adam_step(work, grads, state, config)
+            pf.adam_step(work.flat, grads, m, v, t, config.learning_rate)
         assert np.array_equal(trained.flat, work.flat)
 
     def test_learns_separable_blobs(self):
@@ -277,7 +281,8 @@ class TestTrainLocal:
         spec, p = start.spec, start.spec.dropout_p
         work, grad = start.copy(), pf.ModelParams(spec)
         stats, batch_stats = work.stats, grad.stats
-        state = init_adam(work)
+        m, v = np.zeros_like(work.flat), np.zeros_like(work.flat)
+        t = 0  # counts steps across epochs
         rng = np.random.default_rng(np.random.SeedSequence(5))
         expected = []
         for _ in range(config.epochs):
@@ -291,7 +296,8 @@ class TestTrainLocal:
                 stats *= BN_MOMENTUM
                 batch_stats *= 1.0 - BN_MOMENTUM
                 stats += batch_stats
-                pf.adam_step(work, grad.flat, state, config)
+                t += 1
+                pf.adam_step(work.flat, grad.flat, m, v, t, config.learning_rate)
                 total += loss * idx.size
             expected.append(total / ds.n_samples)
         assert history == expected
@@ -495,8 +501,6 @@ _FLOAT_SETTINGS = [
     ("federation-noise_sigma", "noise_sigma", ">= 0", lambda v: pf.FederationConfig(noise_sigma=v)),
     ("federation-target_fraction", "target_fraction", "in (0, 1]",
      lambda v: pf.FederationConfig(target_fraction=v)),
-    ("federation-train_fraction", "train_fraction", "in (0, 1)",
-     lambda v: pf.FederationConfig(train_fraction=v)),
     ("split-train_fraction", "train_fraction", "in (0, 1)",
      lambda v: pf.stratified_split(two_blob_dataset(4, 2, 0.1, seed=0), v, seed=0)),
     ("cluster_spread", "cluster_spread", "> 0",
@@ -590,6 +594,8 @@ _COUNT_SETTINGS = [
     ("class_id", "class ids", 0, lambda v: pf.Prototypes({v: [[0.0]]})),
     ("n_components", "n_components", 1, lambda v: pf.em_fit(np.eye(2), v, 0)),
     ("k_max", "k_max", 1, lambda v: pf.select_k_bic(np.eye(2), v, 0)),
+    ("adam-t", "t", 1,
+     lambda v: pf.adam_step(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), v, 0.1)),
 ]
 
 
