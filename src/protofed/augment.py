@@ -24,16 +24,14 @@ def augment(
 ) -> Dataset:
     """Append synthetic rows drawn from ``seed`` for the locally under-represented classes.
 
-    The eligible classes are those with fewer rows than the local mean count,
-    locally absent classes included. The budget is
+    The eligible classes are those ``gp`` covers with fewer rows than the
+    local mean count, locally absent classes included; a class no silo holds
+    has no prototypes, so it gets no rows. The budget is
     round(target_fraction * |local|), split evenly across them with the
     remainder going to the locally rarest one. Multi-prototype classes
     interpolate a seeded pair of distinct prototypes with a uniform
     coefficient; a single-prototype class falls back to Gaussian jitter at
     ``noise_sigma``.
-
-    Raises:
-        ValueError: an eligible class has no prototypes in ``gp``.
     """
     check_range("target_fraction", target_fraction, "in (0, 1]")
     check_range("noise_sigma", noise_sigma, ">= 0")
@@ -43,13 +41,7 @@ def augment(
         raise ValueError("global prototypes cover no classes")
     counts = local.class_counts()
     mean = local.n_samples / local.n_classes
-    eligible = [c for c in range(local.n_classes) if counts[c] < mean]
-    for class_id in eligible:
-        if class_id not in gp.by_class:
-            raise ValueError(
-                f"augmentation selects class {local.class_names[class_id]!r} "
-                "but no prototypes were received for it"
-            )
+    eligible = [c for c in range(local.n_classes) if counts[c] < mean and c in gp.by_class]
     budget = round(target_fraction * local.n_samples)
     if not eligible or budget == 0:
         return local

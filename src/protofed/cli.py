@@ -26,7 +26,6 @@ from .federation import (
     TRAIN_FRACTION,
     FederationConfig,
     RoundMetrics,
-    check_round_one_exchange,
     check_strategy,
     exchange_cost_ratios,
     exchange_round,
@@ -321,7 +320,6 @@ def _execute(spec: RunSpec) -> None:
     del ds
     clients = split_clients(spec.federation, shards)
     del shards
-    check_round_one_exchange(spec.federation, clients, spec.strategies)
     # Every strategy runs before the first write, so a failed run writes nothing.
     runs = [(s, run_federation(spec.federation, clients, s)) for s in spec.strategies]
 

@@ -70,12 +70,11 @@ def minibatch_kmeans(
 def choose_cluster_count(n_prototypes: int) -> int:
     """Heuristic number of global prototypes for a class.
 
-    ceil(4/9 of the received prototypes), at least 1, never more than the
-    prototypes available nor CLUSTER_CAP.
+    ceil(4/9 of the received prototypes), never more than CLUSTER_CAP; for
+    n >= 1 the ceiling lies in [1, n].
     """
     check_range("n_prototypes", n_prototypes, "integer >= 1")
-    k = math.ceil(n_prototypes * 4.0 / 9.0)
-    return max(1, min(k, n_prototypes, CLUSTER_CAP))
+    return min(math.ceil(n_prototypes * 4.0 / 9.0), CLUSTER_CAP)
 
 
 @dataclass(frozen=True)

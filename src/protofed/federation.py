@@ -228,25 +228,6 @@ def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tup
     return clients
 
 
-def check_round_one_exchange(
-    cfg: FederationConfig, clients: list[tuple[Dataset, Dataset]], strategies: Sequence[str]
-) -> None:
-    """Reject a fedp3e run whose round-1 exchange must fail, before any strategy trains.
-
-    At ``trigger_round == 1`` the exchange always fires, and a class with no
-    row in any client's train split gets no prototypes, yet it is below every
-    client's mean class count, so augmentation selects it. A later exchange
-    may never fire.
-    """
-    if "fedp3e" not in strategies or cfg.trigger_round != 1:
-        return
-    held = np.sum([train.class_counts() for train, _ in clients], axis=0)
-    if not held.all():
-        name = clients[0][0].class_names[int(np.argmin(held))]
-        raise FederationError(f"round 1: no client holds a training row of class {name!r}, "
-                              "so fedp3e's exchange has no prototypes of it")
-
-
 def _exchange(
     cfg: FederationConfig, train_sets: list[Dataset], r: int
 ) -> tuple[tuple[int, ...], int]:

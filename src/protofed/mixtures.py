@@ -177,7 +177,7 @@ def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> GmmModel:
     if X.shape[0] == 0:
         raise ValueError("cannot select components for an empty matrix")
     check_range("k_max", k_max, "integer >= 1")
-    k_hi = 1 if X.shape[0] < 2 else min(k_max, X.shape[0])
+    k_hi = min(k_max, X.shape[0])
     children = np.random.SeedSequence(seed).spawn(k_hi)
     best_model, best_bic = None, np.inf
     for k in range(1, k_hi + 1):

@@ -114,11 +114,20 @@ class TestAugment:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_eligible_class_without_prototypes_rejected(self):
-        local = make_local([50], n_classes=3)
-        gp = make_gp({1: [[0.5] * 3, [0.6] * 3]})  # class 2 missing from gp
-        with pytest.raises(ValueError, match="'c2'.*no prototypes"):
-            pf.augment(local, gp, 0.10, 0.01, 9)
+    def test_eligible_class_without_prototypes_gets_no_rows(self):
+        # Mean count 22: classes 1, 2 and 3 are below it, but gp lacks class 3.
+        local = make_local([70, 10, 8], n_classes=4)
+        gp = make_gp({c: [[0.1 * c] * 3, [0.1 * c + 0.05] * 3] for c in range(3)})
+        out = pf.augment(local, gp, 0.10, 0.01, 9)
+        budget, rows = round(0.10 * 88), local.class_counts().copy()
+        rows[1] += budget // 2
+        rows[2] += budget // 2 + budget % 2  # the rarest covered class, not class 3
+        assert out.class_counts().tolist() == rows.tolist()
+
+    def test_no_covered_eligible_class_is_identity(self):
+        local = make_local([50], n_classes=3)  # classes 1 and 2 are eligible
+        gp = make_gp({0: [[0.5] * 3, [0.6] * 3]})
+        assert pf.augment(local, gp, 0.10, 0.01, 9) is local
 
     def test_single_prototype_jitter_fallback(self):
         local = make_local([60], n_classes=2)

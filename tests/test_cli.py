@@ -460,8 +460,9 @@ class TestRun:
 
     @staticmethod
     def _class_without_rows(tmp_path, trigger_round):
-        """fedavg then fedp3e on two severe clients over three classes, so no
-        client holds a row of the third class."""
+        """fedavg then fedp3e, exchanging at ``trigger_round``, on two severe
+        clients over three classes: no client holds a row of the third class,
+        so the broadcast has no prototypes of it."""
         path = minimal_config(tmp_path)
         raw = json.loads(path.read_text())
         raw["partition"]["n_clients"] = 2
@@ -469,9 +470,13 @@ class TestRun:
         path.write_text(json.dumps(raw))
         return path
 
-    def test_failed_run_leaves_output_dir_untouched(self, tmp_path, capsys):
-        # fedavg finishes; fedp3e then fails in its round-2 exchange, which
-        # has no prototypes of the third class.
+    def test_failed_run_leaves_output_dir_untouched(self, tmp_path, capsys, monkeypatch):
+        # fedavg finishes; fedp3e then fails in its round-2 exchange, the only
+        # place augmentation runs.
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(federation, "augment", boom)
         path = self._class_without_rows(tmp_path, trigger_round=2)
         out = tmp_path / "out"
         out.mkdir()
@@ -574,18 +579,32 @@ class TestRun:
         assert all((out / name).read_bytes() == data for name, data in others.items())
         assert list(json.loads((out / "summary.json").read_text())["strategies"]) == ["fedavg"]
 
-    def test_round_one_exchange_without_a_class_fails_before_training(self, tmp_path, capsys,
-                                                                        monkeypatch):
-        # A round-1 exchange always fires, so its failure is certain.
-        calls = []
-        monkeypatch.setattr(federation, "train_local", lambda *args, **kwargs: calls.append(args))
-        path = self._class_without_rows(tmp_path, trigger_round=1)
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err == ("error: round 1: no client holds a training row of class 'class_2', "
-                       "so fedp3e's exchange has no prototypes of it\n")
-        assert calls == []
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("trigger_round", [1, 2])
+    def test_exchange_without_a_class_anywhere_runs(self, tmp_path, trigger_round):
+        # The class no client holds has no prototypes, so it gets no synthetic rows.
+        path = self._class_without_rows(tmp_path, trigger_round=trigger_round)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"]["fedp3e"]["exchange_round"] == trigger_round
+        assert all(_finite_cells(p) for p in out.glob("*.csv"))
+
+    def test_csv_dir_without_mirai_captures_runs_fedp3e(self, tmp_path):
+        # Some N-BaIoT devices have no Mirai captures, so a device subset can
+        # lack that class on every silo.
+        root = tmp_path / "nbaiot"
+        write_nbaiot_layout(root, seed=8, devices=1, rows=12)
+        for mirai in root.glob("*.mirai.*.csv"):
+            mirai.unlink()
+        path = minimal_config(tmp_path, data={"csv_dir": {"path": str(root)}},
+                              partition={"scenario": "iid", "n_clients": 3})
+        raw = json.loads(path.read_text())
+        raw["federation"].update({"strategies": ["fedp3e"], "trigger_round": 1})
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"]["fedp3e"]["exchange_round"] == 1
 
     def test_more_clients_than_rows_fails_before_the_partition_plan(self, tmp_path, capsys,
                                                                      monkeypatch):

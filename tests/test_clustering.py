@@ -61,6 +61,10 @@ class TestChooseClusterCount:
     def test_cap_override(self):
         assert pf.choose_cluster_count(30) == 4
 
+    @pytest.mark.parametrize("n, expected", [(3, 2), (4, 2), (8, 4), (10, 4)])
+    def test_ceil_of_four_ninths_up_to_the_cap(self, n, expected):
+        assert pf.choose_cluster_count(n) == expected
+
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             pf.choose_cluster_count(0)
