@@ -38,7 +38,6 @@ from .federation import (
     split_clients,
 )
 from .mixtures import (
-    GmmModel,
     bic_score,
     em_fit,
     perturb,
@@ -60,7 +59,6 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "FederationConfig",
-    "GmmModel",
     "ModelParams",
     "ModelSpec",
     "Prototypes",

@@ -31,20 +31,6 @@ class GmmModel:
     covariances: np.ndarray
     log_likelihood_history: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        covs = np.asarray(self.covariances, dtype=np.float64)
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        if (weights <= 0).any():
-            raise ValueError("all mixture weights must be > 0")
-        if (covs < COVARIANCE_FLOOR - 1e-15).any():
-            raise ValueError(f"covariance entries must be >= {COVARIANCE_FLOOR}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
-
     @property
     def log_likelihood(self) -> float:
         """The fitted model's log-likelihood: the history's last entry."""

@@ -151,3 +151,13 @@ class TestAugment:
             pf.augment(local, gp, 0.0, 0.01, 12)
         with pytest.raises(ValueError, match="^noise_sigma must be >= 0, got -0.01$"):
             pf.augment(local, gp, 0.10, -0.01, 12)
+
+    def test_empty_local_set_rejected(self):
+        local = make_local([0, 0])
+        gp = make_gp({0: [[0.1] * 3], 1: [[0.9] * 3]})
+        with pytest.raises(ValueError, match="^cannot augment an empty dataset$"):
+            pf.augment(local, gp, 0.10, 0.01, 13)
+
+    def test_prototypes_covering_no_class_rejected(self):
+        with pytest.raises(ValueError, match="^global prototypes cover no classes$"):
+            pf.augment(make_local([50, 5]), pf.Prototypes({}), 0.10, 0.01, 14)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import protofed as pf
+from protofed.clustering import kmeans_plusplus
 from helpers import kmeans_sse, lloyd_kmeans
 
 
@@ -38,6 +39,15 @@ class TestMinibatchKmeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             pf.minibatch_kmeans(np.zeros((2, 2)), 3, seed=0)
+
+    def test_seeding_more_centers_than_points_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^n_clusters=3 exceeds 2 points$"):
+            kmeans_plusplus(np.zeros((2, 2)), 3, rng)
+
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match=r"^points must be 2-D, got shape \(4,\)$"):
+            pf.minibatch_kmeans(np.zeros(4), 1, seed=0)
 
     def test_centroids_stay_in_coordinate_bounds(self):
         rng = np.random.default_rng(5)

@@ -480,6 +480,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="rows but labels"):
             pf.Dataset(np.zeros((3, 2)), [0, 1], ("a", "b"))
 
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(3,\)$"):
+            pf.Dataset(np.zeros(3), [0, 1, 0], ("a", "b"))
+
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(ValueError, match=r"^labels must be 1-D, got shape \(3, 1\)$"):
+            pf.Dataset(np.zeros((3, 2)), [[0], [1], [0]], ("a", "b"))
+
+    def test_empty_class_names_rejected(self):
+        with pytest.raises(ValueError, match="^class_names must not be empty$"):
+            pf.Dataset(np.zeros((0, 2)), [], ())
+
     def test_arrays_are_frozen(self):
         ds = pf.Dataset(np.zeros((2, 2)), [0, 0], ("a",))
         with pytest.raises(ValueError):

@@ -127,6 +127,10 @@ class TestEmFit:
         with pytest.raises(ValueError, match="exceeds"):
             pf.em_fit(np.zeros((2, 2)), 3, seed=0)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(5,\)$"):
+            pf.em_fit(np.zeros(5), 1, seed=0)
+
     def test_non_finite_input_rejected(self):
         x = np.ones((5, 2))
         x[0, 0] = np.nan

@@ -141,6 +141,11 @@ class TestLossAndGrads:
         with pytest.raises(ValueError, match="w_global"):
             loss_and_grads(params, np.zeros((2, 3)), np.zeros(2, dtype=int), prox_mu=0.5)
 
+    def test_unknown_mode_rejected(self):
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        with pytest.raises(ValueError, match="^mode must be 'train' or 'eval', got 'test'$"):
+            loss_and_grads(params, np.zeros((2, 3)), np.zeros(2, dtype=int), mode="test")
+
     def test_gradients_match_finite_differences(self):
         spec = pf.ModelSpec(2, ((3, 0.0),), 0.0, 2)
         assert fd_max_relative_error(spec, seed=0, mode="eval") <= 1e-4
@@ -350,6 +355,12 @@ class TestEvaluate:
         ds = pf.Dataset(np.zeros((3, 3)), np.array([0, 1, 2]), ("a", "b", "c"))
         with pytest.raises(ValueError, match="^labels outside the model's class range$"):
             run(params, ds)
+
+    def test_empty_dataset_rejected(self):
+        params = pf.build_model(pf.ModelSpec(3, ((4, 0.0),), 0.0, 2), seed=0)
+        ds = pf.Dataset(np.empty((0, 3)), [], ("a", "b"))
+        with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
+            pf.evaluate(params, ds)
 
     def test_loss_excludes_regularizers(self):
         ds = two_blob_dataset(10, 3, 0.1, seed=3)
