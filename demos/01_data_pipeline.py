@@ -22,7 +22,7 @@ scaled = pf.min_max_scale(data)
 print(f"\nafter scaling: min={scaled.features.min():.3f} max={scaled.features.max():.3f}")
 
 # 80/20 stratified split, seeded.
-train, test = pf.stratified_split(scaled, 0.8, seed=1)
+train, test = pf.stratified_split(scaled, seed=1)
 print(f"split: train={train.n_samples} test={test.n_samples}")
 print("train class counts:", train.class_counts().tolist())
 

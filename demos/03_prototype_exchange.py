@@ -16,7 +16,7 @@ class_rows = np.vstack([
 ])
 
 # The mixture size is chosen by the Bayesian Information Criterion.
-model = pf.select_k_bic(class_rows, k_max=5, seed=1)
+model = pf.select_k_bic(class_rows, seed=1)
 print(f"BIC selects {model.n_components} components; weights={np.round(model.weights, 3)}")
 print("component means (first 2 dims):")
 print(np.round(model.means[:, :2], 3))

@@ -14,6 +14,7 @@ from ._checks import check_range
 from .datasets import (
     Dataset,
     SCENARIOS,
+    TRAIN_FRACTION,
     SyntheticSpec,
     build_partition_plan,
     load_csv_dir,
@@ -21,9 +22,7 @@ from .datasets import (
     synthesize,
 )
 from .federation import (
-    GMM_MAX_COMPONENTS,
     STRATEGIES,
-    TRAIN_FRACTION,
     FederationConfig,
     RoundMetrics,
     check_strategy,
@@ -32,6 +31,7 @@ from .federation import (
     run_federation,
     split_clients,
 )
+from .mixtures import GMM_MAX_COMPONENTS
 from .network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EvalReport, TrainConfig
 
 # Output column name of each EvalReport score, in column order.

@@ -49,8 +49,6 @@ def minibatch_kmeans(
         raise ValueError(f"points must be 2-D, got shape {pts.shape}")
     n = pts.shape[0]
     check_range("n_clusters", n_clusters, "integer >= 1")
-    if n_clusters > n:
-        raise ValueError(f"n_clusters={n_clusters} exceeds {n} points")
     rng = np.random.default_rng(seed)
     centers = kmeans_plusplus(pts, n_clusters, rng).copy()
     counts = np.zeros(n_clusters)
@@ -105,7 +103,7 @@ class Prototypes:
         return sum(rows.size for rows in self.by_class.values())
 
 
-def aggregate_prototypes(uploads: Sequence[Prototypes], seed: int = 0) -> Prototypes:
+def aggregate_prototypes(uploads: Sequence[Prototypes], seed: int) -> Prototypes:
     """Join uploaded prototypes by class and recluster each class's rows.
 
     ``choose_cluster_count`` picks each class's number of centroids. Points

@@ -16,6 +16,7 @@ from ._checks import check_range
 # Skew decay of each partition scenario, from IID (1) to one class per client (0).
 _DECAY = {"iid": 1.0, "light": 0.5, "moderate": 0.15, "severe": 0.0}
 SCENARIOS = tuple(_DECAY)
+TRAIN_FRACTION = 0.8  # the share of each class's rows that stratified_split puts in train
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ def load_csv_dir(path: str | Path) -> Dataset:
     Raises:
         FileNotFoundError: missing directory.
         ValueError: no CSV files, unmatched file name, bytes that are not
-            UTF-8, column count mismatch (a blank line counts as a row of 0
-            columns), or a non-numeric or non-finite cell (the error names
-            the file and row).
+            UTF-8, a NUL character, column count mismatch (a blank line
+            counts as a row of 0 columns), or a non-numeric or non-finite
+            cell (the error names the file and row).
     """
     root = Path(path)
     if not root.is_dir():
@@ -159,6 +160,9 @@ def _read_csv_file(file: Path) -> np.ndarray:
     except UnicodeDecodeError as err:
         row = data.count(b"\n", 0, err.start) + 1
         raise ValueError(f"{file.name} row {row}: not UTF-8 text ({err.reason})") from None
+    if "\0" in text:  # before Python 3.11, csv.reader fails on it naming no file or row
+        row = text.count("\n", 0, text.index("\0")) + 1
+        raise ValueError(f"{file.name} row {row}: NUL character")
     handle = io.StringIO(text, newline="")
     header = next(csv.reader(handle), None)
     if header is None:
@@ -238,21 +242,20 @@ def min_max_scale(ds: Dataset) -> Dataset:
     return Dataset(frozen(scaled), ds.labels, ds.class_names)
 
 
-def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def stratified_split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded per-class split into (train, test).
 
-    Each class present contributes floor(train_fraction * n_c) samples
+    Each class present contributes floor(TRAIN_FRACTION * n_c) samples
     (at least 1) to train and the remainder to test. Classes absent from
     ``ds`` are skipped; a class with a single sample cannot be split.
     """
-    check_range("train_fraction", train_fraction, "in (0, 1)")
     if ds.n_samples == 0:
         raise ValueError("cannot split an empty dataset")
     counts = ds.class_counts().tolist()
     if 1 in counts:
         raise ValueError(f"class {ds.class_names[counts.index(1)]!r} has 1 sample(s); "
                          "need at least 2 to split")
-    n_train = [max(1, math.floor(train_fraction * n)) if n else 0 for n in counts]
+    n_train = [max(1, math.floor(TRAIN_FRACTION * n)) if n else 0 for n in counts]
     train, test = _cut(ds, [n_train, np.subtract(counts, n_train)], seed)
     return ds.select(np.sort(train)), ds.select(np.sort(test))
 

@@ -16,9 +16,6 @@ from .mixtures import em_fit, perturb, select_k_bic
 from .network import EvalReport, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train_local
 
 STRATEGIES = ("fedavg", "fedprox", "fedp3e")
-GMM_MAX_COMPONENTS = 5
-# Each client's share of its own rows that goes to its train split.
-TRAIN_FRACTION = 0.8
 
 # Purpose tags for deriving per-(round, client) sub-seeds.
 _SEED_SPLIT = 1
@@ -105,7 +102,11 @@ class RoundMetrics:
     model_floats: int
     proto_upload_floats: tuple[int, ...]
     proto_download_floats: int
-    exchange_triggered: bool
+
+    @property
+    def exchange_triggered(self) -> bool:
+        """Whether the exchange ran this round: only then is anything broadcast."""
+        return self.proto_download_floats > 0
 
     @property
     def global_report(self) -> EvalReport:
@@ -193,10 +194,9 @@ def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, 
         rows = train.features[train.labels == class_id]
         seed = _int_seed(cfg.seed, _SEED_GMM, round_index, client, int(class_id))
         if cfg.gmm_components is not None:
-            k = min(cfg.gmm_components, rows.shape[0])
-            model = em_fit(rows, k, seed)
+            model = em_fit(rows, min(cfg.gmm_components, rows.shape[0]), seed)
         else:
-            model = select_k_bic(rows, GMM_MAX_COMPONENTS, seed)
+            model = select_k_bic(rows, seed)
         means[int(class_id)] = model.means
     return Prototypes(means)
 
@@ -224,7 +224,7 @@ def split_clients(cfg: FederationConfig, client_data: list[Dataset]) -> list[tup
         if cfg.scale_mode == "local":
             ds = min_max_scale(ds)
         with _failing_at(f"client {k}"):
-            clients.append(stratified_split(ds, TRAIN_FRACTION, _int_seed(cfg.seed, _SEED_SPLIT, k)))
+            clients.append(stratified_split(ds, _int_seed(cfg.seed, _SEED_SPLIT, k)))
     return clients
 
 
@@ -300,7 +300,6 @@ def run_federation(
             model_floats=global_params.trainable_count,
             proto_upload_floats=uploads,
             proto_download_floats=download,
-            exchange_triggered=exchange,
         ))
     return history
 

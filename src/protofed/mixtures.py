@@ -14,6 +14,7 @@ from .clustering import Prototypes, kmeans_plusplus
 COVARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-4
 EM_MAX_ITER = 200
+GMM_MAX_COMPONENTS = 5  # the BIC search's largest K
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -152,8 +153,8 @@ def bic_score(model: GmmModel, n_samples: int) -> float:
     return p * math.log(n_samples) - 2.0 * model.log_likelihood
 
 
-def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> GmmModel:
-    """Fit K = 1..min(k_max, n) mixtures and return the BIC argmin.
+def select_k_bic(X: np.ndarray, seed: int) -> GmmModel:
+    """Fit K = 1..min(GMM_MAX_COMPONENTS, n) mixtures and return the BIC argmin.
 
     Ties break toward smaller K, and fewer than two samples force K = 1.
     Candidate fits use child seeds spawned from ``seed`` in K order, so the
@@ -162,8 +163,7 @@ def select_k_bic(X: np.ndarray, k_max: int, seed: int) -> GmmModel:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("cannot select components for an empty matrix")
-    check_range("k_max", k_max, "integer >= 1")
-    k_hi = min(k_max, X.shape[0])
+    k_hi = min(GMM_MAX_COMPONENTS, X.shape[0])
     children = np.random.SeedSequence(seed).spawn(k_hi)
     best_model, best_bic = None, np.inf
     for k in range(1, k_hi + 1):

@@ -13,6 +13,7 @@ import numpy as np
 
 import protofed as pf
 from protofed.cli import _metrics_csv, parse_config
+from protofed.mixtures import GMM_MAX_COMPONENTS
 from helpers import SEVERE_FIXTURE, fd_max_relative_error, on_some_segment, randomized_params
 
 # Committed fixture for the severe / IID trend experiments.
@@ -211,8 +212,8 @@ def test_criterion_6_em_bic_oracle():
         n = int(rng.integers(15, 50))
         x = rng.random((n, 2)) * rng.uniform(0.5, 2.0)
         seed = int(rng.integers(0, 10_000))
-        k_hi = min(4, n)
-        picked_k = pf.select_k_bic(x, k_max=4, seed=seed).n_components
+        k_hi = min(GMM_MAX_COMPONENTS, n)
+        picked_k = pf.select_k_bic(x, seed=seed).n_components
         children = np.random.SeedSequence(seed).spawn(k_hi)
         table = []
         for k in range(1, k_hi + 1):
@@ -229,7 +230,7 @@ def test_criterion_6_em_bic_oracle():
         rng.normal((2.0, 0.0), 0.08, (200, 2)),
         rng.normal((0.0, 2.0), 0.08, (200, 2)),
     ])
-    k_star = pf.select_k_bic(blobs, k_max=5, seed=3).n_components
+    k_star = pf.select_k_bic(blobs, seed=3).n_components
 
     ok = monotone and oracle_agrees and k_star == 3
     assert report(

@@ -85,8 +85,8 @@ def test_train_local_calls_adam_step_once_per_mini_batch(monkeypatch):
     assert len(calls) == config.epochs * math.ceil(ds.n_samples / config.batch_size)
 
 
-@pytest.mark.parametrize("n, k_max", [(1, 4), (3, 5), (40, 4)])
-def test_select_k_bic_fits_through_the_module_attribute_once_per_k(monkeypatch, n, k_max):
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_select_k_bic_fits_through_the_module_attribute_once_per_k(monkeypatch, n):
     # SEVERE3_COUNTS pins the em_fit calls that the wrapper on mixtures.em_fit sees.
     calls = []
     original = mixtures.em_fit
@@ -96,8 +96,8 @@ def test_select_k_bic_fits_through_the_module_attribute_once_per_k(monkeypatch, 
         return original(X, n_components, seed)
 
     monkeypatch.setattr(mixtures, "em_fit", counting)
-    pf.select_k_bic(np.random.default_rng(n).random((n, 2)), k_max, seed=0)
-    assert calls == list(range(1, min(k_max, n) + 1))
+    pf.select_k_bic(np.random.default_rng(n).random((n, 2)), seed=0)
+    assert calls == list(range(1, min(mixtures.GMM_MAX_COMPONENTS, n) + 1))
 
 
 def traced_fedp3e_run(tmp_path, data):

@@ -37,7 +37,7 @@ class TestMinibatchKmeans:
         assert np.array_equal(a, b)
 
     def test_too_many_clusters_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="^n_clusters=3 exceeds 2 points$"):
             pf.minibatch_kmeans(np.zeros((2, 2)), 3, seed=0)
 
     def test_seeding_more_centers_than_points_rejected(self):

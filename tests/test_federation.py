@@ -148,7 +148,6 @@ def fake_metrics(round_index, accuracy, n_clients=3):
         model_floats=100,
         proto_upload_floats=(0,) * n_clients,
         proto_download_floats=0,
-        exchange_triggered=False,
     )
 
 
@@ -295,6 +294,17 @@ class TestRunFederation:
         # every round still moves at least two model payloads per client
         for metrics in history:
             assert metrics.uploaded_floats + metrics.downloaded_floats >= 2 * d_w
+
+    def test_exchange_flag_is_a_nonempty_broadcast(self, severe_run):
+        # The severe fixture runs 20 rounds with its exchange at round 6.
+        _, histories = severe_run
+        flags = {strategy: [m.round_index for m in history if m.exchange_triggered]
+                 for strategy, history in histories.items()}
+        assert flags == {"fedavg": [], "fedprox": [], "fedp3e": [6]}
+        for history in histories.values():
+            for m in history:
+                assert m.exchange_triggered == (m.proto_download_floats > 0)
+                assert m.exchange_triggered == any(m.proto_upload_floats)
 
     def test_bit_identical_reruns(self):
         clients = severe_clients()

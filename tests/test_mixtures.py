@@ -11,6 +11,7 @@ from protofed.mixtures import (
     COVARIANCE_FLOOR,
     EM_MAX_ITER,
     EM_TOL,
+    GMM_MAX_COMPONENTS,
     _e_step,
     _log_density,
     _m_step,
@@ -183,13 +184,13 @@ class TestWholeFitOracle:
 
 class TestSelectKBic:
     def test_single_sample_forces_one_component(self):
-        model = pf.select_k_bic(np.array([[0.5, 0.5]]), k_max=5, seed=0)
+        model = pf.select_k_bic(np.array([[0.5, 0.5]]), seed=0)
         assert model.n_components == 1
 
     def test_tight_blob_selects_one(self):
         rng = np.random.default_rng(6)
         x = blob(rng, 0.0, 0.2, 500, 2)
-        assert pf.select_k_bic(x, k_max=5, seed=3).n_components == 1
+        assert pf.select_k_bic(x, seed=3).n_components == 1
 
     def test_three_blobs_select_three(self):
         rng = np.random.default_rng(7)
@@ -198,19 +199,19 @@ class TestSelectKBic:
             blob(rng, (2.0, 0.0), 0.08, 200, 2),
             blob(rng, (0.0, 2.0), 0.08, 200, 2),
         ])
-        assert pf.select_k_bic(x, k_max=5, seed=3).n_components == 3
+        assert pf.select_k_bic(x, seed=3).n_components == 3
 
     def test_matches_brute_force_bic_table(self):
         rng = np.random.default_rng(8)
         for trial in range(5):
             x = rng.random((rng.integers(20, 60), 2)) * rng.uniform(0.5, 2.0)
             seed = int(rng.integers(0, 1000))
-            k_max = 4
-            picked_model = pf.select_k_bic(x, k_max=k_max, seed=seed)
+            picked_model = pf.select_k_bic(x, seed=seed)
             # independent table: refit each candidate and recompute the score
-            children = np.random.SeedSequence(seed).spawn(min(k_max, x.shape[0]))
+            k_hi = min(GMM_MAX_COMPONENTS, x.shape[0])
+            children = np.random.SeedSequence(seed).spawn(k_hi)
             table = []
-            for k in range(1, min(k_max, x.shape[0]) + 1):
+            for k in range(1, k_hi + 1):
                 model = pf.em_fit(x, k, children[k - 1])
                 p = (k - 1) + k * x.shape[1] + k * x.shape[1]
                 table.append(p * np.log(x.shape[0]) - 2.0 * model.log_likelihood)
@@ -222,7 +223,7 @@ class TestSelectKBic:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            pf.select_k_bic(np.empty((0, 2)), k_max=3, seed=0)
+            pf.select_k_bic(np.empty((0, 2)), seed=0)
 
 
 class TestPerturb:

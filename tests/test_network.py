@@ -512,8 +512,6 @@ _FLOAT_SETTINGS = [
     ("federation-noise_sigma", "noise_sigma", ">= 0", lambda v: pf.FederationConfig(noise_sigma=v)),
     ("federation-target_fraction", "target_fraction", "in (0, 1]",
      lambda v: pf.FederationConfig(target_fraction=v)),
-    ("split-train_fraction", "train_fraction", "in (0, 1)",
-     lambda v: pf.stratified_split(two_blob_dataset(4, 2, 0.1, seed=0), v, seed=0)),
     ("cluster_spread", "cluster_spread", "> 0",
      lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=v, samples_per_class=10)),
     ("target_fraction", "target_fraction", "in (0, 1]", lambda v: _augment(target_fraction=v)),
@@ -604,7 +602,6 @@ _COUNT_SETTINGS = [
     ("n_prototypes", "n_prototypes", 1, pf.choose_cluster_count),
     ("class_id", "class ids", 0, lambda v: pf.Prototypes({v: [[0.0]]})),
     ("n_components", "n_components", 1, lambda v: pf.em_fit(np.eye(2), v, 0)),
-    ("k_max", "k_max", 1, lambda v: pf.select_k_bic(np.eye(2), v, 0)),
     ("adam-t", "t", 1,
      lambda v: pf.adam_step(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), v, 0.1)),
 ]
