@@ -10,7 +10,7 @@ Library layout:
     cli         JSON-config experiment runner
 """
 
-from .augment import augment, smote_pair
+from .augment import augment
 from .clustering import (
     Prototypes,
     aggregate_prototypes,
@@ -86,7 +86,6 @@ __all__ = [
     "run_federation",
     "select_k_bic",
     "should_trigger_exchange",
-    "smote_pair",
     "split_clients",
     "stratified_split",
     "synthesize",

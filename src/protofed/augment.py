@@ -9,16 +9,6 @@ from .clustering import Prototypes
 from .datasets import Dataset, frozen
 
 
-def smote_pair(a: np.ndarray, b: np.ndarray, coeff: float) -> np.ndarray:
-    """Linear interpolation a + coeff * (b - a), exact per coordinate."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    check_range("interpolation coefficient", coeff, "in [0, 1]")
-    return a + coeff * (b - a)
-
-
 def augment(
     local: Dataset, gp: Prototypes, target_fraction: float, noise_sigma: float, seed: int
 ) -> Dataset:
@@ -59,7 +49,7 @@ def augment(
             coeff = rng.random()
             if protos.shape[0] >= 2:
                 i, j = rng.choice(protos.shape[0], size=2, replace=False)
-                row = smote_pair(protos[i], protos[j], coeff)
+                row = protos[i] + coeff * (protos[j] - protos[i])
             else:
                 row = protos[0] + rng.normal(0.0, noise_sigma, size=protos.shape[1])
             new_rows.append(row)

@@ -257,8 +257,8 @@ def _csv_text(columns: tuple[str, ...], rows) -> str:
 
 
 def _metrics_csv(history: list[RoundMetrics]) -> str:
-    rows = [[m.round_index, *_score_cells(m.global_report), m.uploaded_floats, m.downloaded_floats,
-             int(m.exchange_triggered)] for m in history]
+    rows = [[r, *_score_cells(m.global_report), m.uploaded_floats, m.downloaded_floats,
+             int(m.exchange_triggered)] for r, m in enumerate(history, 1)]
     return _csv_text(METRICS_COLUMNS, rows)
 
 

@@ -22,15 +22,15 @@ def kmeans_plusplus(points: np.ndarray, n_clusters: int, rng: np.random.Generato
         raise ValueError(f"n_clusters={n_clusters} exceeds {n} points")
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = np.full(n, np.inf)
     for j in range(1, n_clusters):
+        d2 = np.minimum(d2, ((points - centers[j - 1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
             idx = rng.integers(n)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
 
 

@@ -91,13 +91,14 @@ def check_strategy(strategy: str, cfg: FederationConfig) -> None:
 class RoundMetrics:
     """Everything measured in one round, including protocol float counts.
 
+    A round's number is its 1-based position in the history that holds it.
+
     ``model_floats`` is the size of one model update; every client uploads
     one and receives one global model of that size. ``proto_upload_floats``
     holds one count per client (zeros unless the exchange ran this round);
     ``proto_download_floats`` is the per-client broadcast payload size.
     """
 
-    round_index: int
     client_reports: tuple[EvalReport, ...]
     model_floats: int
     proto_upload_floats: tuple[int, ...]
@@ -188,11 +189,11 @@ def _combine_reports(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-def _client_prototypes(train: Dataset, cfg: FederationConfig, round_index: int, client: int) -> Prototypes:
+def _client_prototypes(train: Dataset, cfg: FederationConfig, r: int, client: int) -> Prototypes:
     means = {}
     for class_id in np.flatnonzero(train.class_counts()):
         rows = train.features[train.labels == class_id]
-        seed = _int_seed(cfg.seed, _SEED_GMM, round_index, client, int(class_id))
+        seed = _int_seed(cfg.seed, _SEED_GMM, r, client, int(class_id))
         if cfg.gmm_components is not None:
             model = em_fit(rows, min(cfg.gmm_components, rows.shape[0]), seed)
         else:
@@ -295,7 +296,6 @@ def run_federation(
             with _failing_at(f"round {r}, client {k}"):
                 reports.append(evaluate(global_params, test))
         history.append(RoundMetrics(
-            round_index=r,
             client_reports=tuple(reports),
             model_floats=global_params.trainable_count,
             proto_upload_floats=uploads,
@@ -305,10 +305,10 @@ def run_federation(
 
 
 def exchange_round(history: list[RoundMetrics]) -> int | None:
-    """Round index of the one-shot exchange, or None if it never fired."""
-    for metrics in history:
+    """Round number of the one-shot exchange, or None if it never fired."""
+    for r, metrics in enumerate(history, 1):
         if metrics.exchange_triggered:
-            return metrics.round_index
+            return r
     return None
 
 

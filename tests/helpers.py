@@ -1,16 +1,19 @@
 """Shared test utilities: finite-difference checks, tiny data generators, a segment oracle,
-a memory probe, the run spec a JSON config states and the arithmetic a run uses."""
+a memory probe, the run spec a JSON config states, runs from one-ULP nudged initial models
+and the arithmetic a run uses."""
 
 from __future__ import annotations
 
 import ctypes
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import protofed as pf
-from protofed.cli import CsvSource, RunSpec
+from protofed import federation
+from protofed.cli import CsvSource, RunSpec, _load_dataset
 from protofed.datasets import N_FEATURES
 from protofed.network import loss_and_grads
 
@@ -193,6 +196,25 @@ def stated_spec(raw: dict) -> RunSpec:
     )
     return RunSpec(data, raw["partition"]["scenario"], raw["partition"]["n_clients"], federation,
                    tuple(fed["strategies"]), raw["output_dir"])
+
+
+def nudged_runs(config: RunSpec, positions) -> list[dict[str, list[pf.RoundMetrics]]]:
+    """Every strategy's history of ``config``, once per position ``i``, with the
+    initial model's ``flat[i]`` moved one ULP up to ``np.nextafter(flat[i], inf)``.
+    The data are loaded, partitioned and split once, as ``protofed run`` does."""
+    ds = _load_dataset(config)
+    plan = pf.build_partition_plan(config.scenario, ds.class_counts(), config.n_clients)
+    clients = pf.split_clients(config.federation, pf.partition(ds, plan, config.federation.seed))
+    runs = []
+    for i in positions:
+        def nudged(spec, seed, i=i):
+            params = pf.build_model(spec, seed)
+            params.flat[i] = np.nextafter(params.flat[i], np.inf)
+            return params
+
+        with mock.patch.object(federation, "build_model", nudged):
+            runs.append({s: pf.run_federation(config.federation, clients, s) for s in config.strategies})
+    return runs
 
 
 def arithmetic() -> str:

@@ -19,23 +19,23 @@ def make_gp(class_to_vectors):
     return pf.Prototypes({c: np.asarray(v, dtype=float) for c, v in class_to_vectors.items()})
 
 
-class TestSmotePair:
-    def test_endpoints(self):
-        a, b = np.array([1.0, 2.0]), np.array([3.0, 5.0])
-        assert np.array_equal(pf.smote_pair(a, b, 0.0), a)
-        assert np.array_equal(pf.smote_pair(a, b, 1.0), b)
-
-    def test_midpoint(self):
-        out = pf.smote_pair(np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.5)
-        assert out.tolist() == [1.0, 2.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            pf.smote_pair(np.zeros(2), np.zeros(3), 0.5)
-
-    def test_coefficient_range_enforced(self):
-        with pytest.raises(ValueError, match="coefficient"):
-            pf.smote_pair(np.zeros(2), np.ones(2), 1.5)
+def reference_synthetic(gp, plan, noise_sigma, seed):
+    """The synthetic rows and labels of ``plan``, (class id, rows) in eligible order,
+    drawn one row at a time: a coefficient, then a distinct prototype pair to
+    interpolate or, for a lone prototype, a Gaussian jitter."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rows, labels = [], []
+    for class_id, n_rows in plan:
+        protos = gp.by_class[class_id]
+        for _ in range(n_rows):
+            c = rng.random()
+            if len(protos) >= 2:
+                a, b = protos[rng.choice(len(protos), 2, replace=False)]
+                rows.append(a + c * (b - a))
+            else:
+                rows.append(protos[0] + rng.normal(0.0, noise_sigma, size=protos.shape[1]))
+            labels.append(class_id)
+    return np.asarray(rows), np.asarray(labels, dtype=np.int64)
 
 
 class TestAugment:
@@ -57,6 +57,23 @@ class TestAugment:
         assert np.array_equal(out.features[:n], local.features)
         assert np.array_equal(out.labels[:n], local.labels)
         assert set(out.labels[n:].tolist()) <= eligible
+
+    @pytest.mark.parametrize("counts, n_classes, gp_rows, noise_sigma, plan", [
+        # Class 1 is absent locally and gets the whole budget of 6 from 4 prototypes.
+        pytest.param([60], 2, {1: 4}, 0.01, [(1, 6)], id="multi-prototype"),
+        pytest.param([60], 2, {1: 1}, 0.05, [(1, 6)], id="lone-prototype"),
+        # Mean count 50/3: a budget of 5 over classes 1 and 2, the remainder to class 2.
+        pytest.param([40, 6, 4], 3, {0: 2, 1: 3, 2: 1}, 0.02, [(1, 2), (2, 3)], id="remainder"),
+    ])
+    def test_synthetic_rows_equal_the_reference_loop(self, counts, n_classes, gp_rows, noise_sigma, plan):
+        local = make_local(counts, dims=4, seed=3, n_classes=n_classes)
+        rng = np.random.default_rng(4)
+        gp = make_gp({c: rng.random((k, 4)) for c, k in gp_rows.items()})
+        out = pf.augment(local, gp, 0.10, noise_sigma, 15)
+        rows, labels = reference_synthetic(gp, plan, noise_sigma, 15)
+        n = local.n_samples
+        assert out.features[n:].tobytes() == rows.tobytes()
+        assert out.labels[n:].tolist() == labels.tolist()
 
     def test_exact_ten_percent_budget(self):
         local = make_local([500, 400, 100])

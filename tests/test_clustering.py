@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protofed as pf
 from protofed.clustering import kmeans_plusplus
@@ -55,6 +57,44 @@ class TestMinibatchKmeans:
         centers = pf.minibatch_kmeans(points, 3, seed=6)
         assert (centers >= points.min(axis=0) - 1e-12).all()
         assert (centers <= points.max(axis=0) + 1e-12).all()
+
+
+def reference_kmeans_plusplus(points, n_clusters, rng):
+    """k-means++ seeding that folds in each center's distance row as it places it."""
+    n = points.shape[0]
+    centers = np.empty((n_clusters, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, n_clusters):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+@st.composite
+def seeding_inputs(draw):
+    """Points drawn from a small pool of rows, so duplicates are common, and a K in 1..5."""
+    dims = draw(st.integers(1, 4))
+    coordinate = st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-10.0, 10.0))
+    pool = draw(st.lists(st.lists(coordinate, min_size=dims, max_size=dims), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    points = np.array([pool[i] for i in picks], dtype=np.float64)
+    return points, draw(st.integers(1, min(5, len(points)))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeding_inputs())
+def test_kmeans_plusplus_equals_the_reference_bit_for_bit(inputs):
+    points, n_clusters, seed = inputs
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centers = kmeans_plusplus(points, n_clusters, rng)
+    assert centers.tobytes() == reference_kmeans_plusplus(points, n_clusters, reference_rng).tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestChooseClusterCount:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import protofed as pf
 import protofed.federation as federation
+from protofed.cli import RunSpec
 from protofed.federation import FederationError, _combine_reports
-from helpers import randomized_params
+from helpers import nudged_runs, randomized_params
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,10 +141,9 @@ class TestScaleClients:
             pf.split_clients(small_config(), [shards[0], one_row, shards[2]])
 
 
-def fake_metrics(round_index, accuracy, n_clients=3):
+def fake_metrics(accuracy, n_clients=3):
     report = pf.EvalReport(accuracy, accuracy, accuracy, accuracy, 0.5, 100)
     return pf.RoundMetrics(
-        round_index=round_index,
         client_reports=(report,) * n_clients,
         model_floats=100,
         proto_upload_floats=(0,) * n_clients,
@@ -169,15 +169,15 @@ class TestShouldTriggerExchange:
         return small_config(rounds=10, trigger_round=6)
 
     def test_low_mean_accuracy_triggers(self):
-        history = [fake_metrics(t, 0.96) for t in range(1, 6)]
+        history = [fake_metrics(0.96)] * 5
         assert pf.should_trigger_exchange(history, self.config()) is True
 
     def test_high_mean_accuracy_stays_dormant(self):
-        history = [fake_metrics(t, 0.98) for t in range(1, 6)]
+        history = [fake_metrics(0.98)] * 5
         assert pf.should_trigger_exchange(history, self.config()) is False
 
     def test_only_fires_at_trigger_round(self):
-        history = [fake_metrics(t, 0.5) for t in range(1, 7)]  # next round is 7
+        history = [fake_metrics(0.5)] * 6  # next round is 7
         assert pf.should_trigger_exchange(history, self.config()) is False
 
     def test_other_strategies_never_fire(self, monkeypatch):
@@ -200,7 +200,7 @@ class TestClientPrototypes:
         labels = np.array([0] * 30 + [1] * 20 + [3] * 1)
         train = pf.Dataset(rng.random((labels.size, 4)), labels, ("a", "b", "c", "d"))
         cfg = small_config(gmm_components=2)
-        protos = federation._client_prototypes(train, cfg, round_index=2, client=1)
+        protos = federation._client_prototypes(train, cfg, r=2, client=1)
         assert tuple(sorted(protos.by_class)) == (0, 1, 3)
         for class_id, rows in protos.by_class.items():
             seed = federation._int_seed(cfg.seed, federation._SEED_GMM, 2, 1, class_id)
@@ -298,7 +298,7 @@ class TestRunFederation:
     def test_exchange_flag_is_a_nonempty_broadcast(self, severe_run):
         # The severe fixture runs 20 rounds with its exchange at round 6.
         _, histories = severe_run
-        flags = {strategy: [m.round_index for m in history if m.exchange_triggered]
+        flags = {strategy: [r for r, m in enumerate(history, 1) if m.exchange_triggered]
                  for strategy, history in histories.items()}
         assert flags == {"fedavg": [], "fedprox": [], "fedp3e": [6]}
         for history in histories.values():
@@ -489,6 +489,30 @@ class TestRunFederation:
         assert cfg.hidden == ((8, 0.0), (4, 1.0))
         assert type(cfg.hidden[0][1]) is float
         assert hash(cfg) == hash(pf.FederationConfig(hidden=((8, 0.0), (4, 1.0))))
+
+
+def test_claims_hold_across_one_ulp_nudges_of_the_initial_model():
+    # A severe split that fedavg leaves at chance and fedp3e learns. The float
+    # counts do not depend on the model, so they are pinned: one prototype per
+    # class, 6 floats up from each client and 3 x 6 down, so a broadcast that
+    # dropped a class would show here and nowhere else in the band.
+    fed = small_config(train=pf.TrainConfig(epochs=3, batch_size=16, learning_rate=0.02),
+                       hidden=((8, 1e-3),), dropout_p=0.0)
+    data = pf.SyntheticSpec(n_classes=3, dims=6, cluster_spread=0.05, samples_per_class=60, seed=0)
+    config = RunSpec(data, "severe", 3, fed, ("fedavg", "fedp3e"))
+    d_w = pf.build_model(pf.ModelSpec(6, fed.hidden, fed.dropout_p, 3), 0).trainable_count
+    runs = nudged_runs(config, np.linspace(0, d_w - 1, 8).astype(int))
+    quiet = (d_w, (0, 0, 0), 0)
+    expected = {"fedavg": [quiet] * 4, "fedp3e": [quiet, (d_w, (6, 6, 6), 18), quiet, quiet]}
+    for histories in runs:
+        assert pf.exchange_round(histories["fedp3e"]) == 2
+        for strategy, history in histories.items():
+            floats = [(m.model_floats, m.proto_upload_floats, m.proto_download_floats) for m in history]
+            assert floats == expected[strategy]
+        final = {strategy: history[-1].global_report.accuracy for strategy, history in histories.items()}
+        assert final["fedp3e"] >= final["fedavg"]
+    # The nudges reach the outputs, or the band would say nothing.
+    assert len({repr(histories["fedp3e"]) for histories in runs}) > 1
 
 
 class TestProxDeviation:

@@ -90,8 +90,8 @@ def test_one_client_fedavg_equals_chained_local_training(run):
     spec = pf.ModelSpec(train.n_features, cfg.hidden, cfg.dropout_p, train.n_classes)
     params = pf.build_model(spec, _int_seed(cfg.seed, _SEED_INIT))
     local = replace(cfg.train, prox_mu=0.0)
-    for metrics in history:
-        seed = _int_seed(cfg.seed, _SEED_TRAIN, metrics.round_index, 0)
+    for r, metrics in enumerate(history, 1):
+        seed = _int_seed(cfg.seed, _SEED_TRAIN, r, 0)
         params, _ = pf.train_local(params, train, local, seed)
         assert metrics.client_reports == (pf.evaluate(params, test),)
 

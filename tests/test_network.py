@@ -515,8 +515,6 @@ _FLOAT_SETTINGS = [
     ("cluster_spread", "cluster_spread", "> 0",
      lambda v: pf.SyntheticSpec(n_classes=2, dims=3, cluster_spread=v, samples_per_class=10)),
     ("target_fraction", "target_fraction", "in (0, 1]", lambda v: _augment(target_fraction=v)),
-    ("coeff", "interpolation coefficient", "in [0, 1]",
-     lambda v: pf.smote_pair(np.zeros(2), np.ones(2), v)),
     # The level at which augment jitters a class's lone prototype.
     ("prototypes-noise_sigma", "noise_sigma", ">= 0", lambda v: _augment(noise_sigma=v)),
     ("sigma", "sigma", ">= 0", lambda v: pf.perturb(_protos(), v, 0)),
